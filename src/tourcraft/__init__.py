@@ -11,12 +11,12 @@ from .bench import (BenchRecord, RunConfig, percent_error, render_report,
 from .bounds import (LowerBoundResult, exact_optimum, held_karp_bound,
                      one_tree_value)
 from .construction import (ConstructionResult, ExponentCombo, PathEndTracker,
-                           construct_tour, default_grid, eq1_priority,
-                           eq2_priority, grid_search, run_main_step)
+                           construct_tour, default_grid, grid_search,
+                           run_main_step)
 from .errors import (ConfigError, DegenerateInstanceError, ParseError,
                      SizeLimitError, TourcraftError, ValidationError)
 from .instance import (CityStats, DistanceMatrix, Instance, Tour,
-                       build_distance_matrix, city_stats, distance,
+                       build_distance_matrix, city_stats,
                        generate_random_euclidean, make_tour, tour_length,
                        validate_tour)
 from .svgplot import plot_tour_svg
@@ -31,8 +31,7 @@ __all__ = [
     "LowerBoundResult", "OptimaTable", "ParseError", "PathEndTracker",
     "RunConfig", "SizeLimitError", "Tour", "TourcraftError",
     "ValidationError", "build_distance_matrix", "city_stats", "clarke_wright",
-    "construct_tour", "default_grid", "default_optima", "distance",
-    "eq1_priority", "eq2_priority", "exact_optimum",
+    "construct_tour", "default_grid", "default_optima", "exact_optimum",
     "generate_random_euclidean", "greedy_edge", "grid_search",
     "held_karp_bound", "load_optima", "make_tour", "nearest_neighbor",
     "one_tree_value", "parse_tour", "parse_tsplib", "percent_error",

@@ -40,16 +40,11 @@ def nearest_neighbor(matrix: DistanceMatrix, start: int = 0) -> Tour:
     return make_tour(order, matrix)
 
 
-def _sorted_pairs(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    iu, ju = np.triu_indices(n, k=1)
-    return iu, ju
-
-
 def greedy_edge(matrix: DistanceMatrix) -> Tour:
     """Add edges in ascending length while every city keeps degree <= 2 and
     no cycle forms before the final closing edge."""
     n = _require_n(matrix)
-    iu, ju = _sorted_pairs(n)
+    iu, ju = np.triu_indices(n, k=1)
     weights = matrix.d[iu, ju]
     rank = np.lexsort((ju, iu, weights))
     tracker = PathEndTracker(n)

@@ -6,17 +6,19 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .baselines import clarke_wright, greedy_edge, nearest_neighbor
-from .bounds import EXACT_MAX_N, exact_optimum, held_karp_bound
+from .bounds import exact_optimum, held_karp_bound
 from .construction import ExponentCombo, default_grid, grid_search
 from .errors import ConfigError, TourcraftError
 from .instance import (DistanceMatrix, Instance, build_distance_matrix,
-                       city_stats, generate_random_euclidean, validate_tour)
+                       city_stats, generate_random_euclidean)
 from .tsplib import OptimaTable, default_optima, parse_tsplib
 
 METHODS = ("proposed", "nn", "greedy", "cw")
+
+RANDOM_BOX = 1_000_000.0  # side of the square random instances fill
 
 CSV_HEADER = ("instance,n,method,alpha,beta,gamma,delta,epsilon,"
               "length,reference,reference_kind,pct_error,wall_millis")
@@ -44,19 +46,17 @@ class BenchRecord:
 
 @dataclass
 class RunConfig:
-    """What to run: instance sources, methods, grid, reference policy, output."""
+    """What to run: instance sources, methods, grid, reference policy."""
 
     files: List[Path] = field(default_factory=list)
     instances: List[Instance] = field(default_factory=list)
     random_n: Optional[int] = None
     random_count: int = 0
     random_seeds: Optional[List[int]] = None
-    random_box: float = 1_000_000.0
     methods: Tuple[str, ...] = ("proposed",)
     grid: Optional[List[ExponentCombo]] = None
     optima: Optional[OptimaTable] = None
     bound_iters: int = 1000
-    output_format: str = "csv"
 
     def validate(self) -> None:
         if not self.files and not self.instances and not self.random_count:
@@ -66,8 +66,6 @@ class RunConfig:
                 raise ConfigError(f"unknown method {m!r}; known: {METHODS}")
         if not self.methods:
             raise ConfigError("no methods configured")
-        if self.output_format not in ("csv", "md"):
-            raise ConfigError(f"unknown output format {self.output_format!r}")
 
 
 def _gather_instances(config: RunConfig) -> List[Instance]:
@@ -87,24 +85,22 @@ def _gather_instances(config: RunConfig) -> List[Instance]:
             raise ConfigError("seed list length must match random_count")
         for seed in seeds:
             instances.append(generate_random_euclidean(
-                config.random_n, seed, config.random_box))
+                config.random_n, seed, RANDOM_BOX))
     return instances
 
 
 def _solve(method: str, matrix: DistanceMatrix, stats,
-           grid) -> Tuple[float, Optional[ExponentCombo], Sequence[int]]:
+           grid) -> Tuple[float, Optional[ExponentCombo]]:
     if method == "proposed":
         result = grid_search(matrix, stats, grid)
-        return result.tour.length, result.combo, result.tour.order
+        return result.tour.length, result.combo
     if method == "nn":
         t = nearest_neighbor(matrix)
     elif method == "greedy":
         t = greedy_edge(matrix)
-    elif method == "cw":
-        t = clarke_wright(matrix, stats=stats)
     else:
-        raise ConfigError(f"unknown method {method!r}")
-    return t.length, None, t.order
+        t = clarke_wright(matrix, stats=stats)
+    return t.length, None
 
 
 def _reference(instance: Instance, matrix: DistanceMatrix,
@@ -132,10 +128,8 @@ def run_benchmark(config: RunConfig) -> List[BenchRecord]:
         reference: Optional[Tuple[float, str]] = None
         for method in config.methods:
             t0 = time.perf_counter()
-            length, combo, order = _solve(method, matrix, stats, grid)
+            length, combo = _solve(method, matrix, stats, grid)
             millis = (time.perf_counter() - t0) * 1000.0
-            report = validate_tour(order, instance.n)
-            assert report.ok, f"{method} produced an invalid tour: {report}"
             if reference is None:
                 reference = _reference(instance, matrix, optima,
                                        config.bound_iters, length)

@@ -10,11 +10,18 @@ from typing import List, Optional
 from .bench import RunConfig, render_report, run_benchmark
 from .bounds import held_karp_bound
 from .construction import ExponentCombo, default_grid, grid_search
-from .errors import TourcraftError
+from .errors import ConfigError, TourcraftError
 from .instance import (build_distance_matrix, city_stats,
                        generate_random_euclidean)
 from .svgplot import plot_tour_svg
 from .tsplib import default_optima, load_optima, parse_tsplib, write_tour
+
+
+def _numbers(spec: str, sep: str, cast=float) -> list:
+    try:
+        return [cast(v) for v in spec.split(sep)]
+    except ValueError:
+        raise ConfigError(f"malformed number in {spec!r}")
 
 
 def _parse_grid(spec: Optional[str]) -> List[ExponentCombo]:
@@ -25,12 +32,12 @@ def _parse_grid(spec: Optional[str]) -> List[ExponentCombo]:
     if ";" in spec or ":" in spec:
         combos = []
         for part in spec.split(";"):
-            vals = [float(v) for v in part.split(":")]
+            vals = _numbers(part, ":")
             if len(vals) != 5:
                 raise TourcraftError(f"combo {part!r} needs 5 exponents")
             combos.append(ExponentCombo(*vals))
         return combos
-    return default_grid([float(v) for v in spec.split(",")])
+    return default_grid(_numbers(spec, ","))
 
 
 def _load(path: str):
@@ -47,8 +54,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
           f"alpha={c.alpha:g} beta={c.beta:g} gamma={c.gamma:g} "
           f"delta={c.delta:g} epsilon={c.epsilon:g}")
     if args.out:
-        Path(args.out).write_text(
-            write_tour(result.tour, instance_name=instance.name))
+        Path(args.out).write_text(write_tour(result.tour, instance.name))
     if args.plot:
         Path(args.plot).write_text(plot_tour_svg(instance, result.tour.order))
     return 0
@@ -67,13 +73,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         optima=(load_optima(Path(args.optima).read_text())
                 if args.optima else default_optima()),
         bound_iters=args.iters,
-        output_format=args.format,
     )
     if args.random:
-        parts = args.random.split(",")
+        parts = _numbers(args.random, ",", int)
         if len(parts) != 3:
             raise TourcraftError("--random expects n,count,first-seed")
-        n, count, seed0 = (int(p) for p in parts)
+        n, count, seed0 = parts
         config.random_n = n
         config.random_count = count
         config.random_seeds = list(range(seed0, seed0 + count))
@@ -156,10 +161,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TourcraftError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (TourcraftError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

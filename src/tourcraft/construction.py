@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,6 +43,10 @@ class ExponentCombo:
     delta: float
     epsilon: float
 
+    def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for v in self.as_tuple()):
+            raise ConfigError(f"exponents must be finite, got {self.as_tuple()}")
+
     def as_tuple(self) -> Tuple[float, float, float, float, float]:
         return (self.alpha, self.beta, self.gamma, self.delta, self.epsilon)
 
@@ -52,38 +56,8 @@ def default_grid(values: Sequence[float] = DEFAULT_EXPONENT_VALUES,
     """Full Cartesian grid in lexicographic (alpha..epsilon) order."""
     if not values:
         raise ConfigError("exponent value set must be non-empty")
-    vals = tuple(float(v) for v in values)
-    if any(not math.isfinite(v) for v in vals):
-        raise ConfigError("exponent values must be finite")
-    return [ExponentCombo(*combo)
-            for combo in itertools.product(sorted(vals), repeat=5)]
-
-
-def _pow0(base: float, exp: float) -> float:
-    # 0^0 = 1 so a zero exponent always removes its factor
-    if exp == 0.0:
-        return 1.0
-    return base ** exp
-
-
-def eq1_priority(mu_i: float, sigma_i: float, alpha: float, beta: float) -> float:
-    """Static city priority mu^alpha * sigma^beta."""
-    return _pow0(mu_i, alpha) * _pow0(sigma_i, beta)
-
-
-def eq2_priority(mu_j: float, sigma_j: float, d_ij: float,
-                 gamma: float, delta: float, epsilon: float) -> float:
-    """Neighbor attractiveness (mu^delta * sigma^epsilon) / d^gamma.
-
-    Zero distance with gamma > 0 yields +inf so coincident cities always win.
-    """
-    num = _pow0(mu_j, delta) * _pow0(sigma_j, epsilon)
-    if gamma == 0.0:
-        return num
-    if d_ij == 0.0:
-        # d^gamma -> 0 for gamma > 0 (maximal priority), -> inf for gamma < 0
-        return math.inf if gamma > 0.0 else 0.0
-    return num / d_ij ** gamma
+    vals = sorted(float(v) for v in values)
+    return [ExponentCombo(*combo) for combo in itertools.product(vals, repeat=5)]
 
 
 class PathEndTracker:
@@ -127,7 +101,6 @@ class ConstructionResult:
 
     tour: Tour
     combo: ExponentCombo
-    step1_edges: List[Tuple[int, int]] = field(default_factory=list)
     neighbor_evaluations: int = 0
 
 
@@ -213,14 +186,12 @@ def construct_tour(matrix: DistanceMatrix, stats: CityStats,
     edges: List[Tuple[int, int]] = []
     evals = run_main_step(1, matrix, stats, combo, tracker, edges)
     assert int(tracker.degree.min()) >= 1, "step 1 left an isolated city"
-    step1_edges = list(edges)
     evals += run_main_step(2, matrix, stats, combo, tracker, edges)
     assert tracker.edge_count == n and int(tracker.degree.min()) == 2 \
         and int(tracker.degree.max()) == 2, "step 2 did not close a 2-regular cycle"
     order = _edges_to_order(edges, n)
     tour = make_tour(order, matrix)
-    return ConstructionResult(tour=tour, combo=combo, step1_edges=step1_edges,
-                              neighbor_evaluations=evals)
+    return ConstructionResult(tour=tour, combo=combo, neighbor_evaluations=evals)
 
 
 def grid_search(matrix: DistanceMatrix, stats: CityStats,

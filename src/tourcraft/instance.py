@@ -23,28 +23,32 @@ population form over those n-1 values.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateInstanceError, ValidationError
+from .errors import (ConfigError, DegenerateInstanceError, SizeLimitError,
+                     ValidationError)
 
 SUPPORTED_KINDS = ("EUC_2D", "ATT", "CEIL_2D", "EXPLICIT")
 
-Coord = Tuple[float, float]
+# Largest n whose distance matrix is built. One n x n float64 array takes
+# 8 n^2 bytes (800 MB at the limit). Building the matrix holds four of them
+# at its peak (six, plus a boolean mask, for ATT) and the result keeps two.
+MATRIX_MAX_N = 10_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Instance:
     """Immutable problem statement: coordinates (or explicit weights) plus a
-    distance-function tag."""
+    distance-function tag. ``coords`` is stored as a read-only (n, 2) float
+    array."""
 
     name: str
     n: int
     kind: str
-    coords: Optional[Tuple[Coord, ...]] = None
+    coords: Optional[np.ndarray] = None
     explicit_weights: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
@@ -61,20 +65,24 @@ class Instance:
             if w.shape != (self.n, self.n):
                 raise ValidationError(
                     f"weight table shape {w.shape} does not match n={self.n}")
+            if not np.all(np.isfinite(w) & (w >= 0)):
+                raise ValidationError("EXPLICIT weights must be finite and >= 0")
             if not np.allclose(w, w.T):
                 raise ValidationError("EXPLICIT weight table is not symmetric")
             if np.any(np.diag(w) != 0):
                 raise ValidationError("EXPLICIT weight table has nonzero diagonal")
             object.__setattr__(self, "explicit_weights", w)
-        else:
-            if self.coords is None or len(self.coords) != self.n:
-                got = 0 if self.coords is None else len(self.coords)
+        if self.kind != "EXPLICIT" or self.coords is not None:
+            pts = np.array(() if self.coords is None else self.coords,
+                           dtype=float).reshape(-1, 2)
+            if len(pts) != self.n:
                 raise ValidationError(
                     f"instance {self.name!r}: expected {self.n} coordinate "
-                    f"pairs, got {got}")
-            object.__setattr__(
-                self, "coords",
-                tuple((float(x), float(y)) for x, y in self.coords))
+                    f"pairs, got {len(pts)}")
+            if not np.all(np.isfinite(pts)):
+                raise ValidationError(f"{self.name}: non-finite coordinate")
+            pts.setflags(write=False)
+            object.__setattr__(self, "coords", pts)
 
 
 @dataclass(frozen=True)
@@ -144,25 +152,6 @@ class TourReport:
         return "violation: " + ", ".join(parts)
 
 
-def _nint(x: float) -> int:
-    return int(math.floor(x + 0.5))
-
-
-def distance(kind: str, a: Coord, b: Coord) -> float:
-    """TSPLIB distance between two coordinate pairs under the given kind."""
-    dx = a[0] - b[0]
-    dy = a[1] - b[1]
-    if kind == "EUC_2D":
-        return float(_nint(math.sqrt(dx * dx + dy * dy)))
-    if kind == "CEIL_2D":
-        return float(math.ceil(math.sqrt(dx * dx + dy * dy)))
-    if kind == "ATT":
-        r = math.sqrt((dx * dx + dy * dy) / 10.0)
-        t = _nint(r)
-        return float(t if t >= r else t + 1)
-    raise ConfigError(f"unknown distance kind {kind!r}")
-
-
 def build_distance_matrix(instance: Instance) -> DistanceMatrix:
     """Full n x n matrix; EXPLICIT copies the weights, the coordinate kinds
     apply the TSPLIB rounding rules pairwise (vectorized) and keep the exact
@@ -170,10 +159,13 @@ def build_distance_matrix(instance: Instance) -> DistanceMatrix:
     unrounded distance is the Euclidean one scaled by 1/sqrt(10), and a
     common scale changes no ranking of cities or neighbours."""
     n = instance.n
+    if n > MATRIX_MAX_N:
+        raise SizeLimitError(
+            f"distance matrix is limited to n <= {MATRIX_MAX_N}, got {n}")
     if instance.kind == "EXPLICIT":
         return DistanceMatrix(n, np.array(instance.explicit_weights, dtype=float))
 
-    pts = np.asarray(instance.coords, dtype=float)
+    pts = instance.coords
     dx = pts[:, 0][:, None] - pts[:, 0][None, :]
     dy = pts[:, 1][:, None] - pts[:, 1][None, :]
     sq = dx * dx + dy * dy
@@ -183,12 +175,10 @@ def build_distance_matrix(instance: Instance) -> DistanceMatrix:
         d = np.floor(exact + 0.5)
     elif instance.kind == "CEIL_2D":
         d = np.ceil(exact)
-    elif instance.kind == "ATT":
+    else:  # ATT
         r = np.sqrt(sq / 10.0)
         t = np.floor(r + 0.5)
         d = np.where(t >= r, t, t + 1.0)
-    else:
-        raise ConfigError(f"unknown distance kind {instance.kind!r}")
     np.fill_diagonal(d, 0.0)
     return DistanceMatrix(n, d, heuristic=exact)
 
@@ -256,5 +246,4 @@ def generate_random_euclidean(n: int, seed: int, box_side: float) -> Instance:
         raise ConfigError(f"box_side must be positive, got {box_side}")
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     pts = rng.random((n, 2)) * float(box_side)
-    coords = tuple((float(x), float(y)) for x, y in pts)
-    return Instance(name=f"rand-n{n}-s{seed}", n=n, kind="EUC_2D", coords=coords)
+    return Instance(name=f"rand-n{n}-s{seed}", n=n, kind="EUC_2D", coords=pts)

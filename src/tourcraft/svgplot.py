@@ -24,22 +24,17 @@ def plot_tour_svg(instance: Instance, order: Sequence[int],
     """Render the tour(s) as an SVG 1.1 document string."""
     if instance.coords is None:
         raise ConfigError("cannot plot an EXPLICIT (coordinate-free) instance")
-    xs = [c[0] for c in instance.coords]
-    ys = [c[1] for c in instance.coords]
-    span_x = max(xs) - min(xs) or 1.0
-    span_y = max(ys) - min(ys) or 1.0
+    pts = instance.coords
+    lo = pts.min(axis=0)
+    span_x, span_y = (float(v) or 1.0 for v in pts.max(axis=0) - lo)
     scale = (_WIDTH - 2 * _MARGIN) / max(span_x, span_y)
     height = span_y * scale + 2 * _MARGIN
-
-    def to_px(c):
-        # flip y so north is up
-        return ((c[0] - min(xs)) * scale + _MARGIN,
-                height - ((c[1] - min(ys)) * scale + _MARGIN))
+    px = (pts - lo) * scale + _MARGIN
+    px[:, 1] = height - px[:, 1]  # flip y so north is up
+    cells = [(_fmt(x), _fmt(y)) for x, y in px.tolist()]
 
     def path_d(seq) -> str:
-        pts = [to_px(instance.coords[i]) for i in seq]
-        body = " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in pts)
-        return f"M {body} Z"
+        return "M " + " L ".join(" ".join(cells[i]) for i in seq) + " Z"
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -54,9 +49,8 @@ def plot_tour_svg(instance: Instance, order: Sequence[int],
                      'stroke-dasharray="4 3"/>')
     lines.append(f'<path d="{path_d(order)}" fill="none" '
                  'stroke="#1f4e9c" stroke-width="1.5"/>')
-    for c in instance.coords:
-        x, y = to_px(c)
-        lines.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="2.5" '
+    for x, y in cells:
+        lines.append(f'<circle cx="{x}" cy="{y}" r="2.5" '
                      'fill="#c03020"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -8,15 +8,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .instance import Instance, Tour
+from .instance import SUPPORTED_KINDS, Instance, Tour
 
-_SUPPORTED_EDGE_WEIGHT_TYPES = ("EUC_2D", "ATT", "CEIL_2D", "EXPLICIT")
-_SUPPORTED_WEIGHT_FORMATS = ("FULL_MATRIX", "UPPER_ROW", "LOWER_DIAG_ROW")
+# EDGE_WEIGHT_FORMAT -> number of values its section holds for n cities
+_WEIGHT_COUNTS = {"FULL_MATRIX": lambda n: n * n,
+                  "UPPER_ROW": lambda n: n * (n - 1) // 2,
+                  "LOWER_DIAG_ROW": lambda n: n * (n + 1) // 2}
 
 
 @dataclass(frozen=True)
@@ -89,16 +91,18 @@ def parse_tsplib(text: str) -> Instance:
         n = int(header["DIMENSION"])
     except ValueError:
         raise ParseError(f"malformed DIMENSION: {header['DIMENSION']!r}")
+    if n < 1:
+        raise ParseError(f"DIMENSION must be positive, got {n}")
 
     kind = header.get("EDGE_WEIGHT_TYPE", "").upper()
-    if kind not in _SUPPORTED_EDGE_WEIGHT_TYPES:
+    if kind not in SUPPORTED_KINDS:
         raise ParseError(f"unsupported EDGE_WEIGHT_TYPE {kind!r}; supported: "
-                         f"{', '.join(_SUPPORTED_EDGE_WEIGHT_TYPES)}")
+                         f"{', '.join(SUPPORTED_KINDS)}")
     name = header.get("NAME", "unnamed")
 
     if kind == "EXPLICIT":
         fmt = header.get("EDGE_WEIGHT_FORMAT", "FULL_MATRIX").upper()
-        if fmt not in _SUPPORTED_WEIGHT_FORMATS:
+        if fmt not in _WEIGHT_COUNTS:
             raise ParseError(f"unsupported EDGE_WEIGHT_FORMAT {fmt!r}")
         w = _assemble_weights(weight_values, n, fmt)
         return Instance(name=name, n=n, kind="EXPLICIT", explicit_weights=w)
@@ -106,44 +110,29 @@ def parse_tsplib(text: str) -> Instance:
     if len(coord_lines) != n:
         raise ParseError(f"DIMENSION is {n} but found {len(coord_lines)} "
                          f"coordinate lines")
-    return Instance(name=name, n=n, kind=kind, coords=tuple(coord_lines))
+    return Instance(name=name, n=n, kind=kind, coords=coord_lines)
 
 
 def _assemble_weights(values: List[float], n: int, fmt: str) -> np.ndarray:
-    w = np.zeros((n, n), dtype=float)
+    """Full table from a section's values; Instance checks its symmetry."""
+    expected = _WEIGHT_COUNTS[fmt](n)
+    if len(values) != expected:
+        raise ParseError(f"{fmt} needs {expected} values, got {len(values)}")
     if fmt == "FULL_MATRIX":
-        if len(values) != n * n:
-            raise ParseError(f"FULL_MATRIX needs {n * n} values, got {len(values)}")
-        w = np.asarray(values, dtype=float).reshape(n, n)
-        if not np.allclose(w, w.T):
-            raise ValidationError("explicit FULL_MATRIX is not symmetric")
-    elif fmt == "UPPER_ROW":
-        expected = n * (n - 1) // 2
-        if len(values) != expected:
-            raise ParseError(f"UPPER_ROW needs {expected} values, got {len(values)}")
-        it = iter(values)
-        for i in range(n):
-            for j in range(i + 1, n):
-                v = next(it)
-                w[i, j] = w[j, i] = v
-    elif fmt == "LOWER_DIAG_ROW":
-        expected = n * (n + 1) // 2
-        if len(values) != expected:
-            raise ParseError(f"LOWER_DIAG_ROW needs {expected} values, "
-                             f"got {len(values)}")
-        it = iter(values)
-        for i in range(n):
-            for j in range(i + 1):
-                v = next(it)
-                w[i, j] = w[j, i] = v
+        w = np.array(values, dtype=float).reshape(n, n)
+    else:
+        # both index orders are TSPLIB's row-major order of the triangle
+        rows, cols = (np.triu_indices(n, 1) if fmt == "UPPER_ROW"
+                      else np.tril_indices(n))
+        w = np.zeros((n, n))
+        w[rows, cols] = w[cols, rows] = values
     np.fill_diagonal(w, 0.0)
     return w
 
 
-def write_tour(tour: Tour, name: str = "", instance_name: str = "tour") -> str:
+def write_tour(tour: Tour, name: str) -> str:
     """Serialize a tour in TSPLIB .tour format (1-based, -1 terminated)."""
-    label = name or instance_name
-    lines = [f"NAME: {label}",
+    lines = [f"NAME: {name}",
              "TYPE: TOUR",
              f"DIMENSION: {len(tour.order)}",
              "TOUR_SECTION"]

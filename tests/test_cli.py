@@ -1,5 +1,7 @@
 from pathlib import Path
 
+import pytest
+
 import tourcraft as tc
 from tourcraft.cli import main
 
@@ -57,3 +59,36 @@ def test_bench_tsplib_dir(tmp_path, capsys):
 def test_error_exit_code(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "missing.tsp")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+EXPLICIT_HEAD = ("NAME: ex\nTYPE: TSP\nEDGE_WEIGHT_TYPE: EXPLICIT\n"
+                 "EDGE_WEIGHT_FORMAT: UPPER_ROW\n")
+
+
+@pytest.mark.parametrize("argv,tsp", [
+    (["solve", "{f}", "--grid", "0,x"], None),
+    (["solve", "{f}", "--grid", "1:x:1:0:0"], None),
+    (["solve", "{f}", "--grid", "nan:0:1:0:0"], None),
+    (["solve", "{f}", "--grid", "0,inf"], None),
+    (["bench", "--random", "10,a,1"], None),
+    (["solve", "{f}"], "DIMENSION: 3\nEDGE_WEIGHT_TYPE: EUC_2D\n"
+                       "NODE_COORD_SECTION\n1 0 0\n2 nan 1\n3 2 2\nEOF\n"),
+    (["solve", "{f}"], EXPLICIT_HEAD + "DIMENSION: 3\n"
+                       "EDGE_WEIGHT_SECTION\n1 -1 1\nEOF\n"),
+    (["solve", "{f}"], EXPLICIT_HEAD + "DIMENSION: 3\n"
+                       "EDGE_WEIGHT_SECTION\n1 inf 1\nEOF\n"),
+    (["solve", "{f}"], EXPLICIT_HEAD + "DIMENSION: -3\n"
+                       "EDGE_WEIGHT_SECTION\nEOF\n"),
+], ids=["grid-set", "grid-combo", "grid-nan", "grid-inf", "random-count",
+        "nan-coordinate", "negative-weight", "inf-weight",
+        "negative-dimension"])
+def test_bad_input_is_an_error_line(tmp_path, capsys, argv, tsp):
+    f = tmp_path / "in.tsp"
+    if tsp is None:
+        write_small_instance(f)
+    else:
+        f.write_text(tsp)
+    assert main([a.format(f=f) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err and captured.out == ""

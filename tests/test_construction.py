@@ -4,30 +4,31 @@ import numpy as np
 import pytest
 
 import tourcraft as tc
-from conftest import (brute_force_optimum, random_matrix, triangle_345,
-                      unrounded_matrix)
+from conftest import (brute_force_optimum, load_instance, random_matrix,
+                      triangle_345, unrounded_matrix)
+from paper_oracle import construct_order, eq1_priority, eq2_priority
 
 
 class TestEq1:
     def test_simple_product(self):
-        assert tc.eq1_priority(4, 9, 0.5, 1) == 18
+        assert eq1_priority(4, 9, 0.5, 1) == 18
 
     def test_zero_exponent_neutralizes(self):
-        assert tc.eq1_priority(5, 0, 1, 0) == 5
+        assert eq1_priority(5, 0, 1, 0) == 5
 
     def test_all_zero(self):
-        assert tc.eq1_priority(0, 0, 0, 0) == 1
+        assert eq1_priority(0, 0, 0, 0) == 1
 
 
 class TestEq2:
     def test_simple_ratio(self):
-        assert tc.eq2_priority(9, 4, 3, 1, 0.5, 0) == 1
+        assert eq2_priority(9, 4, 3, 1, 0.5, 0) == 1
 
     def test_all_zero_exponents(self):
-        assert tc.eq2_priority(12.3, 4.5, 6.7, 0, 0, 0) == 1
+        assert eq2_priority(12.3, 4.5, 6.7, 0, 0, 0) == 1
 
     def test_zero_distance_maximal(self):
-        assert tc.eq2_priority(1, 1, 0, 1, 0, 0) == math.inf
+        assert eq2_priority(1, 1, 0, 1, 0, 0) == math.inf
 
     def test_monotone_in_distance(self):
         rng = np.random.default_rng(5)
@@ -37,8 +38,8 @@ class TestEq2:
             if d1 == d2:
                 continue
             gamma = rng.uniform(0.1, 2)
-            assert tc.eq2_priority(mu, sigma, d1, gamma, 1, 1) > \
-                tc.eq2_priority(mu, sigma, d2, gamma, 1, 1)
+            assert eq2_priority(mu, sigma, d1, gamma, 1, 1) > \
+                eq2_priority(mu, sigma, d2, gamma, 1, 1)
 
 
 class PathOracle:
@@ -185,7 +186,13 @@ class TestConstructTour:
         combo = tc.ExponentCombo(0.5, 1, 1, 0.5, 0)
         a = tc.construct_tour(m, stats, combo)
         b = tc.construct_tour(m, stats, combo)
-        assert a.tour == b.tour and a.step1_edges == b.step1_edges
+        assert a.tour == b.tour
+        step1 = []
+        for _ in range(2):
+            edges = []
+            tc.run_main_step(1, m, stats, combo, tc.PathEndTracker(40), edges)
+            step1.append(edges)
+        assert step1[0] == step1[1]
 
     def test_single_cycle_structure(self):
         m = random_matrix(25, 3)
@@ -221,7 +228,9 @@ def test_scores_on_exact_geometry_and_measures_rounded():
     want = tc.construct_tour(exact, tc.city_stats(exact), combo).tour.order
     wrong = tc.construct_tour(rounded_only, tc.city_stats(rounded_only),
                               combo).tour.order
-    assert r.step1_edges[0] == (0, 2)
+    step1 = []
+    tc.run_main_step(1, m, tc.city_stats(m), combo, tc.PathEndTracker(5), step1)
+    assert step1[0] == (0, 2)
     assert r.tour.order == want != wrong
     assert r.tour.length == tc.tour_length(r.tour.order, rounded_only)
 
@@ -263,6 +272,13 @@ class TestGridSearch:
         with pytest.raises(tc.ConfigError):
             tc.grid_search(m, stats, [tc.ExponentCombo(0, -1, 0, 0, 0)])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_exponent_rejected(self, bad):
+        with pytest.raises(tc.ConfigError, match="finite"):
+            tc.ExponentCombo(0, 0, bad, 0, 0)
+        with pytest.raises(tc.ConfigError, match="finite"):
+            tc.default_grid([0, bad])
+
     def test_grid_order_lexicographic(self):
         grid = tc.default_grid([1, 0])
         assert grid[0] == tc.ExponentCombo(0, 0, 0, 0, 0)
@@ -277,8 +293,8 @@ def test_eq1_order_scale_invariance():
         sigma = rng.uniform(0.0, 20, 12)
         alpha, beta = rng.choice([0, 0.5, 1], size=2)
         scale = rng.uniform(0.01, 100)
-        base = [tc.eq1_priority(m, s, alpha, beta) for m, s in zip(mu, sigma)]
-        scaled = [tc.eq1_priority(m * scale, s, alpha, beta)
+        base = [eq1_priority(m, s, alpha, beta) for m, s in zip(mu, sigma)]
+        scaled = [eq1_priority(m * scale, s, alpha, beta)
                   for m, s in zip(mu, sigma)]
         assert np.array_equal(np.argsort(base, kind="stable"),
                               np.argsort(scaled, kind="stable"))
@@ -291,3 +307,22 @@ def test_neighbor_evaluations_exactly_quadratic():
         stats = tc.city_stats(m)
         r = tc.construct_tour(m, stats, tc.ExponentCombo(0.5, 1, 1, 0.5, 0))
         assert r.neighbor_evaluations == n * (n - 1)
+
+
+@pytest.mark.parametrize("n,seed", [(51, None), (12, 1), (17, 2), (21, 3),
+                                    (26, 4), (30, 5)])
+def test_matches_paper_transcription_on_default_grid(n, seed):
+    # eil51 (seed None) and five random instances, every default grid point
+    if seed is None:
+        m = tc.build_distance_matrix(load_instance("eil51"))
+    else:
+        m = random_matrix(n, seed)
+    stats = tc.city_stats(m)
+    d, mu, sigma = m.heuristic.tolist(), stats.mu.tolist(), stats.sigma.tolist()
+    rounded = m.d.tolist()
+    for combo in tc.default_grid():
+        got = tc.construct_tour(m, stats, combo).tour
+        want = construct_order(d, mu, sigma, combo.as_tuple())
+        assert got.order == tuple(want), combo
+        assert got.length == sum(rounded[a][b]
+                                 for a, b in zip(want, want[1:] + want[:1]))

@@ -7,36 +7,42 @@ import tourcraft as tc
 from conftest import DATA_DIR, random_matrix, unrounded_matrix
 
 
+def pair_distance(kind, a, b):
+    """TSPLIB distance of one pair, read from a two-city matrix."""
+    inst = tc.Instance("pair", 2, kind, coords=(a, b))
+    return tc.build_distance_matrix(inst).d[0, 1]
+
+
 class TestDistance:
     def test_euc_2d_345_triangle(self):
-        assert tc.distance("EUC_2D", (0, 0), (3, 4)) == 5
+        assert pair_distance("EUC_2D", (0, 0), (3, 4)) == 5
 
     def test_ceil_2d_rounds_up(self):
-        assert tc.distance("CEIL_2D", (0, 0), (1, 1)) == 2
+        assert pair_distance("CEIL_2D", (0, 0), (1, 1)) == 2
 
     def test_att_hand_computed(self):
         # r = sqrt(25/10) ~ 1.5811, nint(r) = 2 >= r
-        assert tc.distance("ATT", (0, 0), (3, 4)) == 2
+        assert pair_distance("ATT", (0, 0), (3, 4)) == 2
 
     def test_att_round_up_branch(self):
         # r = sqrt(90/10) = 3, t = 3 >= r -> 3; contrast with a pair where
         # nint(r) < r so the +1 branch fires: r = sqrt(160/10) = 4
-        assert tc.distance("ATT", (0, 0), (3, 9)) == 3
+        assert pair_distance("ATT", (0, 0), (3, 9)) == 3
         rng = np.random.default_rng(7)
         for _ in range(500):
             a = tuple(rng.uniform(0, 100, 2))
             b = tuple(rng.uniform(0, 100, 2))
             r = math.sqrt(((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2) / 10)
-            assert tc.distance("ATT", a, b) >= r
+            assert pair_distance("ATT", a, b) >= r
 
     def test_symmetry(self):
         for kind in ("EUC_2D", "ATT", "CEIL_2D"):
-            assert tc.distance(kind, (1, 2), (5, 9)) == \
-                tc.distance(kind, (5, 9), (1, 2))
+            assert pair_distance(kind, (1, 2), (5, 9)) == \
+                pair_distance(kind, (5, 9), (1, 2))
 
     def test_unknown_kind(self):
         with pytest.raises(tc.ConfigError):
-            tc.distance("GEO", (0, 0), (1, 1))
+            tc.Instance("g", 2, "GEO", coords=((0, 0), (1, 1)))
 
 
 class TestDistanceMatrix:
@@ -72,6 +78,44 @@ class TestDistanceMatrix:
         w = np.array([[0, 2], [3, 0]], dtype=float)
         with pytest.raises(tc.ValidationError):
             tc.Instance("bad", 2, "EXPLICIT", explicit_weights=w)
+
+    def test_size_guard_before_allocation(self, monkeypatch):
+        assert tc.instance.MATRIX_MAX_N >= 1000
+        for path in DATA_DIR.glob("*.tsp"):
+            assert tc.parse_tsplib(path.read_text()).n <= \
+                tc.instance.MATRIX_MAX_N
+        monkeypatch.setattr(tc.instance, "MATRIX_MAX_N", 10)
+        assert tc.build_distance_matrix(
+            tc.generate_random_euclidean(10, 1, 100.0)).n == 10
+        for inst in (tc.generate_random_euclidean(11, 1, 100.0),
+                     tc.Instance("e", 11, "EXPLICIT",
+                                 explicit_weights=np.zeros((11, 11)))):
+            with pytest.raises(tc.SizeLimitError, match="n <= 10"):
+                tc.build_distance_matrix(inst)
+
+
+class TestInputValidation:
+    def test_coords_are_one_read_only_array(self):
+        inst = tc.Instance("t", 3, "EUC_2D", coords=[(0, 0), (1, 2), (3, 4)])
+        assert inst.coords.shape == (3, 2) and inst.coords.dtype == float
+        with pytest.raises(ValueError):
+            inst.coords[0, 0] = 5.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_coordinate_rejected(self, bad):
+        with pytest.raises(tc.ValidationError, match="non-finite"):
+            tc.Instance("t", 3, "EUC_2D", coords=((0, 0), (bad, 1), (2, 2)))
+
+    def test_negative_weight_rejected(self):
+        w = np.array([[0, -1, 3], [-1, 0, 4], [3, 4, 0]], dtype=float)
+        with pytest.raises(tc.ValidationError, match=">= 0"):
+            tc.Instance("e", 3, "EXPLICIT", explicit_weights=w)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_weight_rejected(self, bad):
+        w = np.array([[0, bad, 3], [bad, 0, 4], [3, 4, 0]], dtype=float)
+        with pytest.raises(tc.ValidationError, match="finite"):
+            tc.Instance("e", 3, "EXPLICIT", explicit_weights=w)
 
 
 class TestHeuristicGeometry:
@@ -155,12 +199,12 @@ class TestRandomGenerator:
     def test_deterministic(self):
         a = tc.generate_random_euclidean(100, 42, 1e6)
         b = tc.generate_random_euclidean(100, 42, 1e6)
-        assert a.coords == b.coords
+        assert np.array_equal(a.coords, b.coords)
 
     def test_seed_sensitivity(self):
         a = tc.generate_random_euclidean(100, 42, 1e6)
         b = tc.generate_random_euclidean(100, 43, 1e6)
-        assert a.coords != b.coords
+        assert not np.array_equal(a.coords, b.coords)
 
     def test_box_containment(self):
         inst = tc.generate_random_euclidean(1000, 5, 1e6)

@@ -28,6 +28,13 @@ def test_deterministic():
     assert tc.plot_tour_svg(inst, order) == tc.plot_tour_svg(inst, order)
 
 
+def test_explicit_with_display_coords():
+    w = np.array([[0, 1, 2], [1, 0, 3], [2, 3, 0]], dtype=float)
+    inst = tc.Instance("ex", 3, "EXPLICIT", explicit_weights=w,
+                       coords=((0, 0), (1, 0), (0, 1)))
+    assert tc.plot_tour_svg(inst, [0, 1, 2]).count("<circle") == 3
+
+
 def test_explicit_rejected():
     w = np.array([[0, 1, 2], [1, 0, 3], [2, 3, 0]], dtype=float)
     inst = tc.Instance("ex", 3, "EXPLICIT", explicit_weights=w)

@@ -16,7 +16,7 @@ def test_parse_euc2d_header():
     body = "".join(f"{i + 1} {i} {2 * i}\n" for i in range(52))
     inst = tc.parse_tsplib(HEADER_52 + body + "EOF\n")
     assert inst.n == 52 and inst.kind == "EUC_2D" and inst.name == "demo52"
-    assert inst.coords[1] == (1.0, 2.0)
+    assert np.array_equal(inst.coords[1], (1.0, 2.0))
 
 
 def test_parse_tolerates_whitespace_and_missing_eof():
@@ -71,10 +71,27 @@ def test_explicit_layouts(fmt, values):
     assert np.array_equal(m.d, expected)
 
 
+def test_explicit_asymmetric_full_matrix_rejected():
+    text = ("NAME: ex\nDIMENSION: 3\nEDGE_WEIGHT_TYPE: EXPLICIT\n"
+            "EDGE_WEIGHT_FORMAT: FULL_MATRIX\nEDGE_WEIGHT_SECTION\n"
+            "0 2 3\n2 0 4\n3 5 0\nEOF\n")
+    with pytest.raises(tc.ValidationError, match="symmetric"):
+        tc.parse_tsplib(text)
+
+
+@pytest.mark.parametrize("dim", ["-3", "0"])
+def test_non_positive_dimension(dim):
+    text = (f"DIMENSION: {dim}\nEDGE_WEIGHT_TYPE: EXPLICIT\n"
+            "EDGE_WEIGHT_FORMAT: FULL_MATRIX\nEDGE_WEIGHT_SECTION\n"
+            "0 0 0 0 0 0 0 0 0\nEOF\n")
+    with pytest.raises(tc.ParseError, match="DIMENSION"):
+        tc.parse_tsplib(text)
+
+
 class TestTourFiles:
     def test_index_shift(self):
         tour = tc.Tour(order=(0, 2, 1), length=0.0)
-        text = tc.write_tour(tour, instance_name="t3")
+        text = tc.write_tour(tour, "t3")
         body = text.splitlines()
         section = body.index("TOUR_SECTION")
         assert body[section + 1:section + 5] == ["1", "3", "2", "-1"]
@@ -83,13 +100,8 @@ class TestTourFiles:
         rng = np.random.default_rng(3)
         for _ in range(20):
             order = tuple(int(c) for c in rng.permutation(12))
-            text = tc.write_tour(tc.Tour(order=order, length=1.0), name="x")
+            text = tc.write_tour(tc.Tour(order=order, length=1.0), "x")
             assert tuple(tc.parse_tour(text)) == order
-
-    def test_name_fallback(self):
-        text = tc.write_tour(tc.Tour(order=(0, 1, 2), length=0.0),
-                             name="", instance_name="fallback")
-        assert text.splitlines()[0] == "NAME: fallback"
 
 
 class TestOptima:
@@ -114,5 +126,5 @@ def test_parse_write_parse_identity():
     m = random_matrix(8, 2)
     inst = tc.generate_random_euclidean(8, 2, 100.0)
     tour = tc.nearest_neighbor(tc.build_distance_matrix(inst))
-    text = tc.write_tour(tour, instance_name=inst.name)
+    text = tc.write_tour(tour, inst.name)
     assert tuple(tc.parse_tour(text)) == tour.order
