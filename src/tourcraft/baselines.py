@@ -100,7 +100,7 @@ def clarke_wright(matrix: DistanceMatrix, hub: Optional[int] = None,
             tracker.connect(a, b)
             edges.append((a, b))
     assert tracker.edge_count == m - 1, "savings merge left a broken path"
-    ends = [int(x) for x in np.flatnonzero(tracker.degree < 2)]
+    ends = [int(x) for x in np.flatnonzero(tracker.open)]
     assert len(ends) == 2
     order_local = _edges_to_order(edges + [(ends[0], ends[1])], m)
     # rotate so the cut sits between the two path endpoints, then insert hub

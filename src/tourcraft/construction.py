@@ -66,15 +66,18 @@ class PathEndTracker:
     While the partial solution is a disjoint union of paths, other_end[x]
     holds the opposite endpoint of x's path for every endpoint x (and x itself
     for singletons). Connecting the two ends of the same path is allowed only
-    for the final, loop-closing edge (E == n - 1).
+    for the final, loop-closing edge (E == n - 1). `degree` and `other_end`
+    are lists, read one city at a time; `open` is the boolean array of the
+    cities with degree < 2.
     """
 
-    __slots__ = ("n", "other_end", "degree", "edge_count")
+    __slots__ = ("n", "other_end", "degree", "open", "edge_count")
 
     def __init__(self, n: int):
         self.n = n
-        self.other_end = np.arange(n)
-        self.degree = np.zeros(n, dtype=int)
+        self.other_end = list(range(n))
+        self.degree = [0] * n
+        self.open = np.ones(n, dtype=bool)
         self.edge_count = 0
 
     def can_connect(self, city: int, neighbor: int) -> bool:
@@ -90,8 +93,10 @@ class PathEndTracker:
         b = self.other_end[neighbor]
         self.other_end[a] = b
         self.other_end[b] = a
-        self.degree[city] += 1
-        self.degree[neighbor] += 1
+        for x in (city, neighbor):
+            self.degree[x] += 1
+            if self.degree[x] == 2:
+                self.open[x] = False
         self.edge_count += 1
 
 
@@ -115,50 +120,86 @@ def _numerator_vector(stats: CityStats, exp_mu: float, exp_sigma: float,
     return out
 
 
+def _city_order(stats: CityStats, alpha: float, beta: float,
+                ) -> Tuple[int, ...]:
+    """Cities by descending eq. 1 priority, ties toward the lower index."""
+    p = _numerator_vector(stats, alpha, beta)
+    return tuple(np.lexsort((np.arange(len(p)), -p)).tolist())
+
+
+def _nonpositive_cells(heuristic: np.ndarray) -> np.ndarray:
+    """Flat indices of the cells where eq. 2 has no finite ratio."""
+    return np.flatnonzero(~(heuristic > 0.0))
+
+
+def _score_rows(matrix: DistanceMatrix, stats: CityStats, gamma: float,
+                delta: float, epsilon: float,
+                out: Optional[np.ndarray] = None,
+                nonpositive: Optional[np.ndarray] = None) -> np.ndarray:
+    """eq. 2 scores of every (city, neighbour) pair: row i holds
+    mu_j^delta * sigma_j^epsilon / d_ij^gamma over j.
+
+    Where d_ij <= 0 the score is +inf for gamma > 0 and 0 for gamma < 0.
+    The matrix is filled into `out` (allocated if not given), with
+    `nonpositive` the flat indices of those cells (found if not given).
+    With gamma = 0 every row is the numerator: a read-only view is
+    returned and nothing is filled.
+    """
+    num = _numerator_vector(stats, delta, epsilon)
+    h = matrix.heuristic
+    if gamma == 0.0:
+        return np.broadcast_to(num, h.shape)
+    if nonpositive is None:
+        nonpositive = _nonpositive_cells(h)
+    if out is None:
+        out = np.empty_like(h)
+    # 0/0 and x/0 arise only on the cells overwritten below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.power(h, gamma, out=out)
+        np.divide(num, out, out=out)
+    out.flat[nonpositive] = np.inf if gamma > 0.0 else 0.0
+    return out
+
+
+def _connect_pass(step: int, order: Sequence[int], scores: np.ndarray,
+                  tracker: PathEndTracker,
+                  edges: List[Tuple[int, int]]) -> int:
+    """Join each city of `order` still below `step` connections to its best
+    admissible neighbour, the first maximum of its row of `scores`; returns
+    the neighbour evaluations made."""
+    degree, other_end, is_open = tracker.degree, tracker.other_end, tracker.open
+    last = tracker.n - 1
+    connected = 0
+    for city in order:
+        if degree[city] >= step:
+            continue
+        row = np.where(is_open, scores[city], -np.inf)
+        row[city] = -np.inf
+        if tracker.edge_count != last:
+            row[other_end[city]] = -np.inf
+        neighbor = int(row.argmax())  # first max = lowest index on ties
+        tracker.connect(city, neighbor)
+        edges.append((city, neighbor))
+        connected += 1
+    return connected * last
+
+
 def run_main_step(step: int, matrix: DistanceMatrix, stats: CityStats,
                   combo: ExponentCombo, tracker: PathEndTracker,
                   edges: List[Tuple[int, int]]) -> int:
     """One main pass of the construction; returns neighbor evaluations made.
 
-    Cities with degree < 2 are ranked once by the static priority (the
-    statistics never change within a pass, so pre-sorting is equivalent to
-    the repeated max-scan). A popped city still below `step` connections is
+    Cities are visited once in descending static priority (the statistics
+    never change within a pass, so pre-sorting is equivalent to the
+    repeated max-scan). A visited city still below `step` connections is
     joined to its best admissible neighbor.
     """
     if step not in (1, 2):
         raise ConfigError(f"step must be 1 or 2, got {step}")
-    n = matrix.n
-    d = matrix.heuristic
-
-    p = _numerator_vector(stats, combo.alpha, combo.beta)
-    candidates = np.flatnonzero(tracker.degree < 2)
-    # descending priority, ties toward the lower city index
-    order = candidates[np.lexsort((candidates, -p[candidates]))]
-
-    num = _numerator_vector(stats, combo.delta, combo.epsilon)
-    evaluations = 0
-    indices = np.arange(n)
-    for city in order:
-        if tracker.degree[city] >= step:
-            continue
-        if combo.gamma == 0.0:
-            scores = num.copy()
-        else:
-            drow = d[city]
-            at_zero = np.inf if combo.gamma > 0.0 else 0.0
-            with np.errstate(divide="ignore"):
-                scores = np.where(drow > 0.0, num / drow ** combo.gamma, at_zero)
-        mask = (tracker.degree < 2) & (indices != city)
-        if tracker.edge_count != n - 1:
-            mask[tracker.other_end[city]] = False
-        evaluations += n - 1
-        assert mask.any(), \
-            f"no admissible neighbor for city {city} (E={tracker.edge_count})"
-        scores[~mask] = -np.inf
-        neighbor = int(np.argmax(scores))  # first max = lowest index on ties
-        tracker.connect(int(city), neighbor)
-        edges.append((int(city), neighbor))
-    return evaluations
+    scores = _score_rows(matrix, stats, combo.gamma, combo.delta,
+                         combo.epsilon)
+    return _connect_pass(step, _city_order(stats, combo.alpha, combo.beta),
+                         scores, tracker, edges)
 
 
 def _edges_to_order(edges: Sequence[Tuple[int, int]], n: int) -> List[int]:
@@ -177,27 +218,47 @@ def _edges_to_order(edges: Sequence[Tuple[int, int]], n: int) -> List[int]:
 
 
 def construct_tour(matrix: DistanceMatrix, stats: CityStats,
-                   combo: ExponentCombo) -> ConstructionResult:
-    """Run both main passes on a fresh tracker and walk the resulting cycle."""
+                   combo: ExponentCombo,
+                   order: Optional[Sequence[int]] = None,
+                   scores: Optional[np.ndarray] = None) -> ConstructionResult:
+    """Run both main passes on a fresh tracker and walk the resulting cycle.
+
+    `order` (the cities by descending eq. 1 priority) and `scores` (row i
+    holds city i's eq. 2 neighbour scores) are those of `combo`; they are
+    computed here unless given, as `grid_search` gives them to share them
+    between grid points.
+    """
     n = matrix.n
     if n < 3:
         raise DegenerateInstanceError(f"tour construction needs n >= 3, got {n}")
+    if order is None:
+        order = _city_order(stats, combo.alpha, combo.beta)
+    if scores is None:
+        scores = _score_rows(matrix, stats, combo.gamma, combo.delta,
+                             combo.epsilon)
     tracker = PathEndTracker(n)
     edges: List[Tuple[int, int]] = []
-    evals = run_main_step(1, matrix, stats, combo, tracker, edges)
-    assert int(tracker.degree.min()) >= 1, "step 1 left an isolated city"
-    evals += run_main_step(2, matrix, stats, combo, tracker, edges)
-    assert tracker.edge_count == n and int(tracker.degree.min()) == 2 \
-        and int(tracker.degree.max()) == 2, "step 2 did not close a 2-regular cycle"
-    order = _edges_to_order(edges, n)
-    tour = make_tour(order, matrix)
+    evals = _connect_pass(1, order, scores, tracker, edges)
+    assert min(tracker.degree) >= 1, "step 1 left an isolated city"
+    evals += _connect_pass(2, order, scores, tracker, edges)
+    assert tracker.edge_count == n and tracker.degree == [2] * n, \
+        "step 2 did not close a 2-regular cycle"
+    tour = make_tour(_edges_to_order(edges, n), matrix)
     return ConstructionResult(tour=tour, combo=combo, neighbor_evaluations=evals)
 
 
 def grid_search(matrix: DistanceMatrix, stats: CityStats,
                 grid: Optional[Iterable[ExponentCombo]] = None,
                 ) -> ConstructionResult:
-    """Best construction over the exponent grid (first combo wins ties)."""
+    """Best construction over the exponent grid (first combo wins ties).
+
+    A construction depends on its combo only through the city order of
+    (alpha, beta) and the score matrix of (gamma, delta, epsilon). Each
+    distinct pair of the two is constructed once, for the first grid point
+    that has it, and every later grid point with the same pair has the same
+    tour. Score matrices are filled one at a time into one buffer.
+    `neighbor_evaluations` counts the constructions actually run.
+    """
     combos = list(grid) if grid is not None else default_grid()
     if not combos:
         raise ConfigError("exponent grid must be non-empty")
@@ -208,13 +269,32 @@ def grid_search(matrix: DistanceMatrix, stats: CityStats,
                 raise ConfigError(
                     f"negative exponent {exp} with a zero statistic would "
                     f"divide by zero")
+    # (gamma, delta, epsilon) -> {city order: index of its first grid point};
+    # orders are compared as exact index sequences, not by their exponents
+    orders = {}
+    first = {}
+    for i, combo in enumerate(combos):
+        ab = (combo.alpha, combo.beta)
+        if ab not in orders:
+            orders[ab] = _city_order(stats, combo.alpha, combo.beta)
+        first.setdefault(combo.as_tuple()[2:], {}).setdefault(orders[ab], i)
+    h = matrix.heuristic
+    nonpositive = _nonpositive_cells(h)
+    buffer = np.empty_like(h)
     best: Optional[ConstructionResult] = None
+    best_index = -1
     total_evals = 0
-    for combo in combos:
-        result = construct_tour(matrix, stats, combo)
-        total_evals += result.neighbor_evaluations
-        if best is None or result.tour.length < best.tour.length:
-            best = result
+    for (gamma, delta, epsilon), runs in first.items():
+        scores = _score_rows(matrix, stats, gamma, delta, epsilon, buffer,
+                             nonpositive)
+        for order, i in runs.items():
+            result = construct_tour(matrix, stats, combos[i], order, scores)
+            total_evals += result.neighbor_evaluations
+            # shortest tour, earliest grid point on ties: what a scan in grid
+            # order that keeps each strictly shorter tour picks
+            if best is None or \
+                    (result.tour.length, i) < (best.tour.length, best_index):
+                best, best_index = result, i
     assert best is not None
     best.neighbor_evaluations = total_evals
     return best

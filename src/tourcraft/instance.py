@@ -34,8 +34,8 @@ from .errors import (ConfigError, DegenerateInstanceError, SizeLimitError,
 SUPPORTED_KINDS = ("EUC_2D", "ATT", "CEIL_2D", "EXPLICIT")
 
 # Largest n whose distance matrix is built. One n x n float64 array takes
-# 8 n^2 bytes (800 MB at the limit). Building the matrix holds four of them
-# at its peak (six, plus a boolean mask, for ATT) and the result keeps two.
+# 8 n^2 bytes (800 MB at the limit). Building the matrix holds two of them
+# at its peak (three for ATT) and the result keeps both.
 MATRIX_MAX_N = 10_000
 
 
@@ -165,20 +165,30 @@ def build_distance_matrix(instance: Instance) -> DistanceMatrix:
     if instance.kind == "EXPLICIT":
         return DistanceMatrix(n, np.array(instance.explicit_weights, dtype=float))
 
-    pts = instance.coords
-    dx = pts[:, 0][:, None] - pts[:, 0][None, :]
-    dy = pts[:, 1][:, None] - pts[:, 1][None, :]
-    sq = dx * dx + dy * dy
-    del dx, dy
-    exact = np.sqrt(sq)
-    if instance.kind == "EUC_2D":
-        d = np.floor(exact + 0.5)
-    elif instance.kind == "CEIL_2D":
-        d = np.ceil(exact)
-    else:  # ATT
-        r = np.sqrt(sq / 10.0)
-        t = np.floor(r + 0.5)
-        d = np.where(t >= r, t, t + 1.0)
+    # Each step writes into an array it no longer needs, so the build holds
+    # two n x n arrays at its peak (three for ATT), with the same operations
+    # as the plain expressions.
+    x, y = instance.coords.T
+    sq = np.subtract.outer(x, x)
+    sq *= sq
+    exact = np.subtract.outer(y, y)
+    exact *= exact
+    sq += exact
+    np.sqrt(sq, out=exact)
+    if instance.kind == "ATT":
+        # r = sqrt(sq / 10), t = nint(r), d = t if t >= r else t + 1
+        sq /= 10.0
+        r = np.sqrt(sq, out=sq)
+        d = r + 0.5
+        np.floor(d, out=d)
+        d += np.less(d, r, out=r)  # adds 1.0 where t < r and 0.0 elsewhere
+    else:
+        d = sq
+        if instance.kind == "EUC_2D":
+            np.add(exact, 0.5, out=d)
+            np.floor(d, out=d)
+        else:  # CEIL_2D
+            np.ceil(exact, out=d)
     np.fill_diagonal(d, 0.0)
     return DistanceMatrix(n, d, heuristic=exact)
 
@@ -193,7 +203,8 @@ def city_stats(matrix: DistanceMatrix) -> CityStats:
     mu = d.sum(axis=1) / (n - 1)
     # The diagonal is 0, so summing (d - mu)^2 over all j adds an extra mu^2.
     dev = d - mu[:, None]
-    var = (np.sum(dev * dev, axis=1) - mu * mu) / (n - 1)
+    dev *= dev
+    var = (np.sum(dev, axis=1) - mu * mu) / (n - 1)
     sigma = np.sqrt(np.clip(var, 0.0, None))
     mu.setflags(write=False)
     sigma.setflags(write=False)

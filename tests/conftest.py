@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,23 @@ def unrounded_matrix(coords) -> tc.DistanceMatrix:
     d = np.sqrt((diff * diff).sum(axis=2))
     np.fill_diagonal(d, 0.0)
     return tc.DistanceMatrix(len(pts), d)
+
+
+def memory_slack(n: int) -> int:
+    """Bytes a peak-memory check allows beyond its n x n arrays: numpy's
+    iteration buffers (64 KiB per buffered operand, two of them) and the
+    per-city vectors, lists and tuples of a construction."""
+    return 2 * 65536 + 800 * n
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that numpy and Python allocate while `fn()` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def brute_force_optimum(matrix: tc.DistanceMatrix) -> float:

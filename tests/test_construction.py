@@ -1,11 +1,18 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tourcraft as tc
-from conftest import (brute_force_optimum, load_instance, random_matrix,
-                      triangle_345, unrounded_matrix)
+import tourcraft.construction as construction
+from conftest import (brute_force_optimum, load_instance, memory_slack,
+                      random_matrix, traced_peak, triangle_345,
+                      unrounded_matrix)
 from paper_oracle import construct_order, eq1_priority, eq2_priority
 
 
@@ -122,7 +129,8 @@ class TestTracker:
                     elif len(ends) == 2:        # path: ends point at each other
                         assert t.other_end[ends[0]] == ends[1]
                         assert t.other_end[ends[1]] == ends[0]
-                assert int(t.degree.sum()) == 2 * t.edge_count
+                assert sum(t.degree) == 2 * t.edge_count
+                assert t.open.tolist() == [k < 2 for k in t.degree]
 
 
 class TestMainSteps:
@@ -156,9 +164,9 @@ class TestMainSteps:
             tracker = tc.PathEndTracker(5)
             edges = []
             tc.run_main_step(1, m, stats, combo, tracker, edges)
-            assert int(tracker.degree.min()) >= 1
+            assert min(tracker.degree) >= 1
             tc.run_main_step(2, m, stats, combo, tracker, edges)
-            assert np.all(tracker.degree == 2)
+            assert tracker.degree == [2] * 5
             assert tracker.edge_count == 5
 
 
@@ -284,6 +292,129 @@ class TestGridSearch:
         assert grid[0] == tc.ExponentCombo(0, 0, 0, 0, 0)
         assert grid[-1] == tc.ExponentCombo(1, 1, 1, 1, 1)
         assert len(grid) == 32
+
+
+def brute_grid(m, grid, order_of):
+    """(order, combo) of a scan over `grid` in its order that keeps the
+    first strictly shorter tour; `order_of(combo)` gives the tour."""
+    best = None
+    for combo in grid:
+        order = tuple(order_of(combo))
+        length = tc.tour_length(order, m)
+        if best is None or length < best[0]:
+            best = (length, order, combo)
+    return best[1], best[2]
+
+
+def oracle(m, stats):
+    d, mu, sigma = m.heuristic.tolist(), stats.mu.tolist(), stats.sigma.tolist()
+    return lambda combo: construct_order(d, mu, sigma, combo.as_tuple())
+
+
+def assert_grid_matches_brute_grid(m, grid=None, reference=oracle):
+    stats = tc.city_stats(m)
+    combos = tc.default_grid() if grid is None else grid
+    got = tc.grid_search(m, stats, grid)
+    want = brute_grid(m, combos, reference(m, stats))
+    assert (got.tour.order, got.combo) == want
+
+
+def criterion_5_matrices(count):
+    rng = np.random.default_rng(2024)  # acceptance criterion 5's instances
+    for _ in range(count):
+        n = int(rng.integers(4, 13))
+        yield tc.build_distance_matrix(tc.generate_random_euclidean(
+            n, int(rng.integers(1 << 30)), 1000.0))
+
+
+def coincident_matrix():
+    coords = ((0, 0), (5, 5), (0, 0), (10, 0), (5, 5), (0, 10), (10, 10))
+    return tc.build_distance_matrix(tc.Instance("dup", 7, "EUC_2D",
+                                                coords=coords))
+
+
+def equidistant_matrix(n=5):
+    return tc.DistanceMatrix(n, np.ones((n, n)) - np.eye(n))  # sigma = 0
+
+
+class TestGridMatchesBruteGrid:
+    """grid_search shares orders and score matrices between grid points;
+    it must pick what a plain scan of every grid point picks."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: tc.build_distance_matrix(load_instance("att48")),
+        lambda: tc.build_distance_matrix(load_instance("eil51")),
+        coincident_matrix, equidistant_matrix,
+    ], ids=["att48", "eil51", "coincident", "equidistant"])
+    def test_default_grid_against_oracle(self, make):
+        assert_grid_matches_brute_grid(make())
+
+    def test_criterion_5_instances_against_oracle(self):
+        for m in criterion_5_matrices(20):
+            assert_grid_matches_brute_grid(m)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_criterion_4_instances_against_construct_tour(self, seed):
+        m = tc.build_distance_matrix(
+            tc.generate_random_euclidean(100, seed, 1_000_000))
+        assert_grid_matches_brute_grid(m, reference=lambda m, stats: (
+            lambda combo: tc.construct_tour(m, stats, combo).tour.order))
+
+    @pytest.mark.parametrize("grid", [
+        tc.default_grid([0, 1]),
+        list(reversed(tc.default_grid([0, 1]))),
+        tc.default_grid([0, 1]) * 2,
+        [tc.ExponentCombo(0.5, 1, 1, 0.5, 0)],
+    ], ids=["binary", "reversed", "repeated", "singleton"])
+    def test_other_grids_against_oracle(self, grid):
+        for m in (random_matrix(30, 5), coincident_matrix()):
+            assert_grid_matches_brute_grid(m, grid)
+
+    def test_constructs_each_distinct_pair_once(self, monkeypatch):
+        m = random_matrix(20, 13)
+        stats = tc.city_stats(m)
+        mu, sigma = stats.mu.tolist(), stats.sigma.tolist()
+        orders = {tuple(sorted(range(20), key=lambda c: (
+            -eq1_priority(mu[c], sigma[c], a, b), c)))
+            for a in (0, 0.5, 1) for b in (0, 0.5, 1)}
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2])
+            return tc.construct_tour(*args)
+
+        monkeypatch.setattr(construction, "construct_tour", counted)
+        result = tc.grid_search(m, stats)
+        assert len(calls) == len(set(calls)) == 27 * len(orders) < 243
+        assert result.neighbor_evaluations == len(calls) * 20 * 19
+
+    def test_sigma_zero_raises_no_warning(self):
+        m = equidistant_matrix()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tc.grid_search(m, tc.city_stats(m))
+
+    def test_sigma_zero_solve_writes_nothing_to_stderr(self, tmp_path):
+        f = tmp_path / "eq.tsp"
+        f.write_text("NAME: eq\nTYPE: TSP\nDIMENSION: 4\n"
+                     "EDGE_WEIGHT_TYPE: EXPLICIT\nEDGE_WEIGHT_FORMAT: UPPER_ROW\n"
+                     "EDGE_WEIGHT_SECTION\n5 5 5 5 5 5\nEOF\n")
+        src = Path(tc.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-m", "tourcraft.cli", "solve", str(f)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout.startswith("eq: length 20 ")
+
+
+def test_grid_search_holds_one_extra_matrix():
+    n = 300
+    m = random_matrix(n, 4)
+    stats = tc.city_stats(m)
+    tc.grid_search(m, stats, tc.default_grid([1]))  # warm numpy up
+    peak = traced_peak(lambda: tc.grid_search(m, stats))
+    assert peak <= 8 * n * n + memory_slack(n)
 
 
 def test_eq1_order_scale_invariance():

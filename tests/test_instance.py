@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import tourcraft as tc
-from conftest import DATA_DIR, random_matrix, unrounded_matrix
+from conftest import (DATA_DIR, memory_slack, random_matrix, traced_peak,
+                      unrounded_matrix)
 
 
 def pair_distance(kind, a, b):
@@ -92,6 +93,64 @@ class TestDistanceMatrix:
                                  explicit_weights=np.zeros((11, 11)))):
             with pytest.raises(tc.SizeLimitError, match="n <= 10"):
                 tc.build_distance_matrix(inst)
+
+
+def plain_matrix(pts, kind):
+    """The TSPLIB rules as plain whole-array expressions: (d, exact)."""
+    dx = pts[:, 0][:, None] - pts[:, 0][None, :]
+    dy = pts[:, 1][:, None] - pts[:, 1][None, :]
+    sq = dx * dx + dy * dy
+    exact = np.sqrt(sq)
+    if kind == "EUC_2D":
+        d = np.floor(exact + 0.5)
+    elif kind == "CEIL_2D":
+        d = np.ceil(exact)
+    else:
+        r = np.sqrt(sq / 10.0)
+        t = np.floor(r + 0.5)
+        d = np.where(t >= r, t, t + 1.0)
+    np.fill_diagonal(d, 0.0)
+    return d, exact
+
+
+class TestInPlaceBuilds:
+    """The matrix and the statistics are built in place: the values are
+    those of the plain expressions, and the peak stays small."""
+
+    @pytest.mark.parametrize("kind", ["EUC_2D", "CEIL_2D", "ATT"])
+    def test_bit_identical_to_plain_expressions(self, kind):
+        rng = np.random.default_rng(8)
+        # real coordinates, and integer ones with exact and repeated distances
+        for pts in (rng.random((150, 2)) * 10_000,
+                    rng.integers(0, 30, (150, 2)).astype(float)):
+            m = tc.build_distance_matrix(tc.Instance("r", 150, kind, coords=pts))
+            d, exact = plain_matrix(pts, kind)
+            assert m.d.tobytes() == d.tobytes()
+            assert m.heuristic.tobytes() == exact.tobytes()
+            mu = exact.sum(axis=1) / 149
+            dev = exact - mu[:, None]
+            var = (np.sum(dev * dev, axis=1) - mu * mu) / 149
+            stats = tc.city_stats(m)
+            assert stats.mu.tobytes() == mu.tobytes()
+            assert stats.sigma.tobytes() == \
+                np.sqrt(np.clip(var, 0.0, None)).tobytes()
+
+    @pytest.mark.parametrize("kind,arrays", [("EUC_2D", 2), ("CEIL_2D", 2),
+                                             ("ATT", 3)])
+    def test_matrix_build_peak(self, kind, arrays):
+        n = 300
+        pts = np.random.default_rng(9).random((n, 2)) * 1000
+        inst = tc.Instance("r", n, kind, coords=pts)
+        tc.build_distance_matrix(inst)  # warm numpy up
+        peak = traced_peak(lambda: tc.build_distance_matrix(inst))
+        assert peak <= arrays * 8 * n * n + memory_slack(n)
+
+    def test_city_stats_peak(self):
+        n = 300
+        m = random_matrix(n, 9)
+        tc.city_stats(m)
+        peak = traced_peak(lambda: tc.city_stats(m))
+        assert peak <= 8 * n * n + memory_slack(n)
 
 
 class TestInputValidation:
