@@ -11,8 +11,7 @@ from .bench import (BenchRecord, RunConfig, percent_error, render_report,
 from .bounds import (LowerBoundResult, exact_optimum, held_karp_bound,
                      one_tree_value)
 from .construction import (ConstructionResult, ExponentCombo, PathEndTracker,
-                           construct_tour, default_grid, grid_search,
-                           run_main_step)
+                           construct_tour, default_grid, grid_search)
 from .errors import (ConfigError, DegenerateInstanceError, ParseError,
                      SizeLimitError, TourcraftError, ValidationError)
 from .instance import (CityStats, DistanceMatrix, Instance, Tour,
@@ -35,6 +34,6 @@ __all__ = [
     "generate_random_euclidean", "greedy_edge", "grid_search",
     "held_karp_bound", "load_optima", "make_tour", "nearest_neighbor",
     "one_tree_value", "parse_tour", "parse_tsplib", "percent_error",
-    "plot_tour_svg", "render_report", "run_benchmark", "run_main_step",
-    "tour_length", "validate_tour", "write_tour",
+    "plot_tour_svg", "render_report", "run_benchmark", "tour_length",
+    "validate_tour", "write_tour",
 ]

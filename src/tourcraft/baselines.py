@@ -7,11 +7,11 @@ All three are deterministic: every tie breaks toward the lower city index
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from .construction import PathEndTracker, _edges_to_order
+from .construction import PathEndTracker
 from .errors import ConfigError, DegenerateInstanceError
 from .instance import CityStats, DistanceMatrix, Tour, city_stats, make_tour
 
@@ -48,17 +48,14 @@ def greedy_edge(matrix: DistanceMatrix) -> Tour:
     weights = matrix.d[iu, ju]
     rank = np.lexsort((ju, iu, weights))
     tracker = PathEndTracker(n)
-    edges: List[Tuple[int, int]] = []
     for k in rank:
         if tracker.edge_count == n:
             break
         i = int(iu[k])
         j = int(ju[k])
-        if tracker.degree[i] < 2 and tracker.can_connect(i, j):
+        if tracker.can_connect(i, j):
             tracker.connect(i, j)
-            edges.append((i, j))
-    assert tracker.edge_count == n, "greedy edge did not close a cycle"
-    return make_tour(_edges_to_order(edges, n), matrix)
+    return make_tour(tracker.cycle(), matrix)
 
 
 def clarke_wright(matrix: DistanceMatrix, hub: Optional[int] = None,
@@ -68,6 +65,7 @@ def clarke_wright(matrix: DistanceMatrix, hub: Optional[int] = None,
 
     Default hub is the most remote city (maximal mean distance in the
     heuristic geometry, see ``city_stats``; ties toward the lower index).
+    The tour starts at the lowest non-hub city and ends at the hub.
     """
     n = _require_n(matrix)
     if hub is None:
@@ -75,38 +73,23 @@ def clarke_wright(matrix: DistanceMatrix, hub: Optional[int] = None,
         hub = int(np.argmax(st.mu))
     if not 0 <= hub < n:
         raise ConfigError(f"hub {hub} out of range for n={n}")
-    if n == 3:
-        return make_tour([0, 1, 2], matrix)
-
-    rest = np.array([c for c in range(n) if c != hub])
-    m = len(rest)
-    # local tracker over the non-hub cities; a Hamiltonian path needs m-1
-    # edges and must never close a cycle, so the final-edge exception is
-    # disabled by keeping edge_count below m-1 semantics manual.
-    tracker = PathEndTracker(m)
-    ii, jj = np.triu_indices(m, k=1)
+    rest = np.delete(np.arange(n), hub)
+    ii, jj = np.triu_indices(n - 1, k=1)
     gi = rest[ii]
     gj = rest[jj]
     savings = matrix.d[hub, gi] + matrix.d[hub, gj] - matrix.d[gi, gj]
-    rank = np.lexsort((jj, ii, -savings))
-    edges: List[Tuple[int, int]] = []
+    rank = np.lexsort((gj, gi, -savings))
+    tracker = PathEndTracker(n)
     for k in rank:
-        if tracker.edge_count == m - 1:
+        if tracker.edge_count == n - 2:
             break
-        a = int(ii[k])
-        b = int(jj[k])
-        if tracker.degree[a] < 2 and tracker.degree[b] < 2 \
-                and tracker.other_end[a] != b:
+        a = int(gi[k])
+        b = int(gj[k])
+        if tracker.can_connect(a, b):
             tracker.connect(a, b)
-            edges.append((a, b))
-    assert tracker.edge_count == m - 1, "savings merge left a broken path"
-    ends = [int(x) for x in np.flatnonzero(tracker.open)]
-    assert len(ends) == 2
-    order_local = _edges_to_order(edges + [(ends[0], ends[1])], m)
-    # rotate so the cut sits between the two path endpoints, then insert hub
-    pos = {c: k for k, c in enumerate(order_local)}
-    i0, i1 = sorted((pos[ends[0]], pos[ends[1]]))
-    if (i0, i1) != (0, m - 1):
-        order_local = order_local[i1:] + order_local[:i1]
-    full = [int(rest[c]) for c in order_local] + [hub]
-    return make_tour(full, matrix)
+    for end in np.flatnonzero(tracker.open).tolist():
+        if end != hub:
+            tracker.connect(hub, end)
+    order = tracker.cycle(start=int(hub == 0))
+    k = order.index(hub)
+    return make_tour(order[k + 1:] + order[:k + 1], matrix)

@@ -9,7 +9,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -109,16 +109,21 @@ def _min_one_tree(dd: np.ndarray) -> Tuple[float, np.ndarray]:
     return float(total), deg
 
 
+def _potential_one_tree(matrix: DistanceMatrix,
+                        pi: np.ndarray) -> Tuple[float, np.ndarray]:
+    """1-tree bound and node degrees for potentials pi: minimum 1-tree on the
+    modified weights d[i][j] + pi[i] + pi[j], minus 2 * sum(pi)."""
+    total, deg = _min_one_tree(matrix.d + pi[:, None] + pi[None, :])
+    return total - 2.0 * float(pi.sum()), deg
+
+
 def one_tree_value(matrix: DistanceMatrix,
                    pi: Sequence[float]) -> float:
-    """1-tree lower bound for node potentials pi: minimum 1-tree on the
-    modified weights d[i][j] + pi[i] + pi[j], minus 2 * sum(pi)."""
+    """1-tree lower bound for node potentials pi."""
     pi = np.asarray(pi, dtype=float)
     if pi.shape != (matrix.n,):
         raise ConfigError(f"potentials must have length {matrix.n}")
-    dd = matrix.d + pi[:, None] + pi[None, :]
-    total, _ = _min_one_tree(dd)
-    return total - 2.0 * float(pi.sum())
+    return _potential_one_tree(matrix, pi)[0]
 
 
 def held_karp_bound(matrix: DistanceMatrix, max_iters: int = 1000,
@@ -141,6 +146,8 @@ def held_karp_bound(matrix: DistanceMatrix, max_iters: int = 1000,
         from .baselines import nearest_neighbor
         upper_bound_hint = nearest_neighbor(matrix).length
     ub = float(upper_bound_hint)
+    if not np.isfinite(ub):
+        raise ConfigError(f"upper_bound_hint must be finite, got {ub}")
 
     pi = np.zeros(n)
     best = -np.inf
@@ -149,9 +156,7 @@ def held_karp_bound(matrix: DistanceMatrix, max_iters: int = 1000,
     stale = 0
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        dd = matrix.d + pi[:, None] + pi[None, :]
-        total, deg = _min_one_tree(dd)
-        value = total - 2.0 * float(pi.sum())
+        value, deg = _potential_one_tree(matrix, pi)
         if value > best:
             best = value
             best_pi = pi.copy()

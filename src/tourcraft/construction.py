@@ -61,43 +61,60 @@ def default_grid(values: Sequence[float] = DEFAULT_EXPONENT_VALUES,
 
 
 class PathEndTracker:
-    """Degrees, edge count and other-end mapping for O(1) subcycle prevention.
+    """The partial tour: a disjoint union of paths, grown one edge at a time
+    and closed into one loop by its final edge.
 
-    While the partial solution is a disjoint union of paths, other_end[x]
+    While the partial tour is a disjoint union of paths, other_end[x]
     holds the opposite endpoint of x's path for every endpoint x (and x itself
     for singletons). Connecting the two ends of the same path is allowed only
-    for the final, loop-closing edge (E == n - 1). `degree` and `other_end`
+    for the final, loop-closing edge (E == n - 1). `degree`, `other_end` and
+    `adjacent` (city x's neighbours in slots 2x and 2x + 1, in connect order)
     are lists, read one city at a time; `open` is the boolean array of the
     cities with degree < 2.
     """
 
-    __slots__ = ("n", "other_end", "degree", "open", "edge_count")
+    __slots__ = ("n", "other_end", "degree", "adjacent", "open", "edge_count")
 
     def __init__(self, n: int):
         self.n = n
         self.other_end = list(range(n))
         self.degree = [0] * n
+        self.adjacent = [-1] * (2 * n)
         self.open = np.ones(n, dtype=bool)
         self.edge_count = 0
 
-    def can_connect(self, city: int, neighbor: int) -> bool:
-        if self.degree[neighbor] >= 2:
+    def can_connect(self, a: int, b: int) -> bool:
+        """Whether edge a-b keeps the partial tour a set of paths, or is the
+        edge that closes them into one loop."""
+        if a == b or self.degree[a] >= 2 or self.degree[b] >= 2:
             return False
-        return self.other_end[city] != neighbor or self.edge_count == self.n - 1
+        return self.other_end[a] != b or self.edge_count == self.n - 1
 
-    def connect(self, city: int, neighbor: int) -> None:
-        assert city != neighbor
-        assert self.degree[city] < 2 and self.can_connect(city, neighbor), \
-            f"illegal connect {city}-{neighbor}"
-        a = self.other_end[city]
-        b = self.other_end[neighbor]
-        self.other_end[a] = b
-        self.other_end[b] = a
-        for x in (city, neighbor):
+    def connect(self, a: int, b: int) -> None:
+        assert self.can_connect(a, b), f"illegal connect {a}-{b}"
+        end_a = self.other_end[a]
+        end_b = self.other_end[b]
+        self.other_end[end_a] = end_b
+        self.other_end[end_b] = end_a
+        for x, y in ((a, b), (b, a)):
+            self.adjacent[2 * x + self.degree[x]] = y
             self.degree[x] += 1
             if self.degree[x] == 2:
                 self.open[x] = False
         self.edge_count += 1
+
+    def cycle(self, start: int = 0) -> List[int]:
+        """The closed loop's cities from `start`, first along its first
+        edge."""
+        assert self.edge_count == self.n, "the tour is not closed"
+        adjacent = self.adjacent
+        order = [start]
+        prev, cur = start, adjacent[2 * start]
+        for _ in range(self.n - 1):
+            order.append(cur)
+            nxt = adjacent[2 * cur]
+            prev, cur = cur, (nxt if nxt != prev else adjacent[2 * cur + 1])
+        return order
 
 
 @dataclass
@@ -162,11 +179,15 @@ def _score_rows(matrix: DistanceMatrix, stats: CityStats, gamma: float,
 
 
 def _connect_pass(step: int, order: Sequence[int], scores: np.ndarray,
-                  tracker: PathEndTracker,
-                  edges: List[Tuple[int, int]]) -> int:
+                  tracker: PathEndTracker) -> int:
     """Join each city of `order` still below `step` connections to its best
     admissible neighbour, the first maximum of its row of `scores`; returns
-    the neighbour evaluations made."""
+    the neighbour evaluations made.
+
+    Cities are visited once in descending static priority (the statistics
+    never change within a pass, so pre-sorting is equivalent to the
+    repeated max-scan).
+    """
     degree, other_end, is_open = tracker.degree, tracker.other_end, tracker.open
     last = tracker.n - 1
     connected = 0
@@ -177,44 +198,9 @@ def _connect_pass(step: int, order: Sequence[int], scores: np.ndarray,
         row[city] = -np.inf
         if tracker.edge_count != last:
             row[other_end[city]] = -np.inf
-        neighbor = int(row.argmax())  # first max = lowest index on ties
-        tracker.connect(city, neighbor)
-        edges.append((city, neighbor))
+        tracker.connect(city, int(row.argmax()))  # first max: lowest index
         connected += 1
     return connected * last
-
-
-def run_main_step(step: int, matrix: DistanceMatrix, stats: CityStats,
-                  combo: ExponentCombo, tracker: PathEndTracker,
-                  edges: List[Tuple[int, int]]) -> int:
-    """One main pass of the construction; returns neighbor evaluations made.
-
-    Cities are visited once in descending static priority (the statistics
-    never change within a pass, so pre-sorting is equivalent to the
-    repeated max-scan). A visited city still below `step` connections is
-    joined to its best admissible neighbor.
-    """
-    if step not in (1, 2):
-        raise ConfigError(f"step must be 1 or 2, got {step}")
-    scores = _score_rows(matrix, stats, combo.gamma, combo.delta,
-                         combo.epsilon)
-    return _connect_pass(step, _city_order(stats, combo.alpha, combo.beta),
-                         scores, tracker, edges)
-
-
-def _edges_to_order(edges: Sequence[Tuple[int, int]], n: int) -> List[int]:
-    adj: List[List[int]] = [[] for _ in range(n)]
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    order = [0]
-    prev = -1
-    cur = 0
-    for _ in range(n - 1):
-        nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-        order.append(nxt)
-        prev, cur = cur, nxt
-    return order
 
 
 def construct_tour(matrix: DistanceMatrix, stats: CityStats,
@@ -237,13 +223,12 @@ def construct_tour(matrix: DistanceMatrix, stats: CityStats,
         scores = _score_rows(matrix, stats, combo.gamma, combo.delta,
                              combo.epsilon)
     tracker = PathEndTracker(n)
-    edges: List[Tuple[int, int]] = []
-    evals = _connect_pass(1, order, scores, tracker, edges)
+    evals = _connect_pass(1, order, scores, tracker)
     assert min(tracker.degree) >= 1, "step 1 left an isolated city"
-    evals += _connect_pass(2, order, scores, tracker, edges)
+    evals += _connect_pass(2, order, scores, tracker)
     assert tracker.edge_count == n and tracker.degree == [2] * n, \
         "step 2 did not close a 2-regular cycle"
-    tour = make_tour(_edges_to_order(edges, n), matrix)
+    tour = make_tour(tracker.cycle(), matrix)
     return ConstructionResult(tour=tour, combo=combo, neighbor_evaluations=evals)
 
 

@@ -39,6 +39,13 @@ SUPPORTED_KINDS = ("EUC_2D", "ATT", "CEIL_2D", "EXPLICIT")
 MATRIX_MAX_N = 10_000
 
 
+def _require_finite_nonnegative(a: np.ndarray, what: str) -> None:
+    """Raise unless every entry of `a` is finite and >= 0. NaN fails both
+    comparisons; two reductions allocate no temporary of a's size."""
+    if not (a.min() >= 0 and a.max() < np.inf):
+        raise ValidationError(f"{what} must be finite and >= 0")
+
+
 @dataclass(frozen=True, eq=False)
 class Instance:
     """Immutable problem statement: coordinates (or explicit weights) plus a
@@ -65,8 +72,7 @@ class Instance:
             if w.shape != (self.n, self.n):
                 raise ValidationError(
                     f"weight table shape {w.shape} does not match n={self.n}")
-            if not np.all(np.isfinite(w) & (w >= 0)):
-                raise ValidationError("EXPLICIT weights must be finite and >= 0")
+            _require_finite_nonnegative(w, "EXPLICIT weights")
             if not np.allclose(w, w.T):
                 raise ValidationError("EXPLICIT weight table is not symmetric")
             if np.any(np.diag(w) != 0):
@@ -100,15 +106,17 @@ class DistanceMatrix:
     heuristic: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        d = self._read_only(self.d)
+        d = self._read_only(self.d, "distances")
         object.__setattr__(self, "d", d)
-        h = d if self.heuristic is None else self._read_only(self.heuristic)
+        h = d if self.heuristic is None else \
+            self._read_only(self.heuristic, "heuristic distances")
         object.__setattr__(self, "heuristic", h)
 
-    def _read_only(self, a: np.ndarray) -> np.ndarray:
+    def _read_only(self, a: np.ndarray, what: str) -> np.ndarray:
         a = np.asarray(a, dtype=float)
         if a.shape != (self.n, self.n):
             raise ValidationError(f"matrix shape {a.shape} != ({self.n}, {self.n})")
+        _require_finite_nonnegative(a, what)
         a.setflags(write=False)
         return a
 

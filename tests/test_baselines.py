@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 import tourcraft as tc
-from conftest import brute_force_optimum, random_matrix, unrounded_matrix
+from conftest import (brute_force_optimum, load_instance, random_matrix,
+                      unrounded_matrix)
 
 
 class TestNearestNeighbor:
@@ -47,6 +50,9 @@ class TestClarkeWright:
         m = random_matrix(3, 6)
         assert tc.clarke_wright(m).length == \
             pytest.approx(tc.tour_length([0, 1, 2], m))
+        for hub in range(3):  # from the lowest non-hub city, the hub last
+            order = tc.clarke_wright(m, hub=hub).order
+            assert order[0] == int(hub == 0) and order[-1] == hub
 
     def test_invalid_hub(self):
         with pytest.raises(tc.ConfigError):
@@ -78,3 +84,24 @@ def test_baselines_deterministic(method):
                "cw": tc.clarke_wright}
     m = random_matrix(40, 77)
     assert solvers[method](m) == solvers[method](m)
+
+
+def test_tour_orders_pinned():
+    # sha256 of the orders of the grid and every baseline (Clarke-Wright with
+    # its default hub and with hubs 0-5) on the bundled instances and on
+    # acceptance criterion 4's first three instances; any change of a tour's
+    # order, rotation or direction changes it
+    matrices = [tc.build_distance_matrix(load_instance(name)) for name in
+                ("att48", "berlin52", "eil51", "eil76", "kroA100")]
+    matrices += [tc.build_distance_matrix(
+        tc.generate_random_euclidean(100, seed, 1_000_000))
+        for seed in (1, 2, 3)]
+    orders = []
+    for m in matrices:
+        orders.append(tc.grid_search(m, tc.city_stats(m)).tour.order)
+        orders.append(tc.nearest_neighbor(m).order)
+        orders.append(tc.greedy_edge(m).order)
+        orders.append(tc.clarke_wright(m).order)
+        orders.extend(tc.clarke_wright(m, hub=h).order for h in range(6))
+    assert hashlib.sha256(repr(orders).encode()).hexdigest() == \
+        "f4b98a02a04eeac23bfbcad5da93ebc3565164548a19ab7794410847d21ce12e"

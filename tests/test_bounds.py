@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,12 @@ class TestHeldKarpBound:
     def test_rejects_bad_iters(self):
         with pytest.raises(tc.ConfigError):
             tc.held_karp_bound(random_matrix(5, 0), max_iters=0)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_hint(self, bad):
+        # inf gave NaN potentials, NaN silently returned the first 1-tree
+        with pytest.raises(tc.ConfigError, match="finite"):
+            tc.held_karp_bound(random_matrix(10, 0), upper_bound_hint=bad)
 
     def test_best_so_far_monotone(self):
         m = random_matrix(15, 11)

@@ -85,6 +85,14 @@ class TestTracker:
         t.connect(0, 1)
         assert not t.can_connect(0, 1)
 
+    def test_full_city_blocked_on_either_side(self):
+        t = tc.PathEndTracker(5)
+        t.connect(0, 1)
+        t.connect(0, 2)
+        assert t.degree[0] == 2
+        assert not t.can_connect(0, 3)
+        assert not t.can_connect(3, 0)
+
     def test_final_edge_exception(self):
         t = tc.PathEndTracker(4)
         t.connect(0, 1)
@@ -111,6 +119,7 @@ class TestTracker:
             n = 8
             t = tc.PathEndTracker(n)
             oracle = PathOracle(n)
+            connected = set()
             while t.edge_count < n:
                 pairs = [(a, b) for a in range(n) for b in range(n)
                          if a != b and t.degree[a] < 2 and t.can_connect(a, b)]
@@ -122,6 +131,7 @@ class TestTracker:
                     assert oracle.find(a) is not oracle.find(b)
                 t.connect(a, b)
                 oracle.connect(a, b)
+                connected.add(frozenset((a, b)))
                 for comp in oracle.components:
                     ends = oracle.endpoints(comp)
                     if len(ends) == 1:          # singleton
@@ -131,6 +141,13 @@ class TestTracker:
                         assert t.other_end[ends[1]] == ends[0]
                 assert sum(t.degree) == 2 * t.edge_count
                 assert t.open.tolist() == [k < 2 for k in t.degree]
+            assert t.edge_count == n
+            for s in range(n):
+                order = t.cycle(s)
+                assert order[0] == s and sorted(order) == list(range(n))
+                walked = {frozenset(p) for p in zip(order, order[1:] +
+                                                    order[:1])}
+                assert walked == connected
 
 
 class TestMainSteps:
@@ -138,13 +155,9 @@ class TestMainSteps:
         stats = tc.city_stats(triangle_345)
         for combo in (tc.ExponentCombo(0, 0, 0, 0, 0),
                       tc.ExponentCombo(1, 1, 1, 1, 1)):
-            tracker = tc.PathEndTracker(3)
-            edges = []
-            tc.run_main_step(1, triangle_345, stats, combo, tracker, edges)
-            tc.run_main_step(2, triangle_345, stats, combo, tracker, edges)
-            assert tracker.edge_count == 3
-            assert sorted(tuple(sorted(e)) for e in edges) == \
-                [(0, 1), (0, 2), (1, 2)]
+            tour = tc.construct_tour(triangle_345, stats, combo).tour
+            assert sorted(tour.order) == [0, 1, 2]
+            assert tour.length == 12
 
     def test_unit_square_nearest_attraction(self):
         # combo (0,0,1,0,0) reduces the neighbor score to 1/d: hand-simulating
@@ -156,18 +169,15 @@ class TestMainSteps:
         assert brute_force_optimum(m) == pytest.approx(4.0)
 
     def test_degrees_after_each_step(self):
+        # construct_tour asserts every degree >= 1 after step 1 and a
+        # 2-regular cycle of n edges after step 2
         rng = np.random.default_rng(23)
         for seed in range(100):
             m = random_matrix(5, seed)
             stats = tc.city_stats(m)
             combo = tc.ExponentCombo(*rng.choice([0, 0.5, 1], size=5))
-            tracker = tc.PathEndTracker(5)
-            edges = []
-            tc.run_main_step(1, m, stats, combo, tracker, edges)
-            assert min(tracker.degree) >= 1
-            tc.run_main_step(2, m, stats, combo, tracker, edges)
-            assert tracker.degree == [2] * 5
-            assert tracker.edge_count == 5
+            tour = tc.construct_tour(m, stats, combo).tour
+            assert sorted(tour.order) == list(range(5))
 
 
 class TestConstructTour:
@@ -195,12 +205,6 @@ class TestConstructTour:
         a = tc.construct_tour(m, stats, combo)
         b = tc.construct_tour(m, stats, combo)
         assert a.tour == b.tour
-        step1 = []
-        for _ in range(2):
-            edges = []
-            tc.run_main_step(1, m, stats, combo, tc.PathEndTracker(40), edges)
-            step1.append(edges)
-        assert step1[0] == step1[1]
 
     def test_single_cycle_structure(self):
         m = random_matrix(25, 3)
@@ -236,9 +240,8 @@ def test_scores_on_exact_geometry_and_measures_rounded():
     want = tc.construct_tour(exact, tc.city_stats(exact), combo).tour.order
     wrong = tc.construct_tour(rounded_only, tc.city_stats(rounded_only),
                               combo).tour.order
-    step1 = []
-    tc.run_main_step(1, m, tc.city_stats(m), combo, tc.PathEndTracker(5), step1)
-    assert step1[0] == (0, 2)
+    # step 1 joins city 0 first, to 2, and the walk leaves 0 along that edge
+    assert r.tour.order[1] == 2
     assert r.tour.order == want != wrong
     assert r.tour.length == tc.tour_length(r.tour.order, rounded_only)
 

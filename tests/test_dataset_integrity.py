@@ -6,8 +6,6 @@ reproduce the published optimum exactly, and for instances without a bundled
 optimal tour the computed lower bound must sandwich the published optimum.
 """
 
-from pathlib import Path
-
 import pytest
 
 import tourcraft as tc

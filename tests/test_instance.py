@@ -176,6 +176,16 @@ class TestInputValidation:
         with pytest.raises(tc.ValidationError, match="finite"):
             tc.Instance("e", 3, "EXPLICIT", explicit_weights=w)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    def test_distance_matrix_entries_rejected(self, bad):
+        # a NaN entry gave grid_search a tour of length nan
+        d = np.ones((4, 4)) - np.eye(4)
+        d[1, 2] = d[2, 1] = bad
+        with pytest.raises(tc.ValidationError, match="finite and >= 0"):
+            tc.DistanceMatrix(4, d)
+        with pytest.raises(tc.ValidationError, match="finite and >= 0"):
+            tc.DistanceMatrix(4, np.ones((4, 4)) - np.eye(4), heuristic=d)
+
 
 class TestHeuristicGeometry:
     def test_stats_use_exact_euclidean_distances(self):
