@@ -5,20 +5,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from .baselines import clarke_wright, greedy_edge, nearest_neighbor
 from .bounds import exact_optimum, held_karp_bound
 from .construction import ExponentCombo, default_grid, grid_search
-from .errors import ConfigError, TourcraftError
+from .errors import ConfigError
 from .instance import (DistanceMatrix, Instance, build_distance_matrix,
-                       city_stats, generate_random_euclidean)
-from .tsplib import OptimaTable, default_optima, parse_tsplib
+                       city_stats)
+from .tsplib import OptimaTable, default_optima
 
 METHODS = ("proposed", "nn", "greedy", "cw")
-
-RANDOM_BOX = 1_000_000.0  # side of the square random instances fill
 
 CSV_HEADER = ("instance,n,method,alpha,beta,gamma,delta,epsilon,"
               "length,reference,reference_kind,pct_error,wall_millis")
@@ -46,47 +43,24 @@ class BenchRecord:
 
 @dataclass
 class RunConfig:
-    """What to run: instance sources, methods, grid, reference policy."""
+    """What to run: instances, methods, grid, reference policy."""
 
-    files: List[Path] = field(default_factory=list)
     instances: List[Instance] = field(default_factory=list)
-    random_n: Optional[int] = None
-    random_count: int = 0
-    random_seeds: Optional[List[int]] = None
     methods: Tuple[str, ...] = ("proposed",)
     grid: Optional[List[ExponentCombo]] = None
     optima: Optional[OptimaTable] = None
     bound_iters: int = 1000
 
     def validate(self) -> None:
-        if not self.files and not self.instances and not self.random_count:
-            raise ConfigError("no instance source configured")
+        if not self.instances:
+            raise ConfigError("no instances configured")
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}; known: {METHODS}")
         if not self.methods:
             raise ConfigError("no methods configured")
-
-
-def _gather_instances(config: RunConfig) -> List[Instance]:
-    instances = list(config.instances)
-    for path in config.files:
-        p = Path(path)
-        try:
-            text = p.read_text()
-        except OSError as exc:
-            raise TourcraftError(f"cannot read instance file {p}: {exc}")
-        instances.append(parse_tsplib(text))
-    if config.random_count:
-        if config.random_n is None:
-            raise ConfigError("random_count set without random_n")
-        seeds = config.random_seeds or list(range(1, config.random_count + 1))
-        if len(seeds) != config.random_count:
-            raise ConfigError("seed list length must match random_count")
-        for seed in seeds:
-            instances.append(generate_random_euclidean(
-                config.random_n, seed, RANDOM_BOX))
-    return instances
+        if len(set(self.methods)) != len(self.methods):
+            raise ConfigError(f"duplicate method in {self.methods}")
 
 
 def _solve(method: str, matrix: DistanceMatrix, stats,
@@ -122,7 +96,7 @@ def run_benchmark(config: RunConfig) -> List[BenchRecord]:
     optima = config.optima if config.optima is not None else default_optima()
     grid = config.grid if config.grid is not None else default_grid()
     records: List[BenchRecord] = []
-    for instance in _gather_instances(config):
+    for instance in config.instances:
         matrix = build_distance_matrix(instance)
         stats = city_stats(matrix)
         reference: Optional[Tuple[float, str]] = None

@@ -21,11 +21,10 @@ EXACT_MAX_N = 15
 
 @dataclass(frozen=True)
 class LowerBoundResult:
-    """Best 1-tree bound found, with the potentials that achieved it."""
+    """Best 1-tree bound found and the ascent iterations it took."""
 
     bound: float
     iterations_used: int
-    potentials: np.ndarray
 
 
 def exact_optimum(matrix: DistanceMatrix) -> Tour:
@@ -151,7 +150,6 @@ def held_karp_bound(matrix: DistanceMatrix, max_iters: int = 1000,
 
     pi = np.zeros(n)
     best = -np.inf
-    best_pi = pi.copy()
     lam = 2.0
     stale = 0
     iterations = 0
@@ -159,7 +157,6 @@ def held_karp_bound(matrix: DistanceMatrix, max_iters: int = 1000,
         value, deg = _potential_one_tree(matrix, pi)
         if value > best:
             best = value
-            best_pi = pi.copy()
             stale = 0
         else:
             stale += 1
@@ -174,5 +171,4 @@ def held_karp_bound(matrix: DistanceMatrix, max_iters: int = 1000,
         if step == 0.0:
             break
         pi = pi + step * g
-    return LowerBoundResult(bound=best, iterations_used=iterations,
-                            potentials=best_pi)
+    return LowerBoundResult(bound=best, iterations_used=iterations)

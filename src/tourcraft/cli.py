@@ -11,10 +11,12 @@ from .bench import RunConfig, render_report, run_benchmark
 from .bounds import held_karp_bound
 from .construction import ExponentCombo, default_grid, grid_search
 from .errors import ConfigError, TourcraftError
-from .instance import (build_distance_matrix, city_stats,
+from .instance import (Instance, build_distance_matrix, city_stats,
                        generate_random_euclidean)
 from .svgplot import plot_tour_svg
 from .tsplib import default_optima, load_optima, parse_tsplib, write_tour
+
+RANDOM_BOX = 1_000_000.0  # side of the square random instances fill
 
 
 def _numbers(spec: str, sep: str, cast=float) -> list:
@@ -34,21 +36,20 @@ def _parse_grid(spec: Optional[str]) -> List[ExponentCombo]:
         for part in spec.split(";"):
             vals = _numbers(part, ":")
             if len(vals) != 5:
-                raise TourcraftError(f"combo {part!r} needs 5 exponents")
+                raise ConfigError(f"combo {part!r} needs 5 exponents")
             combos.append(ExponentCombo(*vals))
         return combos
     return default_grid(_numbers(spec, ","))
 
 
-def _load(path: str):
-    instance = parse_tsplib(Path(path).read_text())
-    matrix = build_distance_matrix(instance)
-    return instance, matrix, city_stats(matrix)
+def _read(path) -> Instance:
+    return parse_tsplib(Path(path).read_text())
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    instance, matrix, stats = _load(args.file)
-    result = grid_search(matrix, stats, _parse_grid(args.grid))
+    instance = _read(args.file)
+    matrix = build_distance_matrix(instance)
+    result = grid_search(matrix, city_stats(matrix), _parse_grid(args.grid))
     c = result.combo
     print(f"{instance.name}: length {result.tour.length:g} with exponents "
           f"alpha={c.alpha:g} beta={c.beta:g} gamma={c.gamma:g} "
@@ -61,29 +62,31 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    files: List[Path] = []
+    instances: List[Instance] = []
     if args.tsplib:
         files = sorted(Path(args.tsplib).glob("*.tsp"))
         if not files:
             raise TourcraftError(f"no .tsp files under {args.tsplib}")
+        instances = [_read(f) for f in files]
+    if args.random:
+        parts = _numbers(args.random, ",", int)
+        if len(parts) != 3:
+            raise TourcraftError("--random expects n,count,first-seed")
+        n, count, seed0 = parts
+        if count < 1:
+            raise ConfigError(f"--random count must be >= 1, got {count}")
+        seeds = list(range(seed0, seed0 + count))
+        print(f"random instances: n={n}, seeds {seeds}", file=sys.stderr)
+        instances += [generate_random_euclidean(n, seed, RANDOM_BOX)
+                      for seed in seeds]
     config = RunConfig(
-        files=files,
+        instances=instances,
         methods=tuple(args.methods.split(",")),
         grid=_parse_grid(args.grid),
         optima=(load_optima(Path(args.optima).read_text())
                 if args.optima else default_optima()),
         bound_iters=args.iters,
     )
-    if args.random:
-        parts = _numbers(args.random, ",", int)
-        if len(parts) != 3:
-            raise TourcraftError("--random expects n,count,first-seed")
-        n, count, seed0 = parts
-        config.random_n = n
-        config.random_count = count
-        config.random_seeds = list(range(seed0, seed0 + count))
-        print(f"random instances: n={n}, seeds {config.random_seeds}",
-              file=sys.stderr)
     report = render_report(run_benchmark(config), args.format)
     if args.out:
         Path(args.out).write_text(report)
@@ -108,8 +111,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
-    instance, matrix, _ = _load(args.file)
-    result = held_karp_bound(matrix, max_iters=args.iters)
+    instance = _read(args.file)
+    result = held_karp_bound(build_distance_matrix(instance),
+                             max_iters=args.iters)
     print(f"{instance.name}: held-karp ascent bound {result.bound:.2f} "
           f"({result.iterations_used} iterations)")
     return 0
@@ -144,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="write a random Euclidean instance")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--box", type=float, default=1_000_000.0)
+    p.add_argument("--box", type=float, default=RANDOM_BOX)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen)
 

@@ -128,12 +128,16 @@ class ConstructionResult:
 
 def _numerator_vector(stats: CityStats, exp_mu: float, exp_sigma: float,
                       ) -> np.ndarray:
-    n = len(stats.mu)
-    out = np.ones(n)
-    if exp_mu != 0.0:
-        out = out * stats.mu ** exp_mu
-    if exp_sigma != 0.0:
-        out = out * stats.sigma ** exp_sigma
+    """mu^exp_mu * sigma^exp_sigma per city, with 0^0 = 1; a negative
+    exponent on a zero statistic is a ConfigError."""
+    out = np.ones(len(stats.mu))
+    for base, exp in ((stats.mu, exp_mu), (stats.sigma, exp_sigma)):
+        if exp != 0.0:
+            if exp < 0 and np.any(base == 0.0):
+                raise ConfigError(
+                    f"negative exponent {exp} with a zero statistic would "
+                    f"divide by zero")
+            out = out * base ** exp
     return out
 
 
@@ -212,7 +216,8 @@ def construct_tour(matrix: DistanceMatrix, stats: CityStats,
     `order` (the cities by descending eq. 1 priority) and `scores` (row i
     holds city i's eq. 2 neighbour scores) are those of `combo`; they are
     computed here unless given, as `grid_search` gives them to share them
-    between grid points.
+    between grid points. A negative exponent on a zero statistic is a
+    ConfigError, as in `grid_search`.
     """
     n = matrix.n
     if n < 3:
@@ -247,13 +252,6 @@ def grid_search(matrix: DistanceMatrix, stats: CityStats,
     combos = list(grid) if grid is not None else default_grid()
     if not combos:
         raise ConfigError("exponent grid must be non-empty")
-    for combo in combos:
-        for exp, base in ((combo.alpha, stats.mu), (combo.beta, stats.sigma),
-                          (combo.delta, stats.mu), (combo.epsilon, stats.sigma)):
-            if exp < 0 and np.any(base == 0.0):
-                raise ConfigError(
-                    f"negative exponent {exp} with a zero statistic would "
-                    f"divide by zero")
     # (gamma, delta, epsilon) -> {city order: index of its first grid point};
     # orders are compared as exact index sequences, not by their exponents
     orders = {}

@@ -23,7 +23,8 @@ population form over those n-1 values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -138,28 +139,6 @@ class Tour:
     length: float
 
 
-@dataclass
-class TourReport:
-    """Outcome of validate_tour: ok, or what is duplicated/missing."""
-
-    ok: bool
-    duplicates: list = field(default_factory=list)
-    missing: list = field(default_factory=list)
-    out_of_range: list = field(default_factory=list)
-
-    def __str__(self) -> str:
-        if self.ok:
-            return "ok"
-        parts = []
-        if self.duplicates:
-            parts.append(f"duplicates={self.duplicates}")
-        if self.missing:
-            parts.append(f"missing={self.missing}")
-        if self.out_of_range:
-            parts.append(f"out_of_range={self.out_of_range}")
-        return "violation: " + ", ".join(parts)
-
-
 def build_distance_matrix(instance: Instance) -> DistanceMatrix:
     """Full n x n matrix; EXPLICIT copies the weights, the coordinate kinds
     apply the TSPLIB rounding rules pairwise (vectorized) and keep the exact
@@ -219,30 +198,21 @@ def city_stats(matrix: DistanceMatrix) -> CityStats:
     return CityStats(mu=mu, sigma=sigma)
 
 
-def validate_tour(order: Sequence[int], n: int) -> TourReport:
-    """Check that order is a permutation of 0..n-1; report what is wrong."""
-    seen = set()
-    duplicates = []
-    out_of_range = []
-    for c in order:
-        if not (0 <= c < n):
-            out_of_range.append(c)
-        elif c in seen:
-            duplicates.append(c)
-        else:
-            seen.add(c)
-    missing = [c for c in range(n) if c not in seen]
-    if len(order) == n and not duplicates and not missing and not out_of_range:
-        return TourReport(ok=True)
-    return TourReport(ok=False, duplicates=sorted(set(duplicates)),
-                      missing=missing, out_of_range=out_of_range)
+def validate_tour(order: Sequence[int], n: int) -> bool:
+    """Whether order is a permutation of 0..n-1."""
+    return sorted(order) == list(range(n))
 
 
 def tour_length(order: Sequence[int], matrix: DistanceMatrix) -> float:
     """Total cycle length including the closing edge."""
-    report = validate_tour(order, matrix.n)
-    if not report.ok:
-        raise ValidationError(f"not a tour: {report}")
+    if not validate_tour(order, matrix.n):
+        # copies of each city in order, less the one copy a tour has
+        surplus = Counter(np.asarray(order).tolist())
+        surplus.subtract(range(matrix.n))
+        missing = sorted(c for c, k in surplus.items() if k < 0)
+        unexpected = sorted(c for c, k in surplus.items() if k > 0)
+        raise ValidationError(f"not a tour of {matrix.n} cities: missing "
+                              f"{missing}, unexpected {unexpected}")
     idx = np.asarray(order, dtype=int)
     return float(matrix.d[idx, np.roll(idx, -1)].sum())
 

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .errors import ConfigError
-from .instance import Instance
+from .errors import ConfigError, ValidationError
+from .instance import Instance, validate_tour
 
 _MARGIN = 20.0
 _WIDTH = 800.0
@@ -24,6 +24,10 @@ def plot_tour_svg(instance: Instance, order: Sequence[int],
     """Render the tour(s) as an SVG 1.1 document string."""
     if instance.coords is None:
         raise ConfigError("cannot plot an EXPLICIT (coordinate-free) instance")
+    for what, seq in (("order", order), ("reference_order", reference_order)):
+        if seq is not None and not validate_tour(seq, instance.n):
+            raise ValidationError(
+                f"{what} is not a tour of {instance.n} cities")
     pts = instance.coords
     lo = pts.min(axis=0)
     span_x, span_y = (float(v) or 1.0 for v in pts.max(axis=0) - lo)

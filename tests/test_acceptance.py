@@ -140,7 +140,7 @@ def test_criterion_5_oracle_equivalence():
                  tc.clarke_wright(m, stats=stats)]
         for t in tours:
             runs += 1
-            if not tc.validate_tour(t.order, n).ok or t.length < opt - 1e-9:
+            if not tc.validate_tour(t.order, n) or t.length < opt - 1e-9:
                 violations += 1
         if tc.held_karp_bound(m, max_iters=100).bound > opt + 1e-9:
             violations += 1
@@ -174,10 +174,12 @@ def test_criterion_6_complexity_scaling():
 
 def test_criterion_7_bench_determinism():
     def run_csv():
-        config = tc.RunConfig(random_n=30, random_count=3,
-                              methods=("proposed", "nn", "greedy", "cw"),
-                              grid=tc.default_grid([0, 1]),
-                              bound_iters=100)
+        config = tc.RunConfig(
+            instances=[tc.generate_random_euclidean(30, s, 1e6)
+                       for s in (1, 2, 3)],
+            methods=("proposed", "nn", "greedy", "cw"),
+            grid=tc.default_grid([0, 1]),
+            bound_iters=100)
         return tc.render_report(tc.run_benchmark(config), "csv")
 
     def strip_wall(text):

@@ -36,7 +36,10 @@ class TestRunBenchmark:
             assert r.reference_kind == "exact"
 
     def test_generated_instances_use_bound(self):
-        config = tc.RunConfig(random_n=30, random_count=2, methods=("nn",))
+        config = tc.RunConfig(
+            instances=[tc.generate_random_euclidean(30, s, 1e6)
+                       for s in (1, 2)],
+            methods=("nn",))
         records = tc.run_benchmark(config)
         assert len(records) == 2
         for r in records:
@@ -52,11 +55,6 @@ class TestRunBenchmark:
         assert records[0].reference_kind == "known-optimum"
         assert records[0].reference == 12
 
-    def test_missing_file_raises(self, tmp_path):
-        config = tc.RunConfig(files=[tmp_path / "ghost.tsp"], methods=("nn",))
-        with pytest.raises(tc.TourcraftError, match="ghost"):
-            tc.run_benchmark(config)
-
     def test_empty_config_rejected(self):
         with pytest.raises(tc.ConfigError):
             tc.run_benchmark(tc.RunConfig())
@@ -65,6 +63,12 @@ class TestRunBenchmark:
         config = tc.RunConfig(instances=[triangle_instance()],
                               methods=("magic",))
         with pytest.raises(tc.ConfigError):
+            tc.run_benchmark(config)
+
+    def test_duplicate_method_rejected(self):
+        config = tc.RunConfig(instances=[triangle_instance()],
+                              methods=("nn", "greedy", "nn"))
+        with pytest.raises(tc.ConfigError, match="duplicate"):
             tc.run_benchmark(config)
 
 
@@ -89,7 +93,10 @@ class TestRenderReport:
         assert len(text.strip().splitlines()) == 3
 
     def test_mean_row_is_arithmetic_mean(self):
-        config = tc.RunConfig(random_n=20, random_count=3, methods=("nn",))
+        config = tc.RunConfig(
+            instances=[tc.generate_random_euclidean(20, s, 1e6)
+                       for s in (1, 2, 3)],
+            methods=("nn",))
         records = tc.run_benchmark(config)
         text = tc.render_report(records, "csv")
         mean_line = [l for l in text.splitlines() if l.startswith("mean,")][0]

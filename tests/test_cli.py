@@ -27,7 +27,7 @@ def test_gen_then_solve(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "length" in out and "alpha=" in out
     order = tc.parse_tour(tour_file.read_text())
-    assert tc.validate_tour(order, 12).ok
+    assert tc.validate_tour(order, 12)
     assert svg_file.read_text().startswith("<?xml")
 
 
@@ -56,6 +56,13 @@ def test_bench_tsplib_dir(tmp_path, capsys):
     assert "small15" in out
 
 
+def test_bench_unreadable_file_is_an_error_line(tmp_path, capsys):
+    (tmp_path / "ghost.tsp").symlink_to(tmp_path / "nowhere.tsp")
+    assert main(["bench", "--tsplib", str(tmp_path), "--methods", "nn"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "ghost.tsp" in err
+
+
 def test_error_exit_code(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "missing.tsp")]) == 1
     assert "error:" in capsys.readouterr().err
@@ -70,7 +77,9 @@ EXPLICIT_HEAD = ("NAME: ex\nTYPE: TSP\nEDGE_WEIGHT_TYPE: EXPLICIT\n"
     (["solve", "{f}", "--grid", "1:x:1:0:0"], None),
     (["solve", "{f}", "--grid", "nan:0:1:0:0"], None),
     (["solve", "{f}", "--grid", "0,inf"], None),
+    (["solve", "{f}", "--grid", "1:0:1:0"], None),
     (["bench", "--random", "10,a,1"], None),
+    (["bench", "--random", "10,0,1", "--tsplib", "{d}"], None),
     (["solve", "{f}"], "DIMENSION: 3\nEDGE_WEIGHT_TYPE: EUC_2D\n"
                        "NODE_COORD_SECTION\n1 0 0\n2 nan 1\n3 2 2\nEOF\n"),
     (["solve", "{f}"], EXPLICIT_HEAD + "DIMENSION: 3\n"
@@ -79,7 +88,8 @@ EXPLICIT_HEAD = ("NAME: ex\nTYPE: TSP\nEDGE_WEIGHT_TYPE: EXPLICIT\n"
                        "EDGE_WEIGHT_SECTION\n1 inf 1\nEOF\n"),
     (["solve", "{f}"], EXPLICIT_HEAD + "DIMENSION: -3\n"
                        "EDGE_WEIGHT_SECTION\nEOF\n"),
-], ids=["grid-set", "grid-combo", "grid-nan", "grid-inf", "random-count",
+], ids=["grid-set", "grid-combo", "grid-nan", "grid-inf", "grid-combo-length",
+         "random-count", "random-zero-count",
         "nan-coordinate", "negative-weight", "inf-weight",
         "negative-dimension"])
 def test_bad_input_is_an_error_line(tmp_path, capsys, argv, tsp):
@@ -88,7 +98,7 @@ def test_bad_input_is_an_error_line(tmp_path, capsys, argv, tsp):
         write_small_instance(f)
     else:
         f.write_text(tsp)
-    assert main([a.format(f=f) for a in argv]) == 1
+    assert main([a.format(f=f, d=tmp_path) for a in argv]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
     assert "Traceback" not in captured.err and captured.out == ""

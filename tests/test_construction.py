@@ -195,7 +195,7 @@ class TestConstructTour:
             for combo in (tc.ExponentCombo(0, 0.5, 1, 0, 0.5),
                           tc.ExponentCombo(1, 1, 1, 1, 1)):
                 r = tc.construct_tour(m, stats, combo)
-                assert tc.validate_tour(r.tour.order, n).ok
+                assert tc.validate_tour(r.tour.order, n)
                 assert r.tour.length >= opt - 1e-9
 
     def test_deterministic(self):
@@ -210,7 +210,7 @@ class TestConstructTour:
         m = random_matrix(25, 3)
         stats = tc.city_stats(m)
         r = tc.construct_tour(m, stats, tc.ExponentCombo(0.5, 0.5, 1, 0.5, 0))
-        assert tc.validate_tour(r.tour.order, 25).ok
+        assert tc.validate_tour(r.tour.order, 25)
 
     def test_rejects_degenerate(self):
         m = tc.DistanceMatrix(2, np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -282,6 +282,16 @@ class TestGridSearch:
         stats = tc.city_stats(m)
         with pytest.raises(tc.ConfigError):
             tc.grid_search(m, stats, [tc.ExponentCombo(0, -1, 0, 0, 0)])
+
+    @pytest.mark.parametrize("combo", [tc.ExponentCombo(0, -1, 0, 0, 0),
+                                       tc.ExponentCombo(0, 0, 1, 0, -1)],
+                             ids=["beta", "epsilon"])
+    def test_construct_tour_rejects_negative_exponent_on_zero_stat(self,
+                                                                   combo):
+        d = np.ones((3, 3)) - np.eye(3)  # equilateral: sigma = 0 everywhere
+        m = tc.DistanceMatrix(3, d)
+        with pytest.raises(tc.ConfigError, match="zero statistic"):
+            tc.construct_tour(m, tc.city_stats(m), combo)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_exponent_rejected(self, bad):

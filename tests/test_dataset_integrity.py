@@ -24,7 +24,7 @@ def test_optimal_tour_reproduces_optimum(name, optimum):
     inst = load_instance(name)
     m = tc.build_distance_matrix(inst)
     order = opt_tour(name)
-    assert tc.validate_tour(order, inst.n).ok
+    assert tc.validate_tour(order, inst.n)
     assert tc.tour_length(order, m) == optimum
 
 

@@ -252,16 +252,21 @@ class TestTourLength:
 
 class TestValidateTour:
     def test_ok(self):
-        assert tc.validate_tour([0, 1, 2, 3], 4).ok
+        assert tc.validate_tour([0, 1, 2, 3], 4)
 
     def test_reports_duplicate_and_missing(self):
-        report = tc.validate_tour([0, 1, 1, 3], 4)
-        assert not report.ok
-        assert report.duplicates == [1]
-        assert report.missing == [2]
+        m = random_matrix(4, 0)
+        for order, missing, unexpected in (([0, 1, 1, 3], "[2]", "[1]"),
+                                           ([0, 1, 9, 3], "[2]", "[9]"),
+                                           ([0, 1], "[2, 3]", "[]")):
+            assert not tc.validate_tour(order, 4)
+            with pytest.raises(tc.ValidationError) as err:
+                tc.tour_length(order, m)
+            assert f"missing {missing}, unexpected {unexpected}" in \
+                str(err.value)
 
     def test_empty_vacuous(self):
-        assert tc.validate_tour([], 0).ok
+        assert tc.validate_tour([], 0)
 
 
 class TestRandomGenerator:

@@ -35,6 +35,15 @@ def test_explicit_with_display_coords():
     assert tc.plot_tour_svg(inst, [0, 1, 2]).count("<circle") == 3
 
 
+@pytest.mark.parametrize("order,reference", [
+    ([0, 1, 9, 3], None), ([0, 0, 1, 2], None), ([0, 1], None),
+    ([0, 1, 2, 3], [0, 1, 2]),
+], ids=["out-of-range", "duplicate", "short", "reference"])
+def test_non_tour_rejected(order, reference):
+    with pytest.raises(tc.ValidationError, match="not a tour"):
+        tc.plot_tour_svg(square_instance(), order, reference)
+
+
 def test_explicit_rejected():
     w = np.array([[0, 1, 2], [1, 0, 3], [2, 3, 0]], dtype=float)
     inst = tc.Instance("ex", 3, "EXPLICIT", explicit_weights=w)
