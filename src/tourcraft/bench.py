@@ -61,6 +61,9 @@ class RunConfig:
             raise ConfigError("no methods configured")
         if len(set(self.methods)) != len(self.methods):
             raise ConfigError(f"duplicate method in {self.methods}")
+        if self.bound_iters < 1:
+            raise ConfigError(
+                f"bound_iters must be >= 1, got {self.bound_iters}")
 
 
 def _solve(method: str, matrix: DistanceMatrix, stats,

@@ -1,15 +1,21 @@
 """Reference values for error computation.
 
-* exact_optimum: dynamic programming over subsets (exact, n <= 15).
+* exact_optimum: dynamic programming over subsets (exact, n <= 15), filled
+  one popcount layer at a time: for every subset size and every city j,
+  one numpy min over the table rows of the subsets without j. Each
+  candidate is the same single float addition as in a scalar loop and the
+  min is exact, so the table, and the lexicographically smallest optimal
+  order read back from it, do not depend on the evaluation order.
 * one_tree_value / held_karp_bound: minimum 1-trees with node potentials,
   improved by subgradient ascent. Any potential vector gives a valid lower
-  bound on the optimal tour length; the ascent only tightens it.
+  bound on the optimal tour length; the ascent only tightens it, and stops
+  early once its potentials no longer move.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,25 +45,22 @@ def exact_optimum(matrix: DistanceMatrix) -> Tour:
     d = matrix.d
     m = n - 1  # cities 1..n-1 mapped to bits 0..m-1
     full = (1 << m) - 1
-    # h[mask][j] = shortest path that starts at city j+1, visits exactly the
-    # cities in mask (which contains j), and ends at city 0.
-    h = [[0.0] * m for _ in range(full + 1)]
-    for j in range(m):
-        h[1 << j][j] = d[j + 1][0]
-    for mask in range(1, full + 1):
-        if mask & (mask - 1) == 0:
-            continue
-        row = h[mask]
+    # h[mask, j] = shortest path that starts at city j+1, visits exactly the
+    # cities in mask (which contains j), and ends at city 0; inf elsewhere,
+    # so a min over a whole row only sees the cities in its mask.
+    bits = 1 << np.arange(m)
+    masks = np.arange(full + 1)
+    popcount = np.zeros(full + 1, dtype=int)
+    for bit in bits:
+        popcount += (masks & bit) != 0
+    h = np.full((full + 1, m), np.inf)
+    h[bits, np.arange(m)] = d[1:, 0]
+    inner = d[1:, 1:]
+    for size in range(2, m + 1):
+        layer = masks[popcount == size]
         for j in range(m):
-            bit = 1 << j
-            if not mask & bit:
-                continue
-            sub = mask ^ bit
-            hs = h[sub]
-            dj = d[j + 1]
-            best = min(dj[k + 1] + hs[k]
-                       for k in range(m) if sub & (1 << k))
-            row[j] = best
+            has = layer[(layer & bits[j]) != 0]
+            h[has, j] = (h[has ^ bits[j]] + inner[j]).min(axis=1)
 
     target = min(d[0][j + 1] + h[full][j] for j in range(m))
     order = [0]
@@ -78,28 +81,34 @@ def exact_optimum(matrix: DistanceMatrix) -> Tour:
     return make_tour(order, matrix)
 
 
-def _min_one_tree(dd: np.ndarray) -> Tuple[float, np.ndarray]:
+def _min_one_tree(dd: np.ndarray) -> Tuple[float, List[int]]:
     """Minimum 1-tree value and node degrees for the given weights: dense
-    Prim MST over cities 1..n-1 plus the two cheapest edges at city 0."""
+    Prim MST over cities 1..n-1 plus the two cheapest edges at city 0.
+    Ties go to the lowest index, in the MST and at city 0."""
     n = dd.shape[0]
-    deg = np.zeros(n, dtype=int)
-    in_tree = np.zeros(n, dtype=bool)
-    in_tree[0] = True  # city 0 stays out of the MST
-    in_tree[1] = True
+    deg = [0] * n
+    outside = np.ones(n, dtype=bool)  # not yet in the tree
+    outside[0] = False  # city 0 stays out of the MST
+    outside[1] = False
+    # best[j]: cheapest edge from the tree to j, inf once j is in the tree
     best = dd[1].copy()
     best[0] = np.inf
     best[1] = np.inf
-    parent = np.ones(n, dtype=int)
+    parent = np.ones(n, dtype=np.intp)
+    mask = np.empty(n, dtype=bool)
     total = 0.0
     for _ in range(n - 2):
-        j = int(np.argmin(np.where(in_tree, np.inf, best)))
-        in_tree[j] = True
+        j = int(best.argmin())
         total += best[j]
+        best[j] = np.inf
+        outside[j] = False
         deg[j] += 1
         deg[parent[j]] += 1
-        better = (dd[j] < best) & ~in_tree
-        best[better] = dd[j][better]
-        parent[better] = j
+        row = dd[j]
+        np.less(row, best, out=mask)
+        mask &= outside
+        np.copyto(best, row, where=mask)
+        parent[mask] = j
     two = np.argsort(dd[0, 1:], kind="stable")[:2] + 1
     total += dd[0, two[0]] + dd[0, two[1]]
     deg[0] = 2
@@ -108,11 +117,14 @@ def _min_one_tree(dd: np.ndarray) -> Tuple[float, np.ndarray]:
     return float(total), deg
 
 
-def _potential_one_tree(matrix: DistanceMatrix,
-                        pi: np.ndarray) -> Tuple[float, np.ndarray]:
+def _potential_one_tree(d: np.ndarray, pi: np.ndarray,
+                        buf: np.ndarray) -> Tuple[float, List[int]]:
     """1-tree bound and node degrees for potentials pi: minimum 1-tree on the
-    modified weights d[i][j] + pi[i] + pi[j], minus 2 * sum(pi)."""
-    total, deg = _min_one_tree(matrix.d + pi[:, None] + pi[None, :])
+    modified weights d[i][j] + pi[i] + pi[j], built in `buf`, minus
+    2 * sum(pi)."""
+    np.add(d, pi[:, None], out=buf)
+    buf += pi[None, :]
+    total, deg = _min_one_tree(buf)
     return total - 2.0 * float(pi.sum()), deg
 
 
@@ -122,7 +134,7 @@ def one_tree_value(matrix: DistanceMatrix,
     pi = np.asarray(pi, dtype=float)
     if pi.shape != (matrix.n,):
         raise ConfigError(f"potentials must have length {matrix.n}")
-    return _potential_one_tree(matrix, pi)[0]
+    return _potential_one_tree(matrix.d, pi, np.empty_like(matrix.d))[0]
 
 
 def held_karp_bound(matrix: DistanceMatrix, max_iters: int = 1000,
@@ -134,6 +146,11 @@ def held_karp_bound(matrix: DistanceMatrix, max_iters: int = 1000,
     lambda_0 = 2, halved after 10 consecutive non-improving iterations. The
     returned bound is the best 1-tree value seen, so it never exceeds the
     optimum regardless of the schedule.
+
+    The ascent stops before `max_iters` when the 1-tree is a tour, when the
+    step is zero, or when a step no longer moves any potential (a fixed
+    point: the remaining iterations could not change the bound, see
+    below). `iterations_used` counts the iterations actually run.
     """
     n = matrix.n
     if n < 3:
@@ -148,13 +165,15 @@ def held_karp_bound(matrix: DistanceMatrix, max_iters: int = 1000,
     if not np.isfinite(ub):
         raise ConfigError(f"upper_bound_hint must be finite, got {ub}")
 
+    d = matrix.d
+    buf = np.empty_like(d)
     pi = np.zeros(n)
     best = -np.inf
     lam = 2.0
     stale = 0
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        value, deg = _potential_one_tree(matrix, pi)
+        value, deg = _potential_one_tree(d, pi, buf)
         if value > best:
             best = value
             stale = 0
@@ -163,12 +182,21 @@ def held_karp_bound(matrix: DistanceMatrix, max_iters: int = 1000,
             if stale >= 10:
                 lam *= 0.5
                 stale = 0
-        g = deg - 2
+        g = np.subtract(deg, 2)
         denom = float(np.dot(g, g))
         if denom == 0.0:
             break  # the 1-tree is a tour: bound is tight
         step = lam * max(ub - value, 0.0) / denom
         if step == 0.0:
             break
-        pi = pi + step * g
+        moved = pi + step * g
+        # Fixed point: from here on every iteration would see this same pi,
+        # hence the same 1-tree, value and g. lam only shrinks, so the step
+        # only shrinks, and floating-point rounding is monotone, so
+        # pi + step * g would round back to pi every time. pi never moves
+        # again and best never changes: stopping now returns the bound that
+        # running all max_iters iterations would.
+        if np.array_equal(moved, pi):
+            break
+        pi = moved
     return LowerBoundResult(bound=best, iterations_used=iterations)

@@ -76,7 +76,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         if count < 1:
             raise ConfigError(f"--random count must be >= 1, got {count}")
         seeds = list(range(seed0, seed0 + count))
-        print(f"random instances: n={n}, seeds {seeds}", file=sys.stderr)
         instances += [generate_random_euclidean(n, seed, RANDOM_BOX)
                       for seed in seeds]
     config = RunConfig(
@@ -88,6 +87,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         bound_iters=args.iters,
     )
     report = render_report(run_benchmark(config), args.format)
+    if args.random:
+        print(f"random instances: n={n}, seeds {seeds}", file=sys.stderr)
     if args.out:
         Path(args.out).write_text(report)
     else:

@@ -231,8 +231,11 @@ def generate_random_euclidean(n: int, seed: int, box_side: float) -> Instance:
     """
     if n < 3:
         raise DegenerateInstanceError(f"random instance needs n >= 3, got {n}")
-    if box_side <= 0:
-        raise ConfigError(f"box_side must be positive, got {box_side}")
+    if not (np.isfinite(box_side) and box_side > 0):
+        raise ConfigError(
+            f"box_side must be positive and finite, got {box_side}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     pts = rng.random((n, 2)) * float(box_side)
     return Instance(name=f"rand-n{n}-s{seed}", n=n, kind="EUC_2D", coords=pts)

@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 import tourcraft as tc
 from tourcraft.bench import CSV_HEADER
+from tourcraft.cli import main
 
 
 def triangle_instance():
@@ -70,6 +73,33 @@ class TestRunBenchmark:
                               methods=("nn", "greedy", "nn"))
         with pytest.raises(tc.ConfigError, match="duplicate"):
             tc.run_benchmark(config)
+
+    @pytest.mark.parametrize("iters", [0, -1])
+    def test_nonpositive_bound_iters_rejected(self, iters):
+        # rejected up front, even where every reference is exact
+        config = tc.RunConfig(instances=[triangle_instance()],
+                              methods=("nn",), bound_iters=iters)
+        with pytest.raises(tc.ConfigError, match="bound_iters"):
+            tc.run_benchmark(config)
+
+
+@pytest.mark.parametrize("spec,digest", [
+    ("100,3,1",
+     "930a4ee790e8bfc85fe5c584572f48de474f31ae0f9a45c0366d13241e793e6d"),
+    ("12,10,1",
+     "c1b7656e1e90cd5cd0681ddc38835fca0ce14516e138b85a02cbc9d2394caf20"),
+])
+def test_reference_columns_pinned(tmp_path, spec, digest):
+    # sha256 of the bench CSV of all four methods with wall_millis stripped:
+    # n=100 takes its references from the Held-Karp ascent, n=12 from the
+    # exact DP, so any change of a bound's printed digits or of an exact
+    # length changes it
+    out = tmp_path / "report.csv"
+    assert main(["bench", "--random", spec, "--methods",
+                 "proposed,nn,greedy,cw", "--out", str(out)]) == 0
+    text = "\n".join(line.rsplit(",", 1)[0]
+                     for line in out.read_text().splitlines())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestRenderReport:

@@ -3,8 +3,20 @@ import math
 import numpy as np
 import pytest
 
+import bounds_oracle
 import tourcraft as tc
-from conftest import brute_force_optimum, random_matrix, unrounded_matrix
+from tourcraft.bounds import EXACT_MAX_N
+from conftest import (brute_force_optimum, load_instance, memory_slack,
+                      random_matrix, traced_peak, unrounded_matrix)
+
+
+def tie_heavy_matrix(n: int, seed: int) -> tc.DistanceMatrix:
+    """EXPLICIT instance with integer weights 1-3: many equal edges, so
+    every tie-break of the Prim step and of the DP reconstruction counts."""
+    w = np.random.default_rng(seed).integers(1, 4, (n, n)).astype(float)
+    w = np.triu(w, 1)
+    inst = tc.Instance("ties", n, "EXPLICIT", explicit_weights=w + w.T)
+    return tc.build_distance_matrix(inst)
 
 
 class TestExactOptimum:
@@ -124,3 +136,67 @@ class TestHeldKarpBound:
         bounds = [tc.held_karp_bound(m, max_iters=k).bound
                   for k in (1, 10, 50, 200)]
         assert all(b2 >= b1 - 1e-9 for b1, b2 in zip(bounds, bounds[1:]))
+
+
+class TestMatchesOracle:
+    """The ascent (with its fixed-point stop, buffer and Prim step) and the
+    layered DP return exactly what the plain versions in `bounds_oracle`
+    return: the same bound bits, the same exact order."""
+
+    @pytest.mark.parametrize("name,iterations", [
+        ("att48", 1000), ("berlin52", 163), ("eil51", 1000), ("eil76", 923),
+        ("kroA100", 787)])
+    def test_bundled_bounds(self, name, iterations):
+        # eil76 and kroA100 reach their fixed point before 1000 iterations
+        m = tc.build_distance_matrix(load_instance(name))
+        r = tc.held_karp_bound(m)
+        assert r.bound == bounds_oracle.held_karp_bound(m)
+        assert r.iterations_used == iterations
+
+    @staticmethod
+    def assert_bounds_match(m, iters):
+        # with the nearest-neighbour hint and with greedy's; the oracle takes
+        # seconds for 1000 iterations at n=150, so that case runs once
+        hints = [None]
+        if m.n * iters < 150_000:
+            hints.append(tc.greedy_edge(m).length)
+        for hint in hints:
+            assert tc.held_karp_bound(m, iters, hint).bound == \
+                bounds_oracle.held_karp_bound(m, iters, hint)
+
+    @pytest.mark.parametrize("iters", [1, 50, 1000])
+    @pytest.mark.parametrize("n", [3, 4, 5, 7, 10, 16, 25, 40, 64, 150])
+    def test_random_bounds(self, n, iters):
+        self.assert_bounds_match(random_matrix(n, 1000 + n, 1_000_000), iters)
+
+    @pytest.mark.parametrize("iters", [1, 50, 1000])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 8, 11, 15, 20, 30, 40, 150])
+    def test_tie_heavy_bounds(self, n, iters):
+        self.assert_bounds_match(tie_heavy_matrix(n, n), iters)
+
+    @pytest.mark.parametrize("n", range(3, EXACT_MAX_N + 1))
+    def test_exact_orders(self, n):
+        for m in (random_matrix(n, 2000 + n), tie_heavy_matrix(n, 3000 + n)):
+            assert list(tc.exact_optimum(m).order) == \
+                bounds_oracle.exact_optimum(m)
+
+
+class TestReferenceMemory:
+    """The ascent holds one n x n buffer beyond the matrix; the DP holds
+    its table of 2^(n-1) x (n-1) floats and no Python lists."""
+
+    def test_ascent_peak(self):
+        n = 300
+        m = random_matrix(n, 5)
+        hint = tc.nearest_neighbor(m).length
+        tc.held_karp_bound(m, max_iters=2, upper_bound_hint=hint)
+        peak = traced_peak(
+            lambda: tc.held_karp_bound(m, max_iters=20, upper_bound_hint=hint))
+        assert peak <= 8 * n * n + memory_slack(n)
+
+    def test_exact_peak(self):
+        n = 12
+        m = random_matrix(n, 5)
+        tc.exact_optimum(m)
+        peak = traced_peak(lambda: tc.exact_optimum(m))
+        assert peak <= 8 * (n - 1) * 2 ** (n - 1) + memory_slack(n)

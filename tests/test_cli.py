@@ -80,6 +80,14 @@ EXPLICIT_HEAD = ("NAME: ex\nTYPE: TSP\nEDGE_WEIGHT_TYPE: EXPLICIT\n"
     (["solve", "{f}", "--grid", "1:0:1:0"], None),
     (["bench", "--random", "10,a,1"], None),
     (["bench", "--random", "10,0,1", "--tsplib", "{d}"], None),
+    (["bench", "--random", "10,1,-1"], None),
+    (["bench", "--random", "20,1,1", "--iters", "0"], None),
+    (["bench", "--tsplib", "{d}", "--iters", "0"], None),
+    (["gen", "--n", "5", "--seed", "-1", "--out", "{d}/g.tsp"], None),
+    (["gen", "--n", "5", "--seed", "1", "--box", "nan", "--out", "{d}/g.tsp"],
+     None),
+    (["gen", "--n", "5", "--seed", "1", "--box", "inf", "--out", "{d}/g.tsp"],
+     None),
     (["solve", "{f}"], "DIMENSION: 3\nEDGE_WEIGHT_TYPE: EUC_2D\n"
                        "NODE_COORD_SECTION\n1 0 0\n2 nan 1\n3 2 2\nEOF\n"),
     (["solve", "{f}"], EXPLICIT_HEAD + "DIMENSION: 3\n"
@@ -89,7 +97,9 @@ EXPLICIT_HEAD = ("NAME: ex\nTYPE: TSP\nEDGE_WEIGHT_TYPE: EXPLICIT\n"
     (["solve", "{f}"], EXPLICIT_HEAD + "DIMENSION: -3\n"
                        "EDGE_WEIGHT_SECTION\nEOF\n"),
 ], ids=["grid-set", "grid-combo", "grid-nan", "grid-inf", "grid-combo-length",
-         "random-count", "random-zero-count",
+         "random-count", "random-zero-count", "random-negative-seed",
+         "random-zero-iters", "tsplib-zero-iters", "gen-negative-seed",
+         "gen-nan-box", "gen-inf-box",
         "nan-coordinate", "negative-weight", "inf-weight",
         "negative-dimension"])
 def test_bad_input_is_an_error_line(tmp_path, capsys, argv, tsp):
