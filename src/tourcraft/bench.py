@@ -94,7 +94,13 @@ def _reference(instance: Instance, matrix: DistanceMatrix,
 
 
 def run_benchmark(config: RunConfig) -> List[BenchRecord]:
-    """One record per (instance, method), sorted by (instance, method)."""
+    """One record per (instance, method), sorted by (instance, method).
+
+    Methods run in `METHODS` order, whatever the order of `config.methods`:
+    the first one's tour length is the upper-bound hint of the Held-Karp
+    ascent, so an `hk-bound` reference does not depend on how the methods
+    were listed.
+    """
     config.validate()
     optima = config.optima if config.optima is not None else default_optima()
     grid = config.grid if config.grid is not None else default_grid()
@@ -103,7 +109,7 @@ def run_benchmark(config: RunConfig) -> List[BenchRecord]:
         matrix = build_distance_matrix(instance)
         stats = city_stats(matrix)
         reference: Optional[Tuple[float, str]] = None
-        for method in config.methods:
+        for method in sorted(config.methods, key=METHODS.index):
             t0 = time.perf_counter()
             length, combo = _solve(method, matrix, stats, grid)
             millis = (time.perf_counter() - t0) * 1000.0

@@ -8,6 +8,17 @@ gives every city at least one edge, step 2 raises every degree to exactly 2,
 closing a single loop. The whole construction is repeated over a grid of
 exponent combinations and the shortest tour wins.
 
+Each step reads a short candidate list instead of the whole row of
+neighbour scores, with the same result. A score matrix is ranked once per
+grid and shared by every city order run against it: row i lists the
+neighbours scoring strictly above the row's (K+1)-th largest score (K =
+CANDIDATES), ordered by (-score, index). The strict cut keeps or drops a
+tie as a whole, so when a listed neighbour is admissible, the first one in
+list order is exactly the first maximum of the masked row; when every
+listed neighbour is closed, the step masks and scans the whole row. With
+gamma = 0 every row is the same numerator vector, so one ranking serves
+every row and each pass walks it from its first city below degree 2.
+
 Conventions (fixed for determinism):
 
 * 0^0 = 1, so a zero exponent always neutralizes its factor.
@@ -31,6 +42,8 @@ from .errors import ConfigError, DegenerateInstanceError
 from .instance import CityStats, DistanceMatrix, Tour, make_tour
 
 DEFAULT_EXPONENT_VALUES = (0.0, 0.5, 1.0)
+CANDIDATES = 8  # K: neighbours ranked per score row
+CANDIDATE_BLOCK = 64  # score rows ranked at a time
 
 
 @dataclass(frozen=True, order=True)
@@ -92,15 +105,21 @@ class PathEndTracker:
 
     def connect(self, a: int, b: int) -> None:
         assert self.can_connect(a, b), f"illegal connect {a}-{b}"
-        end_a = self.other_end[a]
-        end_b = self.other_end[b]
-        self.other_end[end_a] = end_b
-        self.other_end[end_b] = end_a
-        for x, y in ((a, b), (b, a)):
-            self.adjacent[2 * x + self.degree[x]] = y
-            self.degree[x] += 1
-            if self.degree[x] == 2:
-                self.open[x] = False
+        other_end, degree, adjacent = self.other_end, self.degree, self.adjacent
+        end_a = other_end[a]
+        end_b = other_end[b]
+        other_end[end_a] = end_b
+        other_end[end_b] = end_a
+        deg = degree[a]
+        adjacent[2 * a + deg] = b
+        degree[a] = deg + 1
+        if deg:
+            self.open[a] = False
+        deg = degree[b]
+        adjacent[2 * b + deg] = a
+        degree[b] = deg + 1
+        if deg:
+            self.open[b] = False
         self.edge_count += 1
 
     def cycle(self, start: int = 0) -> List[int]:
@@ -182,27 +201,106 @@ def _score_rows(matrix: DistanceMatrix, stats: CityStats, gamma: float,
     return out
 
 
-def _connect_pass(step: int, order: Sequence[int], scores: np.ndarray,
+class RankedScores:
+    """An eq. 2 score matrix with the candidates each step walks first.
+
+    For gamma != 0, `rows[i]` holds every neighbour j != i whose score in
+    row i is strictly above the (K+1)-th largest score of that row, with
+    K = CANDIDATES, ordered by (-score, index). For gamma = 0 every row is
+    the same numerator vector: `rows` is None and `ranking` orders all
+    cities by (-numerator, index).
+    """
+
+    __slots__ = ("scores", "rows", "ranking")
+
+    def __init__(self, scores: np.ndarray, gamma: float):
+        self.scores = scores
+        if gamma == 0.0:
+            num = scores[0]
+            self.rows = None
+            self.ranking = np.lexsort((np.arange(len(num)), -num)).tolist()
+        else:
+            self.rows = _candidate_rows(scores)
+            self.ranking = None
+
+
+def _candidate_rows(scores: np.ndarray) -> List[List[int]]:
+    """Each row's neighbours scoring strictly above the row's (K+1)-th
+    largest score, by (-score, index); every neighbour when n <= K + 1.
+
+    The strict cut never splits a tie: every neighbour left out scores at
+    most the cut and every listed one above it, so the first admissible
+    neighbour in list order, if any, is the first maximum of the masked
+    row. Rows are ranked CANDIDATE_BLOCK at a time, so no n x n index
+    array is held.
+    """
+    n = len(scores)
+    k = CANDIDATES
+    if n <= k + 1:
+        index = np.arange(n)
+        return [[j for j in np.lexsort((index, -row)).tolist() if j != i]
+                for i, row in enumerate(scores)]
+    rows: List[List[int]] = []
+    for lo in range(0, n, CANDIDATE_BLOCK):
+        block = scores[lo:lo + CANDIDATE_BLOCK]
+        # the K+1 largest of each row, the (K+1)-th largest in column 0; a
+        # copy, so the block's full index array goes before the next one's
+        top = np.argpartition(block, n - k - 1, axis=1)[:, n - k - 1:].copy()
+        values = np.take_along_axis(block, top, axis=1)
+        keep = values[:, 1:] > values[:, :1]
+        keep &= top[:, 1:] != np.arange(lo, lo + len(block))[:, None]
+        row, col = np.nonzero(keep)
+        col += 1
+        cand, score = top[row, col], values[row, col]
+        flat = cand[np.lexsort((cand, -score, row))].tolist()
+        ends = np.cumsum(keep.sum(axis=1)).tolist()
+        rows.extend(flat[a:b] for a, b in zip([0] + ends, ends))
+    return rows
+
+
+def _connect_pass(step: int, order: Sequence[int], ranked: RankedScores,
                   tracker: PathEndTracker) -> int:
     """Join each city of `order` still below `step` connections to its best
-    admissible neighbour, the first maximum of its row of `scores`; returns
-    the neighbour evaluations made.
+    admissible neighbour, the first maximum of its row of scores; returns
+    the paper's nominal count of neighbour evaluations, n - 1 per
+    connection, not the number of candidates read.
 
     Cities are visited once in descending static priority (the statistics
     never change within a pass, so pre-sorting is equivalent to the
-    repeated max-scan).
+    repeated max-scan). A step takes the first admissible neighbour of its
+    row's candidate list, which is the row's first admissible maximum; when
+    every candidate is closed it masks and scans the whole row. With
+    gamma = 0 it walks the one ranking from `head`, the first city not yet
+    at degree 2 (cities never reopen).
     """
     degree, other_end, is_open = tracker.degree, tracker.other_end, tracker.open
+    scores, rows, ranking = ranked.scores, ranked.rows, ranked.ranking
     last = tracker.n - 1
+    head = 0
     connected = 0
     for city in order:
         if degree[city] >= step:
             continue
-        row = np.where(is_open, scores[city], -np.inf)
-        row[city] = -np.inf
-        if tracker.edge_count != last:
-            row[other_end[city]] = -np.inf
-        tracker.connect(city, int(row.argmax()))  # first max: lowest index
+        # the far end of city's path may close the loop only on the last edge
+        end = other_end[city] if tracker.edge_count != last else city
+        if rows is None:
+            while degree[ranking[head]] == 2:
+                head += 1
+            k = head
+            best = ranking[k]
+            while best == city or best == end or degree[best] == 2:
+                k += 1
+                best = ranking[k]
+        else:
+            for best in rows[city]:
+                if degree[best] < 2 and best != end:
+                    break
+            else:
+                row = np.where(is_open, scores[city], -np.inf)
+                row[city] = -np.inf
+                row[end] = -np.inf
+                best = int(row.argmax())  # first max: lowest index
+        tracker.connect(city, best)
         connected += 1
     return connected * last
 
@@ -210,14 +308,15 @@ def _connect_pass(step: int, order: Sequence[int], scores: np.ndarray,
 def construct_tour(matrix: DistanceMatrix, stats: CityStats,
                    combo: ExponentCombo,
                    order: Optional[Sequence[int]] = None,
-                   scores: Optional[np.ndarray] = None) -> ConstructionResult:
+                   scores: Optional[RankedScores] = None) -> ConstructionResult:
     """Run both main passes on a fresh tracker and walk the resulting cycle.
 
-    `order` (the cities by descending eq. 1 priority) and `scores` (row i
-    holds city i's eq. 2 neighbour scores) are those of `combo`; they are
-    computed here unless given, as `grid_search` gives them to share them
-    between grid points. A negative exponent on a zero statistic is a
-    ConfigError, as in `grid_search`.
+    `order` (the cities by descending eq. 1 priority) and `scores` (the
+    ranked eq. 2 neighbour scores) are those of `combo`; they are computed
+    here unless given, as `grid_search` gives them to share them between
+    grid points. A negative exponent on a zero statistic is a ConfigError,
+    as in `grid_search`. `neighbor_evaluations` is the paper's nominal
+    n(n - 1) scan, not the number of candidates the steps read.
     """
     n = matrix.n
     if n < 3:
@@ -225,8 +324,9 @@ def construct_tour(matrix: DistanceMatrix, stats: CityStats,
     if order is None:
         order = _city_order(stats, combo.alpha, combo.beta)
     if scores is None:
-        scores = _score_rows(matrix, stats, combo.gamma, combo.delta,
-                             combo.epsilon)
+        scores = RankedScores(_score_rows(matrix, stats, combo.gamma,
+                                          combo.delta, combo.epsilon),
+                              combo.gamma)
     tracker = PathEndTracker(n)
     evals = _connect_pass(1, order, scores, tracker)
     assert min(tracker.degree) >= 1, "step 1 left an isolated city"
@@ -246,7 +346,8 @@ def grid_search(matrix: DistanceMatrix, stats: CityStats,
     (alpha, beta) and the score matrix of (gamma, delta, epsilon). Each
     distinct pair of the two is constructed once, for the first grid point
     that has it, and every later grid point with the same pair has the same
-    tour. Score matrices are filled one at a time into one buffer.
+    tour. Score matrices are filled one at a time into one buffer and
+    ranked once for all the orders run against them.
     `neighbor_evaluations` counts the constructions actually run.
     """
     combos = list(grid) if grid is not None else default_grid()
@@ -268,16 +369,17 @@ def grid_search(matrix: DistanceMatrix, stats: CityStats,
     best_index = -1
     total_evals = 0
     for (gamma, delta, epsilon), runs in first.items():
-        scores = _score_rows(matrix, stats, gamma, delta, epsilon, buffer,
-                             nonpositive)
+        ranked = RankedScores(_score_rows(matrix, stats, gamma, delta, epsilon,
+                                          buffer, nonpositive), gamma)
         for order, i in runs.items():
-            result = construct_tour(matrix, stats, combos[i], order, scores)
+            result = construct_tour(matrix, stats, combos[i], order, ranked)
             total_evals += result.neighbor_evaluations
             # shortest tour, earliest grid point on ties: what a scan in grid
             # order that keeps each strictly shorter tour picks
             if best is None or \
                     (result.tour.length, i) < (best.tour.length, best_index):
                 best, best_index = result, i
+        del ranked  # its lists go before the next matrix is ranked
     assert best is not None
     best.neighbor_evaluations = total_evals
     return best

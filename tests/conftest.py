@@ -29,6 +29,16 @@ def random_matrix(n: int, seed: int, box: float = 1000.0) -> tc.DistanceMatrix:
     return tc.build_distance_matrix(inst)
 
 
+def tie_heavy_matrix(n: int, seed: int) -> tc.DistanceMatrix:
+    """EXPLICIT instance with integer weights 1-3: many equal edges, so
+    every tie-break (a neighbour score, a Prim step, the DP reconstruction)
+    counts."""
+    w = np.random.default_rng(seed).integers(1, 4, (n, n)).astype(float)
+    w = np.triu(w, 1)
+    inst = tc.Instance("ties", n, "EXPLICIT", explicit_weights=w + w.T)
+    return tc.build_distance_matrix(inst)
+
+
 def unrounded_matrix(coords) -> tc.DistanceMatrix:
     """Exact Euclidean distances, bypassing the TSPLIB rounding rules."""
     pts = np.asarray(coords, dtype=float)

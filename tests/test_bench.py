@@ -74,6 +74,19 @@ class TestRunBenchmark:
         with pytest.raises(tc.ConfigError, match="duplicate"):
             tc.run_benchmark(config)
 
+    def test_reference_independent_of_method_order(self):
+        # the Held-Karp ascent takes the first method's length as its upper
+        # bound hint; methods run in METHODS order however they are listed
+        instance = tc.generate_random_euclidean(100, 2, 1e6)
+
+        def references(methods):
+            config = tc.RunConfig(instances=[instance], methods=methods)
+            return [(r.method, r.reference, r.reference_kind)
+                    for r in tc.run_benchmark(config)]
+
+        assert references(("nn", "proposed")) == \
+            references(("proposed", "nn"))
+
     @pytest.mark.parametrize("iters", [0, -1])
     def test_nonpositive_bound_iters_rejected(self, iters):
         # rejected up front, even where every reference is exact

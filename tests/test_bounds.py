@@ -7,16 +7,8 @@ import bounds_oracle
 import tourcraft as tc
 from tourcraft.bounds import EXACT_MAX_N
 from conftest import (brute_force_optimum, load_instance, memory_slack,
-                      random_matrix, traced_peak, unrounded_matrix)
-
-
-def tie_heavy_matrix(n: int, seed: int) -> tc.DistanceMatrix:
-    """EXPLICIT instance with integer weights 1-3: many equal edges, so
-    every tie-break of the Prim step and of the DP reconstruction counts."""
-    w = np.random.default_rng(seed).integers(1, 4, (n, n)).astype(float)
-    w = np.triu(w, 1)
-    inst = tc.Instance("ties", n, "EXPLICIT", explicit_weights=w + w.T)
-    return tc.build_distance_matrix(inst)
+                      random_matrix, tie_heavy_matrix, traced_peak,
+                      unrounded_matrix)
 
 
 class TestExactOptimum:

@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,20 @@ def test_gen_then_solve(tmp_path, capsys):
     order = tc.parse_tour(tour_file.read_text())
     assert tc.validate_tour(order, 12)
     assert svg_file.read_text().startswith("<?xml")
+
+
+def test_solve_n1000_outputs_pinned(tmp_path, capsys):
+    # sha256 of stdout, the .tour and the .svg of `solve --out --plot` on
+    # `gen --n 1000 --seed 5`; at this size most steps take a candidate and
+    # some scan the whole row, which the bundled instances do not show
+    tsp, tour, svg = (tmp_path / f"r.{ext}" for ext in ("tsp", "tour", "svg"))
+    assert main(["gen", "--n", "1000", "--seed", "5", "--out", str(tsp)]) == 0
+    capsys.readouterr()
+    assert main(["solve", str(tsp), "--out", str(tour),
+                 "--plot", str(svg)]) == 0
+    text = capsys.readouterr().out + tour.read_text() + svg.read_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "da87aa6bc13fca3f5c1b08fffba413708ef1be269abdfe0438289f572649ed4a"
 
 
 def test_bound_subcommand(tmp_path, capsys):

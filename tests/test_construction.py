@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -11,8 +12,8 @@ import pytest
 import tourcraft as tc
 import tourcraft.construction as construction
 from conftest import (brute_force_optimum, load_instance, memory_slack,
-                      random_matrix, traced_peak, triangle_345,
-                      unrounded_matrix)
+                      random_matrix, tie_heavy_matrix, traced_peak,
+                      triangle_345, unrounded_matrix)
 from paper_oracle import construct_order, eq1_priority, eq2_priority
 
 
@@ -421,6 +422,80 @@ class TestGridMatchesBruteGrid:
         assert proc.stdout.startswith("eq: length 20 ")
 
 
+# gamma negative, zero and positive, each with and without a numerator
+CANDIDATE_GRID = [tc.ExponentCombo(*combo) for combo in itertools.product(
+    (0, 1), (0, 1), (-1, -0.5, 0, 0.5, 1), (0, 1), (0, 1))]
+
+
+class TestCandidateLists:
+    """A step takes the first admissible entry of its row's candidate list
+    and scans the whole row only when every candidate is closed. With one
+    or two candidates per row most steps scan, and on weights 1-3 ties sit
+    on the cut."""
+
+    @pytest.fixture(params=[1, 2, construction.CANDIDATES])
+    def k(self, request, monkeypatch):
+        monkeypatch.setattr(construction, "CANDIDATES", request.param)
+        return request.param
+
+    @staticmethod
+    def matrices(k):
+        yield tie_heavy_matrix(12, 1)
+        yield tie_heavy_matrix(15, 2)
+        yield coincident_matrix()
+        for n in sorted({3, k, k + 1, k + 2} - {1, 2}):
+            yield random_matrix(n, 40 + n)
+            yield tie_heavy_matrix(n, 50 + n)
+
+    def test_rows_hold_the_strict_top(self, k):
+        for m in self.matrices(k):
+            stats = tc.city_stats(m)
+            for gamma, delta in ((1, 0), (-1, 0), (0.5, 1)):
+                scores = construction._score_rows(m, stats, gamma, delta, 0)
+                rows = construction._candidate_rows(scores)
+                for i, row in enumerate(scores.tolist()):
+                    want = sorted((-s, j) for j, s in enumerate(row) if j != i)
+                    if m.n > k + 1:
+                        cut = sorted(row, reverse=True)[k]
+                        want = [(s, j) for s, j in want if -s > cut]
+                    assert rows[i] == [j for _, j in want], (gamma, delta, i)
+
+    def test_construct_tour_against_oracle(self, k):
+        for m in self.matrices(k):
+            stats = tc.city_stats(m)
+            order_of = oracle(m, stats)
+            for combo in CANDIDATE_GRID:
+                got = tc.construct_tour(m, stats, combo).tour.order
+                assert got == tuple(order_of(combo)), (m.n, combo)
+
+    def test_grid_search_against_oracle(self, k):
+        for m in self.matrices(k):
+            assert_grid_matches_brute_grid(m, CANDIDATE_GRID)
+
+
+def test_gamma_zero_walk_skips_the_closed_prefix():
+    # with gamma = 0 every row is one ranking, and each pass keeps a head at
+    # its first city below degree 2, so a construction reads O(n) entries of
+    # the ranking where rescanning the closed prefix would read O(n^2)
+    class CountingList(list):
+        reads = 0
+
+        def __getitem__(self, k):
+            self.reads += 1
+            return super().__getitem__(k)
+
+    n = 400
+    m = random_matrix(n, 7)
+    stats = tc.city_stats(m)
+    combo = tc.ExponentCombo(1, 0, 0, 1, 0)
+    ranked = construction.RankedScores(
+        construction._score_rows(m, stats, 0, 1, 0), 0.0)
+    ranked.ranking = CountingList(ranked.ranking)
+    got = tc.construct_tour(m, stats, combo, scores=ranked)
+    assert got.tour == tc.construct_tour(m, stats, combo).tour
+    assert ranked.ranking.reads <= 10 * n, ranked.ranking.reads
+
+
 def test_grid_search_holds_one_extra_matrix():
     n = 300
     m = random_matrix(n, 4)
@@ -445,7 +520,8 @@ def test_eq1_order_scale_invariance():
 
 
 def test_neighbor_evaluations_exactly_quadratic():
-    # each of the n placed edges costs one scan of the n-1 other cities
+    # the paper's nominal cost: one scan of the n-1 other cities for each of
+    # the n placed edges, whatever the candidate lists save
     for n, seed in ((20, 1), (50, 2), (100, 3)):
         m = random_matrix(n, seed)
         stats = tc.city_stats(m)
