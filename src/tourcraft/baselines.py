@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .construction import PathEndTracker
+from .construction import PathEndTracker, _ranked
 from .errors import ConfigError, DegenerateInstanceError
 from .instance import CityStats, DistanceMatrix, Tour, city_stats, make_tour
 
@@ -40,21 +40,28 @@ def nearest_neighbor(matrix: DistanceMatrix, start: int = 0) -> Tour:
     return make_tour(order, matrix)
 
 
+def _merge(n: int, first: np.ndarray, second: np.ndarray, key: np.ndarray,
+           edges: int) -> PathEndTracker:
+    """A partial tour of n cities built by connecting the pairs
+    (first[k], second[k]) in ascending `key`, ties toward the earlier pair,
+    while `can_connect` admits them, until it holds `edges` edges."""
+    tracker = PathEndTracker(n)
+    for k in _ranked(key):
+        if tracker.edge_count == edges:
+            break
+        a = int(first[k])
+        b = int(second[k])
+        if tracker.can_connect(a, b):
+            tracker.connect(a, b)
+    return tracker
+
+
 def greedy_edge(matrix: DistanceMatrix) -> Tour:
     """Add edges in ascending length while every city keeps degree <= 2 and
     no cycle forms before the final closing edge."""
     n = _require_n(matrix)
-    iu, ju = np.triu_indices(n, k=1)
-    weights = matrix.d[iu, ju]
-    rank = np.lexsort((ju, iu, weights))
-    tracker = PathEndTracker(n)
-    for k in rank:
-        if tracker.edge_count == n:
-            break
-        i = int(iu[k])
-        j = int(ju[k])
-        if tracker.can_connect(i, j):
-            tracker.connect(i, j)
+    iu, ju = np.triu_indices(n, k=1)  # pairs in (i, j) order
+    tracker = _merge(n, iu, ju, matrix.d[iu, ju], n)
     return make_tour(tracker.cycle(), matrix)
 
 
@@ -78,15 +85,7 @@ def clarke_wright(matrix: DistanceMatrix, hub: Optional[int] = None,
     gi = rest[ii]
     gj = rest[jj]
     savings = matrix.d[hub, gi] + matrix.d[hub, gj] - matrix.d[gi, gj]
-    rank = np.lexsort((gj, gi, -savings))
-    tracker = PathEndTracker(n)
-    for k in rank:
-        if tracker.edge_count == n - 2:
-            break
-        a = int(gi[k])
-        b = int(gj[k])
-        if tracker.can_connect(a, b):
-            tracker.connect(a, b)
+    tracker = _merge(n, gi, gj, -savings, n - 2)
     for end in np.flatnonzero(tracker.open).tolist():
         if end != hub:
             tracker.connect(hub, end)

@@ -9,20 +9,20 @@ closing a single loop. The whole construction is repeated over a grid of
 exponent combinations and the shortest tour wins.
 
 Each step reads a short candidate list instead of the whole row of
-neighbour scores, with the same result. A score matrix is ranked once per
-grid and shared by every city order run against it: row i lists the
-neighbours scoring strictly above the row's (K+1)-th largest score (K =
-CANDIDATES), ordered by (-score, index). The strict cut keeps or drops a
-tie as a whole, so when a listed neighbour is admissible, the first one in
-list order is exactly the first maximum of the masked row; when every
-listed neighbour is closed, the step masks and scans the whole row. With
-gamma = 0 every row is the same numerator vector, so one ranking serves
-every row and each pass walks it from its first city below degree 2.
+neighbour scores, with the same result. A score matrix, whose -inf diagonal
+keeps a city from being its own neighbour, is ranked once per grid: row i
+lists the neighbours scoring strictly above the row's (K+1)-th largest
+score, K = CANDIDATES or n - 1 if smaller, by (-score, index). The strict
+cut keeps or drops a tie as a whole, so the first admissible listed
+neighbour is the first maximum of the masked row; when every listed one is
+closed, the step scans the whole row. With gamma = 0 every row is the
+numerator, ranked as the eq. 1 order of (delta, epsilon).
 
 Conventions (fixed for determinism):
 
 * 0^0 = 1, so a zero exponent always neutralizes its factor.
 * Zero distance with gamma > 0 scores +inf (coincident cities connect first).
+* An exponent whose power overflows is a ConfigError.
 * Ties in city priority break toward the lower city index; ties in neighbor
   score break toward the lower neighbor index; ties between equally good grid
   points break toward the earlier combo in lexicographic
@@ -148,23 +148,32 @@ class ConstructionResult:
 def _numerator_vector(stats: CityStats, exp_mu: float, exp_sigma: float,
                       ) -> np.ndarray:
     """mu^exp_mu * sigma^exp_sigma per city, with 0^0 = 1; a negative
-    exponent on a zero statistic is a ConfigError."""
+    exponent on a zero statistic, or an overflow, is a ConfigError."""
     out = np.ones(len(stats.mu))
-    for base, exp in ((stats.mu, exp_mu), (stats.sigma, exp_sigma)):
-        if exp != 0.0:
-            if exp < 0 and np.any(base == 0.0):
-                raise ConfigError(
-                    f"negative exponent {exp} with a zero statistic would "
-                    f"divide by zero")
-            out = out * base ** exp
+    with np.errstate(over="raise"):
+        try:
+            for base, exp in ((stats.mu, exp_mu), (stats.sigma, exp_sigma)):
+                if exp != 0.0:
+                    if exp < 0 and np.any(base == 0.0):
+                        raise ConfigError(
+                            f"negative exponent {exp} with a zero statistic "
+                            f"would divide by zero")
+                    out = out * base ** exp
+        except FloatingPointError:
+            raise ConfigError(f"exponents overflow a float: mu^{exp_mu} * "
+                              f"sigma^{exp_sigma}") from None
     return out
+
+
+def _ranked(key: np.ndarray) -> np.ndarray:
+    """Indices by ascending `key`, ties toward the lower index."""
+    return np.argsort(key, kind="stable")
 
 
 def _city_order(stats: CityStats, alpha: float, beta: float,
                 ) -> Tuple[int, ...]:
     """Cities by descending eq. 1 priority, ties toward the lower index."""
-    p = _numerator_vector(stats, alpha, beta)
-    return tuple(np.lexsort((np.arange(len(p)), -p)).tolist())
+    return tuple(_ranked(-_numerator_vector(stats, alpha, beta)).tolist())
 
 
 def _nonpositive_cells(heuristic: np.ndarray) -> np.ndarray:
@@ -176,57 +185,58 @@ def _score_rows(matrix: DistanceMatrix, stats: CityStats, gamma: float,
                 delta: float, epsilon: float,
                 out: Optional[np.ndarray] = None,
                 nonpositive: Optional[np.ndarray] = None) -> np.ndarray:
-    """eq. 2 scores of every (city, neighbour) pair: row i holds
-    mu_j^delta * sigma_j^epsilon / d_ij^gamma over j.
+    """eq. 2 scores for gamma != 0: row i holds mu_j^delta * sigma_j^epsilon
+    / d_ij^gamma over j, -inf at j = i (a city is never its own neighbour).
 
-    Where d_ij <= 0 the score is +inf for gamma > 0 and 0 for gamma < 0.
-    The matrix is filled into `out` (allocated if not given), with
-    `nonpositive` the flat indices of those cells (found if not given).
-    With gamma = 0 every row is the numerator: a read-only view is
-    returned and nothing is filled.
+    Where d_ij <= 0 (j != i) the score is +inf for gamma > 0 and 0 for
+    gamma < 0. The matrix is filled into `out` (allocated if not given),
+    with `nonpositive` the flat indices of those cells (found if not given).
     """
     num = _numerator_vector(stats, delta, epsilon)
     h = matrix.heuristic
-    if gamma == 0.0:
-        return np.broadcast_to(num, h.shape)
     if nonpositive is None:
         nonpositive = _nonpositive_cells(h)
     if out is None:
         out = np.empty_like(h)
     # 0/0 and x/0 arise only on the cells overwritten below
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.power(h, gamma, out=out)
-        np.divide(num, out, out=out)
+    with np.errstate(divide="ignore", invalid="ignore", over="raise"):
+        try:
+            np.power(h, gamma, out=out)
+            np.divide(num, out, out=out)
+        except FloatingPointError:
+            raise ConfigError(f"exponents overflow a float: mu^{delta} * "
+                              f"sigma^{epsilon} / d^{gamma}") from None
     out.flat[nonpositive] = np.inf if gamma > 0.0 else 0.0
+    np.fill_diagonal(out, -np.inf)
     return out
 
 
 class RankedScores:
-    """An eq. 2 score matrix with the candidates each step walks first.
-
-    For gamma != 0, `rows[i]` holds every neighbour j != i whose score in
-    row i is strictly above the (K+1)-th largest score of that row, with
-    K = CANDIDATES, ordered by (-score, index). For gamma = 0 every row is
-    the same numerator vector: `rows` is None and `ranking` orders all
-    cities by (-numerator, index).
-    """
+    """The eq. 2 neighbour ranking of one (gamma, delta, epsilon). For
+    gamma != 0, `scores` is the score matrix (filled into `out` if given)
+    and `rows` its `_candidate_rows`. For gamma = 0 every row is
+    mu^delta * sigma^epsilon, so `ranking` is the eq. 1 order of
+    (delta, epsilon), and `scores` and `rows` are None."""
 
     __slots__ = ("scores", "rows", "ranking")
 
-    def __init__(self, scores: np.ndarray, gamma: float):
-        self.scores = scores
+    def __init__(self, matrix: DistanceMatrix, stats: CityStats,
+                 gamma: float, delta: float, epsilon: float,
+                 out: Optional[np.ndarray] = None,
+                 nonpositive: Optional[np.ndarray] = None):
+        self.scores = self.rows = self.ranking = None
         if gamma == 0.0:
-            num = scores[0]
-            self.rows = None
-            self.ranking = np.lexsort((np.arange(len(num)), -num)).tolist()
+            self.ranking = _city_order(stats, delta, epsilon)
         else:
-            self.rows = _candidate_rows(scores)
-            self.ranking = None
+            self.scores = _score_rows(matrix, stats, gamma, delta, epsilon,
+                                      out, nonpositive)
+            self.rows = _candidate_rows(self.scores)
 
 
 def _candidate_rows(scores: np.ndarray) -> List[List[int]]:
     """Each row's neighbours scoring strictly above the row's (K+1)-th
-    largest score, by (-score, index); every neighbour when n <= K + 1.
+    largest score, by (-score, index), with K = CANDIDATES or n - 1 if
+    smaller; the -inf diagonal, a row's only minimum, is never listed.
 
     The strict cut never splits a tie: every neighbour left out scores at
     most the cut and every listed one above it, so the first admissible
@@ -235,11 +245,7 @@ def _candidate_rows(scores: np.ndarray) -> List[List[int]]:
     array is held.
     """
     n = len(scores)
-    k = CANDIDATES
-    if n <= k + 1:
-        index = np.arange(n)
-        return [[j for j in np.lexsort((index, -row)).tolist() if j != i]
-                for i, row in enumerate(scores)]
+    k = min(CANDIDATES, n - 1)
     rows: List[List[int]] = []
     for lo in range(0, n, CANDIDATE_BLOCK):
         block = scores[lo:lo + CANDIDATE_BLOCK]
@@ -248,7 +254,6 @@ def _candidate_rows(scores: np.ndarray) -> List[List[int]]:
         top = np.argpartition(block, n - k - 1, axis=1)[:, n - k - 1:].copy()
         values = np.take_along_axis(block, top, axis=1)
         keep = values[:, 1:] > values[:, :1]
-        keep &= top[:, 1:] != np.arange(lo, lo + len(block))[:, None]
         row, col = np.nonzero(keep)
         col += 1
         cand, score = top[row, col], values[row, col]
@@ -259,25 +264,17 @@ def _candidate_rows(scores: np.ndarray) -> List[List[int]]:
 
 
 def _connect_pass(step: int, order: Sequence[int], ranked: RankedScores,
-                  tracker: PathEndTracker) -> int:
+                  tracker: PathEndTracker) -> None:
     """Join each city of `order` still below `step` connections to its best
-    admissible neighbour, the first maximum of its row of scores; returns
-    the paper's nominal count of neighbour evaluations, n - 1 per
-    connection, not the number of candidates read.
-
-    Cities are visited once in descending static priority (the statistics
-    never change within a pass, so pre-sorting is equivalent to the
-    repeated max-scan). A step takes the first admissible neighbour of its
-    row's candidate list, which is the row's first admissible maximum; when
-    every candidate is closed it masks and scans the whole row. With
-    gamma = 0 it walks the one ranking from `head`, the first city not yet
-    at degree 2 (cities never reopen).
-    """
+    admissible neighbour, the first maximum of its row of scores: the first
+    admissible one of its candidate list, or, when every candidate is
+    closed, of the masked whole row. With gamma = 0 a step walks the one
+    ranking from `head`, the first city not yet at degree 2 (cities never
+    reopen)."""
     degree, other_end, is_open = tracker.degree, tracker.other_end, tracker.open
     scores, rows, ranking = ranked.scores, ranked.rows, ranked.ranking
     last = tracker.n - 1
     head = 0
-    connected = 0
     for city in order:
         if degree[city] >= step:
             continue
@@ -297,12 +294,9 @@ def _connect_pass(step: int, order: Sequence[int], ranked: RankedScores,
                     break
             else:
                 row = np.where(is_open, scores[city], -np.inf)
-                row[city] = -np.inf
                 row[end] = -np.inf
                 best = int(row.argmax())  # first max: lowest index
         tracker.connect(city, best)
-        connected += 1
-    return connected * last
 
 
 def construct_tour(matrix: DistanceMatrix, stats: CityStats,
@@ -314,9 +308,9 @@ def construct_tour(matrix: DistanceMatrix, stats: CityStats,
     `order` (the cities by descending eq. 1 priority) and `scores` (the
     ranked eq. 2 neighbour scores) are those of `combo`; they are computed
     here unless given, as `grid_search` gives them to share them between
-    grid points. A negative exponent on a zero statistic is a ConfigError,
-    as in `grid_search`. `neighbor_evaluations` is the paper's nominal
-    n(n - 1) scan, not the number of candidates the steps read.
+    grid points. A negative exponent on a zero statistic, or a power that
+    overflows, is a ConfigError, as in `grid_search`. `neighbor_evaluations`
+    is the paper's nominal n(n - 1): n - 1 scores for each of the n edges.
     """
     n = matrix.n
     if n < 3:
@@ -324,17 +318,17 @@ def construct_tour(matrix: DistanceMatrix, stats: CityStats,
     if order is None:
         order = _city_order(stats, combo.alpha, combo.beta)
     if scores is None:
-        scores = RankedScores(_score_rows(matrix, stats, combo.gamma,
-                                          combo.delta, combo.epsilon),
-                              combo.gamma)
+        scores = RankedScores(matrix, stats, combo.gamma, combo.delta,
+                              combo.epsilon)
     tracker = PathEndTracker(n)
-    evals = _connect_pass(1, order, scores, tracker)
+    _connect_pass(1, order, scores, tracker)
     assert min(tracker.degree) >= 1, "step 1 left an isolated city"
-    evals += _connect_pass(2, order, scores, tracker)
+    _connect_pass(2, order, scores, tracker)
     assert tracker.edge_count == n and tracker.degree == [2] * n, \
         "step 2 did not close a 2-regular cycle"
     tour = make_tour(tracker.cycle(), matrix)
-    return ConstructionResult(tour=tour, combo=combo, neighbor_evaluations=evals)
+    return ConstructionResult(tour=tour, combo=combo,
+                              neighbor_evaluations=n * (n - 1))
 
 
 def grid_search(matrix: DistanceMatrix, stats: CityStats,
@@ -343,12 +337,12 @@ def grid_search(matrix: DistanceMatrix, stats: CityStats,
     """Best construction over the exponent grid (first combo wins ties).
 
     A construction depends on its combo only through the city order of
-    (alpha, beta) and the score matrix of (gamma, delta, epsilon). Each
-    distinct pair of the two is constructed once, for the first grid point
-    that has it, and every later grid point with the same pair has the same
-    tour. Score matrices are filled one at a time into one buffer and
-    ranked once for all the orders run against them.
-    `neighbor_evaluations` counts the constructions actually run.
+    (alpha, beta) and the neighbour ranking of (gamma, delta, epsilon).
+    Each distinct pair of the two is constructed once, for the first grid
+    point that has it, and every later grid point with the same pair has
+    the same tour. Score matrices are filled one at a time into one buffer
+    and ranked once for all the orders run against them.
+    `neighbor_evaluations` is n(n - 1) per construction actually run.
     """
     combos = list(grid) if grid is not None else default_grid()
     if not combos:
@@ -367,13 +361,11 @@ def grid_search(matrix: DistanceMatrix, stats: CityStats,
     buffer = np.empty_like(h)
     best: Optional[ConstructionResult] = None
     best_index = -1
-    total_evals = 0
     for (gamma, delta, epsilon), runs in first.items():
-        ranked = RankedScores(_score_rows(matrix, stats, gamma, delta, epsilon,
-                                          buffer, nonpositive), gamma)
+        ranked = RankedScores(matrix, stats, gamma, delta, epsilon, buffer,
+                              nonpositive)
         for order, i in runs.items():
             result = construct_tour(matrix, stats, combos[i], order, ranked)
-            total_evals += result.neighbor_evaluations
             # shortest tour, earliest grid point on ties: what a scan in grid
             # order that keeps each strictly shorter tour picks
             if best is None or \
@@ -381,5 +373,6 @@ def grid_search(matrix: DistanceMatrix, stats: CityStats,
                 best, best_index = result, i
         del ranked  # its lists go before the next matrix is ranked
     assert best is not None
-    best.neighbor_evaluations = total_evals
+    constructions = sum(len(runs) for runs in first.values())
+    best.neighbor_evaluations = constructions * matrix.n * (matrix.n - 1)
     return best

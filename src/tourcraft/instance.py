@@ -156,11 +156,12 @@ def build_distance_matrix(instance: Instance) -> DistanceMatrix:
     # two n x n arrays at its peak (three for ATT), with the same operations
     # as the plain expressions.
     x, y = instance.coords.T
-    sq = np.subtract.outer(x, x)
-    sq *= sq
-    exact = np.subtract.outer(y, y)
-    exact *= exact
-    sq += exact
+    with np.errstate(over="ignore"):  # an inf fails DistanceMatrix's check
+        sq = np.subtract.outer(x, x)
+        sq *= sq
+        exact = np.subtract.outer(y, y)
+        exact *= exact
+        sq += exact
     np.sqrt(sq, out=exact)
     if instance.kind == "ATT":
         # r = sqrt(sq / 10), t = nint(r), d = t if t >= r else t + 1

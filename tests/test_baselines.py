@@ -5,7 +5,7 @@ import pytest
 
 import tourcraft as tc
 from conftest import (brute_force_optimum, load_instance, random_matrix,
-                      unrounded_matrix)
+                      tie_heavy_matrix, unrounded_matrix)
 
 
 class TestNearestNeighbor:
@@ -105,3 +105,76 @@ def test_tour_orders_pinned():
         orders.extend(tc.clarke_wright(m, hub=h).order for h in range(6))
     assert hashlib.sha256(repr(orders).encode()).hexdigest() == \
         "f4b98a02a04eeac23bfbcad5da93ebc3565164548a19ab7794410847d21ce12e"
+
+
+def merged_adjacency(n, keyed_pairs, edges):
+    """The plain merge loop: take the pairs as sorted((key, i, j)) and keep
+    one while both ends have degree < 2 and lie in different paths (a
+    union-find), or it is the edge that closes all n cities into one loop,
+    until `edges` edges are kept. Each city's neighbours in keep order."""
+    parent = list(range(n))
+    adjacency = [[] for _ in range(n)]
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    kept = 0
+    for _, i, j in sorted(keyed_pairs):
+        if kept == edges:
+            break
+        if len(adjacency[i]) < 2 and len(adjacency[j]) < 2 and \
+                (find(i) != find(j) or kept == n - 1):
+            parent[find(i)] = find(j)
+            adjacency[i].append(j)
+            adjacency[j].append(i)
+            kept += 1
+    return adjacency
+
+
+def walked(adjacency, start):
+    """The loop's cities from `start`, first along its first kept edge."""
+    order, prev, cur = [start], start, adjacency[start][0]
+    while cur != start:
+        order.append(cur)
+        a, b = adjacency[cur]
+        prev, cur = cur, (a if a != prev else b)
+    assert len(order) == len(adjacency)
+    return order
+
+
+def greedy_reference(m):
+    d = m.d.tolist()
+    pairs = [(d[i][j], i, j) for i in range(m.n) for j in range(i + 1, m.n)]
+    return walked(merged_adjacency(m.n, pairs, m.n), 0)
+
+
+def clarke_wright_reference(m, hub):
+    d, n = m.d.tolist(), m.n
+    rest = [c for c in range(n) if c != hub]
+    pairs = [(-(d[hub][i] + d[hub][j] - d[i][j]), i, j)
+             for a, i in enumerate(rest) for j in rest[a + 1:]]
+    adjacency = merged_adjacency(n, pairs, n - 2)
+    for end in rest:  # the hub joins the path's two ends, lower one first
+        if len(adjacency[end]) < 2:
+            adjacency[hub].append(end)
+            adjacency[end].append(hub)
+    order = walked(adjacency, int(hub == 0))
+    k = order.index(hub)
+    return order[k + 1:] + order[:k + 1]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 12, 20, 40])
+def test_merge_loop_matches_plain_reference_on_ties(n):
+    # weights 1-3: most pairs tie on length and on savings, so every tour
+    # below depends on ties going to the smaller (i, j) pair
+    for seed in range(3):
+        m = tie_heavy_matrix(n, 300 + 10 * n + seed)
+        assert tc.greedy_edge(m).order == tuple(greedy_reference(m))
+        default_hub = int(np.argmax(tc.city_stats(m).mu))
+        assert tc.clarke_wright(m).order == \
+            tuple(clarke_wright_reference(m, default_hub))
+        for hub in range(min(4, n)):
+            assert tc.clarke_wright(m, hub=hub).order == \
+                tuple(clarke_wright_reference(m, hub)), (seed, hub)

@@ -93,6 +93,9 @@ EXPLICIT_HEAD = ("NAME: ex\nTYPE: TSP\nEDGE_WEIGHT_TYPE: EXPLICIT\n"
     (["solve", "{f}", "--grid", "nan:0:1:0:0"], None),
     (["solve", "{f}", "--grid", "0,inf"], None),
     (["solve", "{f}", "--grid", "1:0:1:0"], None),
+    (["solve", "{f}", "--grid", "0:0:1000:0:0"], None),
+    (["solve", "{f}", "--grid", "1000:0:0:0:0"], None),
+    (["solve", "{f}", "--grid", "0:0:0:1000:1000"], None),
     (["bench", "--random", "10,a,1"], None),
     (["bench", "--random", "10,0,1", "--tsplib", "{d}"], None),
     (["bench", "--random", "10,1,-1"], None),
@@ -105,6 +108,8 @@ EXPLICIT_HEAD = ("NAME: ex\nTYPE: TSP\nEDGE_WEIGHT_TYPE: EXPLICIT\n"
      None),
     (["solve", "{f}"], "DIMENSION: 3\nEDGE_WEIGHT_TYPE: EUC_2D\n"
                        "NODE_COORD_SECTION\n1 0 0\n2 nan 1\n3 2 2\nEOF\n"),
+    (["solve", "{f}"], "DIMENSION: 3\nEDGE_WEIGHT_TYPE: EUC_2D\n"
+                       "NODE_COORD_SECTION\n1 0 0\n2 1e300 1\n3 2 2\nEOF\n"),
     (["solve", "{f}"], EXPLICIT_HEAD + "DIMENSION: 3\n"
                        "EDGE_WEIGHT_SECTION\n1 -1 1\nEOF\n"),
     (["solve", "{f}"], EXPLICIT_HEAD + "DIMENSION: 3\n"
@@ -112,11 +117,13 @@ EXPLICIT_HEAD = ("NAME: ex\nTYPE: TSP\nEDGE_WEIGHT_TYPE: EXPLICIT\n"
     (["solve", "{f}"], EXPLICIT_HEAD + "DIMENSION: -3\n"
                        "EDGE_WEIGHT_SECTION\nEOF\n"),
 ], ids=["grid-set", "grid-combo", "grid-nan", "grid-inf", "grid-combo-length",
+         "grid-gamma-overflow", "grid-alpha-overflow",
+         "grid-delta-epsilon-overflow",
          "random-count", "random-zero-count", "random-negative-seed",
          "random-zero-iters", "tsplib-zero-iters", "gen-negative-seed",
          "gen-nan-box", "gen-inf-box",
-        "nan-coordinate", "negative-weight", "inf-weight",
-        "negative-dimension"])
+        "nan-coordinate", "overflowing-coordinate", "negative-weight",
+        "inf-weight", "negative-dimension"])
 def test_bad_input_is_an_error_line(tmp_path, capsys, argv, tsp):
     f = tmp_path / "in.tsp"
     if tsp is None:

@@ -294,6 +294,20 @@ class TestGridSearch:
         with pytest.raises(tc.ConfigError, match="zero statistic"):
             tc.construct_tour(m, tc.city_stats(m), combo)
 
+    @pytest.mark.parametrize("combo", [tc.ExponentCombo(0, 0, 1000, 0, 0),
+                                       tc.ExponentCombo(1000, 0, 0, 0, 0),
+                                       tc.ExponentCombo(0, 0, 1, 1000, 1000),
+                                       tc.ExponentCombo(0, 0, -1000, 0, 0)],
+                             ids=["gamma", "alpha", "delta-epsilon",
+                                  "negative-gamma"])
+    def test_overflowing_power_rejected(self, combo):
+        m = random_matrix(20, 0, box=10.0)  # distances 0.15 to 14
+        stats = tc.city_stats(m)
+        with pytest.raises(tc.ConfigError, match=r"overflow.*\^-?1000"):
+            tc.construct_tour(m, stats, combo)
+        with pytest.raises(tc.ConfigError, match=r"overflow.*\^-?1000"):
+            tc.grid_search(m, stats, [tc.ExponentCombo(0, 0, 0, 0, 0), combo])
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_exponent_rejected(self, bad):
         with pytest.raises(tc.ConfigError, match="finite"):
@@ -473,6 +487,20 @@ class TestCandidateLists:
             assert_grid_matches_brute_grid(m, CANDIDATE_GRID)
 
 
+@pytest.mark.parametrize("k", [1, 2, construction.CANDIDATES])
+def test_rows_list_k_neighbours(k, monkeypatch):
+    # the -inf diagonal never takes one of a row's K+1 ranked slots, and on
+    # a random instance no tie sits at the cut
+    monkeypatch.setattr(construction, "CANDIDATES", k)
+    m = random_matrix(50, 9)
+    stats = tc.city_stats(m)
+    for gamma in (1, 0.5, -1):
+        scores = construction._score_rows(m, stats, gamma, 1, 0)
+        rows = construction._candidate_rows(scores)
+        assert [len(row) for row in rows] == [k] * 50, gamma
+        assert all(i not in row for i, row in enumerate(rows)), gamma
+
+
 def test_gamma_zero_walk_skips_the_closed_prefix():
     # with gamma = 0 every row is one ranking, and each pass keeps a head at
     # its first city below degree 2, so a construction reads O(n) entries of
@@ -488,8 +516,7 @@ def test_gamma_zero_walk_skips_the_closed_prefix():
     m = random_matrix(n, 7)
     stats = tc.city_stats(m)
     combo = tc.ExponentCombo(1, 0, 0, 1, 0)
-    ranked = construction.RankedScores(
-        construction._score_rows(m, stats, 0, 1, 0), 0.0)
+    ranked = construction.RankedScores(m, stats, 0, 1, 0)
     ranked.ranking = CountingList(ranked.ranking)
     got = tc.construct_tour(m, stats, combo, scores=ranked)
     assert got.tour == tc.construct_tour(m, stats, combo).tour
