@@ -62,22 +62,21 @@ def exact_optimum(matrix: DistanceMatrix) -> Tour:
             has = layer[(layer & bits[j]) != 0]
             h[has, j] = (h[has ^ bits[j]] + inner[j]).min(axis=1)
 
-    target = min(d[0][j + 1] + h[full][j] for j in range(m))
+    # h is inf outside each mask, so only cities still to visit can match
     order = [0]
     mask_cur = full
     cur = 0
-    remaining = target
+    remaining = (d[0, 1:] + h[full]).min()
     while mask_cur:
-        for j in range(m):
-            if mask_cur & (1 << j) and \
-                    d[cur][j + 1] + h[mask_cur][j] == remaining:
-                order.append(j + 1)
-                remaining = h[mask_cur][j]
-                mask_cur ^= 1 << j
-                cur = j + 1
-                break
-        else:  # pragma: no cover - float safety net
+        left = d[cur, 1:] + h[mask_cur]
+        match = np.flatnonzero(left == remaining)
+        if not match.size:  # pragma: no cover - float safety net
             raise AssertionError("exact DP reconstruction failed")
+        j = int(match[0])
+        order.append(j + 1)
+        remaining = h[mask_cur, j]
+        mask_cur ^= 1 << j
+        cur = j + 1
     return make_tour(order, matrix)
 
 
@@ -147,8 +146,8 @@ def held_karp_bound(matrix: DistanceMatrix, max_iters: int = 1000,
     returned bound is the best 1-tree value seen, so it never exceeds the
     optimum regardless of the schedule.
 
-    The ascent stops before `max_iters` when the 1-tree is a tour, when the
-    step is zero, or when a step no longer moves any potential (a fixed
+    The ascent stops before `max_iters` when the 1-tree is a tour, or when a
+    step, a zero one included, no longer moves any potential (a fixed
     point: the remaining iterations could not change the bound, see
     below). `iterations_used` counts the iterations actually run.
     """
@@ -187,15 +186,13 @@ def held_karp_bound(matrix: DistanceMatrix, max_iters: int = 1000,
         if denom == 0.0:
             break  # the 1-tree is a tour: bound is tight
         step = lam * max(ub - value, 0.0) / denom
-        if step == 0.0:
-            break
         moved = pi + step * g
-        # Fixed point: from here on every iteration would see this same pi,
-        # hence the same 1-tree, value and g. lam only shrinks, so the step
-        # only shrinks, and floating-point rounding is monotone, so
-        # pi + step * g would round back to pi every time. pi never moves
-        # again and best never changes: stopping now returns the bound that
-        # running all max_iters iterations would.
+        # Fixed point (a zero step is one at once): from here on every
+        # iteration would see this same pi, hence the same 1-tree, value and
+        # g. lam only shrinks, so the step only shrinks, and floating-point
+        # rounding is monotone, so pi + step * g would round back to pi every
+        # time. pi never moves again and best never changes: stopping now
+        # returns the bound that running all max_iters iterations would.
         if np.array_equal(moved, pi):
             break
         pi = moved

@@ -10,7 +10,7 @@ from typing import List, Optional
 from .bench import RunConfig, render_report, run_benchmark
 from .bounds import held_karp_bound
 from .construction import ExponentCombo, default_grid, grid_search
-from .errors import ConfigError, TourcraftError
+from .errors import ConfigError, ParseError, TourcraftError
 from .instance import (Instance, build_distance_matrix, city_stats,
                        generate_random_euclidean)
 from .svgplot import plot_tour_svg
@@ -42,8 +42,14 @@ def _parse_grid(spec: Optional[str]) -> List[ExponentCombo]:
     return default_grid(_numbers(spec, ","))
 
 
-def _read(path) -> Instance:
-    return parse_tsplib(Path(path).read_text())
+def _read(path, parse=parse_tsplib):
+    """`parse` of the text of the file at `path`; a file that does not
+    decode as text is a ParseError naming it."""
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not a text file ({exc})") from None
+    return parse(text)
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -82,7 +88,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         instances=instances,
         methods=tuple(args.methods.split(",")),
         grid=_parse_grid(args.grid),
-        optima=(load_optima(Path(args.optima).read_text())
+        optima=(_read(args.optima, load_optima)
                 if args.optima else default_optima()),
         bound_iters=args.iters,
     )

@@ -21,8 +21,9 @@ numerator, ranked as the eq. 1 order of (delta, epsilon).
 Conventions (fixed for determinism):
 
 * 0^0 = 1, so a zero exponent always neutralizes its factor.
-* Zero distance with gamma > 0 scores +inf (coincident cities connect first).
-* An exponent whose power overflows is a ConfigError.
+* Zero distance with gamma > 0 scores +inf (coincident cities connect first),
+  and with gamma < 0 scores 0.
+* An exponent whose power overflows or underflows a float is a ConfigError.
 * Ties in city priority break toward the lower city index; ties in neighbor
   score break toward the lower neighbor index; ties between equally good grid
   points break toward the earlier combo in lexicographic
@@ -148,9 +149,10 @@ class ConstructionResult:
 def _numerator_vector(stats: CityStats, exp_mu: float, exp_sigma: float,
                       ) -> np.ndarray:
     """mu^exp_mu * sigma^exp_sigma per city, with 0^0 = 1; a negative
-    exponent on a zero statistic, or an overflow, is a ConfigError."""
+    exponent on a zero statistic, or an over- or underflow, is a
+    ConfigError."""
     out = np.ones(len(stats.mu))
-    with np.errstate(over="raise"):
+    with np.errstate(over="raise", under="raise"):
         try:
             for base, exp in ((stats.mu, exp_mu), (stats.sigma, exp_sigma)):
                 if exp != 0.0:
@@ -160,8 +162,8 @@ def _numerator_vector(stats: CityStats, exp_mu: float, exp_sigma: float,
                             f"would divide by zero")
                     out = out * base ** exp
         except FloatingPointError:
-            raise ConfigError(f"exponents overflow a float: mu^{exp_mu} * "
-                              f"sigma^{exp_sigma}") from None
+            raise ConfigError(f"exponents overflow or underflow a float: "
+                              f"mu^{exp_mu} * sigma^{exp_sigma}") from None
     return out
 
 
@@ -176,37 +178,32 @@ def _city_order(stats: CityStats, alpha: float, beta: float,
     return tuple(_ranked(-_numerator_vector(stats, alpha, beta)).tolist())
 
 
-def _nonpositive_cells(heuristic: np.ndarray) -> np.ndarray:
-    """Flat indices of the cells where eq. 2 has no finite ratio."""
-    return np.flatnonzero(~(heuristic > 0.0))
-
-
 def _score_rows(matrix: DistanceMatrix, stats: CityStats, gamma: float,
                 delta: float, epsilon: float,
-                out: Optional[np.ndarray] = None,
-                nonpositive: Optional[np.ndarray] = None) -> np.ndarray:
+                out: Optional[np.ndarray] = None) -> np.ndarray:
     """eq. 2 scores for gamma != 0: row i holds mu_j^delta * sigma_j^epsilon
-    / d_ij^gamma over j, -inf at j = i (a city is never its own neighbour).
+    / d_ij^gamma over j, -inf at j = i (a city is never its own neighbour),
+    filled into `out` (allocated if not given).
 
-    Where d_ij <= 0 (j != i) the score is +inf for gamma > 0 and 0 for
-    gamma < 0. The matrix is filled into `out` (allocated if not given),
-    with `nonpositive` the flat indices of those cells (found if not given).
+    Powers that over- or underflow are a ConfigError, so d_ij^gamma is 0 or
+    inf only where d_ij = 0, and the division itself scores such a cell +inf
+    for gamma > 0 and 0 for gamma < 0; only a zero numerator over a zero
+    distance, 0/0, needs setting to +inf.
     """
     num = _numerator_vector(stats, delta, epsilon)
-    h = matrix.heuristic
-    if nonpositive is None:
-        nonpositive = _nonpositive_cells(h)
     if out is None:
-        out = np.empty_like(h)
-    # 0/0 and x/0 arise only on the cells overwritten below
-    with np.errstate(divide="ignore", invalid="ignore", over="raise"):
+        out = np.empty_like(matrix.heuristic)
+    with np.errstate(divide="ignore", invalid="ignore", over="raise",
+                     under="raise"):
         try:
-            np.power(h, gamma, out=out)
+            np.power(matrix.heuristic, gamma, out=out)
             np.divide(num, out, out=out)
         except FloatingPointError:
-            raise ConfigError(f"exponents overflow a float: mu^{delta} * "
-                              f"sigma^{epsilon} / d^{gamma}") from None
-    out.flat[nonpositive] = np.inf if gamma > 0.0 else 0.0
+            raise ConfigError(f"exponents overflow or underflow a float: "
+                              f"mu^{delta} * sigma^{epsilon} / d^{gamma}"
+                              ) from None
+    if gamma > 0.0 and not num.all():
+        out[np.isnan(out)] = np.inf
     np.fill_diagonal(out, -np.inf)
     return out
 
@@ -222,14 +219,13 @@ class RankedScores:
 
     def __init__(self, matrix: DistanceMatrix, stats: CityStats,
                  gamma: float, delta: float, epsilon: float,
-                 out: Optional[np.ndarray] = None,
-                 nonpositive: Optional[np.ndarray] = None):
+                 out: Optional[np.ndarray] = None):
         self.scores = self.rows = self.ranking = None
         if gamma == 0.0:
             self.ranking = _city_order(stats, delta, epsilon)
         else:
             self.scores = _score_rows(matrix, stats, gamma, delta, epsilon,
-                                      out, nonpositive)
+                                      out)
             self.rows = _candidate_rows(self.scores)
 
 
@@ -356,14 +352,11 @@ def grid_search(matrix: DistanceMatrix, stats: CityStats,
         if ab not in orders:
             orders[ab] = _city_order(stats, combo.alpha, combo.beta)
         first.setdefault(combo.as_tuple()[2:], {}).setdefault(orders[ab], i)
-    h = matrix.heuristic
-    nonpositive = _nonpositive_cells(h)
-    buffer = np.empty_like(h)
+    buffer = np.empty_like(matrix.heuristic)
     best: Optional[ConstructionResult] = None
     best_index = -1
     for (gamma, delta, epsilon), runs in first.items():
-        ranked = RankedScores(matrix, stats, gamma, delta, epsilon, buffer,
-                              nonpositive)
+        ranked = RankedScores(matrix, stats, gamma, delta, epsilon, buffer)
         for order, i in runs.items():
             result = construct_tour(matrix, stats, combos[i], order, ranked)
             # shortest tour, earliest grid point on ties: what a scan in grid

@@ -78,6 +78,21 @@ def test_bench_unreadable_file_is_an_error_line(tmp_path, capsys):
     assert err.startswith("error:") and "ghost.tsp" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "{d}/bin.tsp"],
+    ["bound", "{d}/bin.tsp"],
+    ["bench", "--tsplib", "{d}", "--methods", "nn"],
+    ["bench", "--random", "5,1,1", "--methods", "nn", "--optima",
+     "{d}/bin.tsp"],
+], ids=["solve", "bound", "bench-tsplib", "bench-optima"])
+def test_non_text_file_is_an_error_line(tmp_path, capsys, argv):
+    (tmp_path / "bin.tsp").write_bytes(b"NAME: \xff\xfe\x00\x81\nEOF\n")
+    assert main([a.format(d=tmp_path) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bin.tsp" in err
+    assert "Traceback" not in err
+
+
 def test_error_exit_code(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "missing.tsp")]) == 1
     assert "error:" in capsys.readouterr().err
@@ -96,6 +111,8 @@ EXPLICIT_HEAD = ("NAME: ex\nTYPE: TSP\nEDGE_WEIGHT_TYPE: EXPLICIT\n"
     (["solve", "{f}", "--grid", "0:0:1000:0:0"], None),
     (["solve", "{f}", "--grid", "1000:0:0:0:0"], None),
     (["solve", "{f}", "--grid", "0:0:0:1000:1000"], None),
+    (["solve", "{f}", "--grid", "0:0:-1000:0:0"], None),
+    (["solve", "{f}", "--grid", "0:0:1:-1000:0"], None),
     (["bench", "--random", "10,a,1"], None),
     (["bench", "--random", "10,0,1", "--tsplib", "{d}"], None),
     (["bench", "--random", "10,1,-1"], None),
@@ -118,7 +135,8 @@ EXPLICIT_HEAD = ("NAME: ex\nTYPE: TSP\nEDGE_WEIGHT_TYPE: EXPLICIT\n"
                        "EDGE_WEIGHT_SECTION\nEOF\n"),
 ], ids=["grid-set", "grid-combo", "grid-nan", "grid-inf", "grid-combo-length",
          "grid-gamma-overflow", "grid-alpha-overflow",
-         "grid-delta-epsilon-overflow",
+         "grid-delta-epsilon-overflow", "grid-gamma-underflow",
+         "grid-delta-underflow",
          "random-count", "random-zero-count", "random-negative-seed",
          "random-zero-iters", "tsplib-zero-iters", "gen-negative-seed",
          "gen-nan-box", "gen-inf-box",

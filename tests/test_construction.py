@@ -308,6 +308,25 @@ class TestGridSearch:
         with pytest.raises(tc.ConfigError, match=r"overflow.*\^-?1000"):
             tc.grid_search(m, stats, [tc.ExponentCombo(0, 0, 0, 0, 0), combo])
 
+    @pytest.mark.parametrize("scale,combo", [
+        (1, tc.ExponentCombo(0, 0, -1000, 0, 0)),
+        (1, tc.ExponentCombo(-1000, 0, 0, 0, 0)),
+        (1, tc.ExponentCombo(0, 0, 1, -1000, 0)),
+        (1, tc.ExponentCombo(0, 0, 90, -100, 0)),
+        (1 / 5000, tc.ExponentCombo(0, 0, 1000, 0, 0)),
+    ], ids=["negative-gamma", "negative-alpha", "negative-delta", "ratio",
+            "gamma-small-distances"])
+    def test_underflowing_power_rejected(self, scale, combo):
+        # distances 15 to 1358 (0.003 to 0.27 scaled), mu 394 to 813: each
+        # power, or the ratio mu^-100 / d^90, is below the smallest float
+        d = random_matrix(20, 0).d * scale
+        m = tc.DistanceMatrix(20, d)
+        stats = tc.city_stats(m)
+        with pytest.raises(tc.ConfigError, match=r"underflow.*\^-?\d+"):
+            tc.construct_tour(m, stats, combo)
+        with pytest.raises(tc.ConfigError, match=r"underflow.*\^-?\d+"):
+            tc.grid_search(m, stats, [tc.ExponentCombo(0, 0, 0, 0, 0), combo])
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_exponent_rejected(self, bad):
         with pytest.raises(tc.ConfigError, match="finite"):
@@ -363,6 +382,33 @@ def coincident_matrix():
 
 def equidistant_matrix(n=5):
     return tc.DistanceMatrix(n, np.ones((n, n)) - np.eye(n))  # sigma = 0
+
+
+def all_coincident_matrix(n=5):
+    return tc.build_distance_matrix(tc.Instance("same", n, "EUC_2D",
+                                                coords=[(3, 3)] * n))
+
+
+def zero_row_matrix():
+    w = tie_heavy_matrix(6, 9).d.copy()
+    w[2, :] = w[:, 2] = 0.0  # city 2: mu = sigma = 0
+    return tc.build_distance_matrix(tc.Instance("zrow", 6, "EXPLICIT",
+                                                explicit_weights=w))
+
+
+@pytest.mark.parametrize("make", [all_coincident_matrix, zero_row_matrix],
+                         ids=["all-coincident", "zero-row"])
+def test_zero_numerator_over_zero_distance_scores_inf(make):
+    # a zero numerator over a zero distance is 0/0; like every zero
+    # distance at gamma > 0 it scores +inf, never NaN
+    m = make()
+    stats = tc.city_stats(m)
+    zero = (m.heuristic == 0.0) & ~np.eye(m.n, dtype=bool)
+    for gamma in (0.5, 1, 2):
+        for delta, epsilon in ((1, 0), (0, 1), (0.5, 0.5)):
+            scores = construction._score_rows(m, stats, gamma, delta, epsilon)
+            assert not np.isnan(scores).any(), (gamma, delta, epsilon)
+            assert (scores[zero] == np.inf).all(), (gamma, delta, epsilon)
 
 
 class TestGridMatchesBruteGrid:
