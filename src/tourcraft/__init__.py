@@ -20,7 +20,7 @@ from .instance import (CityStats, DistanceMatrix, Instance, Tour,
                        validate_tour)
 from .svgplot import plot_tour_svg
 from .tsplib import (OptimaTable, default_optima, load_optima, parse_tour,
-                     parse_tsplib, write_tour)
+                     parse_tsplib, write_tour, write_tsplib)
 
 __version__ = "0.1.0"
 
@@ -35,5 +35,5 @@ __all__ = [
     "held_karp_bound", "load_optima", "make_tour", "nearest_neighbor",
     "one_tree_value", "parse_tour", "parse_tsplib", "percent_error",
     "plot_tour_svg", "render_report", "run_benchmark", "tour_length",
-    "validate_tour", "write_tour",
+    "validate_tour", "write_tour", "write_tsplib",
 ]

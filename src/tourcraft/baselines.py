@@ -12,15 +12,9 @@ from typing import Optional
 import numpy as np
 
 from .construction import PathEndTracker, _ranked
-from .errors import ConfigError, DegenerateInstanceError
-from .instance import CityStats, DistanceMatrix, Tour, city_stats, make_tour
-
-
-def _require_n(matrix: DistanceMatrix, minimum: int = 3) -> int:
-    if matrix.n < minimum:
-        raise DegenerateInstanceError(
-            f"need at least {minimum} cities, got {matrix.n}")
-    return matrix.n
+from .errors import ConfigError
+from .instance import (CityStats, DistanceMatrix, Tour, _require_n,
+                       city_stats, make_tour)
 
 
 def nearest_neighbor(matrix: DistanceMatrix, start: int = 0) -> Tour:
@@ -40,14 +34,15 @@ def nearest_neighbor(matrix: DistanceMatrix, start: int = 0) -> Tour:
     return make_tour(order, matrix)
 
 
-def _merge(n: int, first: np.ndarray, second: np.ndarray, key: np.ndarray,
-           edges: int) -> PathEndTracker:
-    """A partial tour of n cities built by connecting the pairs
-    (first[k], second[k]) in ascending `key`, ties toward the earlier pair,
-    while `can_connect` admits them, until it holds `edges` edges."""
+def _merge(n: int, key: np.ndarray) -> PathEndTracker:
+    """The closed tour of n cities built by connecting the pairs i < j in
+    ascending key, ties toward the earlier pair, while `can_connect` admits
+    them, until it holds n edges. `key` holds one key per pair, in
+    np.triu_indices order."""
+    first, second = np.triu_indices(n, k=1)
     tracker = PathEndTracker(n)
     for k in _ranked(key):
-        if tracker.edge_count == edges:
+        if tracker.edge_count == n:
             break
         a = int(first[k])
         b = int(second[k])
@@ -60,8 +55,7 @@ def greedy_edge(matrix: DistanceMatrix) -> Tour:
     """Add edges in ascending length while every city keeps degree <= 2 and
     no cycle forms before the final closing edge."""
     n = _require_n(matrix)
-    iu, ju = np.triu_indices(n, k=1)  # pairs in (i, j) order
-    tracker = _merge(n, iu, ju, matrix.d[iu, ju], n)
+    tracker = _merge(n, matrix.d[np.triu_indices(n, k=1)])
     return make_tour(tracker.cycle(), matrix)
 
 
@@ -69,10 +63,14 @@ def clarke_wright(matrix: DistanceMatrix, hub: Optional[int] = None,
                   stats: Optional[CityStats] = None) -> Tour:
     """Savings heuristic: merge paths over the non-hub cities in descending
     savings d[h,i] + d[h,j] - d[i,j], then close the path through the hub.
+    The hub's pairs are keyed +inf, so they sort after every other pair and
+    the merge's last two edges join the hub to the path's ends, the lower
+    end first.
 
     Default hub is the most remote city (maximal mean distance in the
     heuristic geometry, see ``city_stats``; ties toward the lower index).
-    The tour starts at the lowest non-hub city and ends at the hub.
+    The tour is walked from the lowest non-hub city along its first merged
+    edge, then rotated to end at the hub.
     """
     n = _require_n(matrix)
     if hub is None:
@@ -80,15 +78,10 @@ def clarke_wright(matrix: DistanceMatrix, hub: Optional[int] = None,
         hub = int(np.argmax(st.mu))
     if not 0 <= hub < n:
         raise ConfigError(f"hub {hub} out of range for n={n}")
-    rest = np.delete(np.arange(n), hub)
-    ii, jj = np.triu_indices(n - 1, k=1)
-    gi = rest[ii]
-    gj = rest[jj]
-    savings = matrix.d[hub, gi] + matrix.d[hub, gj] - matrix.d[gi, gj]
-    tracker = _merge(n, gi, gj, -savings, n - 2)
-    for end in np.flatnonzero(tracker.open).tolist():
-        if end != hub:
-            tracker.connect(hub, end)
+    d = matrix.d
+    key = -(d[hub][:, None] + d[hub] - d)  # minus the savings of pair (i, j)
+    key[hub, :] = key[:, hub] = np.inf
+    tracker = _merge(n, key[np.triu_indices(n, k=1)])
     order = tracker.cycle(start=int(hub == 0))
     k = order.index(hub)
     return make_tour(order[k + 1:] + order[:k + 1], matrix)

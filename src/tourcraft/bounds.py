@@ -7,20 +7,23 @@
   min is exact, so the table, and the lexicographically smallest optimal
   order read back from it, do not depend on the evaluation order.
 * one_tree_value / held_karp_bound: minimum 1-trees with node potentials,
-  improved by subgradient ascent. Any potential vector gives a valid lower
-  bound on the optimal tour length; the ascent only tightens it, and stops
-  early once its potentials no longer move.
+  improved by subgradient ascent. One function builds a 1-tree: Prim's
+  step over cities 1..n-1 records each city's parent, and the degrees the
+  ascent needs are counted from those parents and city 0's two edges. Any
+  potential vector gives a valid lower bound on the optimal tour length;
+  the ascent only tightens it, and stops early once its potentials no
+  longer move.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateInstanceError, SizeLimitError
-from .instance import DistanceMatrix, Tour, make_tour
+from .errors import ConfigError, SizeLimitError
+from .instance import DistanceMatrix, Tour, _require_n, make_tour
 
 EXACT_MAX_N = 15
 
@@ -36,9 +39,7 @@ class LowerBoundResult:
 def exact_optimum(matrix: DistanceMatrix) -> Tour:
     """Provably optimal tour by subset DP; returns the lexicographically
     smallest optimal order starting at city 0."""
-    n = matrix.n
-    if n < 3:
-        raise DegenerateInstanceError(f"exact solver needs n >= 3, got {n}")
+    n = _require_n(matrix)
     if n > EXACT_MAX_N:
         raise SizeLimitError(
             f"exact solver is limited to n <= {EXACT_MAX_N}, got {n}")
@@ -80,20 +81,24 @@ def exact_optimum(matrix: DistanceMatrix) -> Tour:
     return make_tour(order, matrix)
 
 
-def _min_one_tree(dd: np.ndarray) -> Tuple[float, List[int]]:
-    """Minimum 1-tree value and node degrees for the given weights: dense
-    Prim MST over cities 1..n-1 plus the two cheapest edges at city 0.
-    Ties go to the lowest index, in the MST and at city 0."""
-    n = dd.shape[0]
-    deg = [0] * n
+def _one_tree(d: np.ndarray, pi: np.ndarray,
+              buf: np.ndarray) -> Tuple[float, np.ndarray]:
+    """1-tree bound and node degrees for potentials pi: the minimum 1-tree
+    on the modified weights d[i][j] + pi[i] + pi[j], built in `buf`, minus
+    2 * sum(pi). The 1-tree is a dense Prim MST over cities 1..n-1 plus the
+    two cheapest edges at city 0; ties go to the lowest index, in the MST
+    and at city 0."""
+    n = d.shape[0]
+    np.add(d, pi[:, None], out=buf)
+    buf += pi[None, :]
     outside = np.ones(n, dtype=bool)  # not yet in the tree
     outside[0] = False  # city 0 stays out of the MST
     outside[1] = False
     # best[j]: cheapest edge from the tree to j, inf once j is in the tree
-    best = dd[1].copy()
+    best = buf[1].copy()
     best[0] = np.inf
     best[1] = np.inf
-    parent = np.ones(n, dtype=np.intp)
+    parent = np.ones(n, dtype=np.intp)  # fixed once its city joins the tree
     mask = np.empty(n, dtype=bool)
     total = 0.0
     for _ in range(n - 2):
@@ -101,39 +106,29 @@ def _min_one_tree(dd: np.ndarray) -> Tuple[float, List[int]]:
         total += best[j]
         best[j] = np.inf
         outside[j] = False
-        deg[j] += 1
-        deg[parent[j]] += 1
-        row = dd[j]
+        row = buf[j]
         np.less(row, best, out=mask)
         mask &= outside
         np.copyto(best, row, where=mask)
         parent[mask] = j
-    two = np.argsort(dd[0, 1:], kind="stable")[:2] + 1
-    total += dd[0, two[0]] + dd[0, two[1]]
-    deg[0] = 2
-    deg[two[0]] += 1
-    deg[two[1]] += 1
-    return float(total), deg
-
-
-def _potential_one_tree(d: np.ndarray, pi: np.ndarray,
-                        buf: np.ndarray) -> Tuple[float, List[int]]:
-    """1-tree bound and node degrees for potentials pi: minimum 1-tree on the
-    modified weights d[i][j] + pi[i] + pi[j], built in `buf`, minus
-    2 * sum(pi)."""
-    np.add(d, pi[:, None], out=buf)
-    buf += pi[None, :]
-    total, deg = _min_one_tree(buf)
-    return total - 2.0 * float(pi.sum()), deg
+    two = np.argsort(buf[0, 1:], kind="stable")[:2] + 1
+    total += buf[0, two[0]] + buf[0, two[1]]
+    # the edge ends: (j, parent[j]) for j = 2..n-1, and city 0's two edges
+    ends = np.concatenate((np.arange(2, n), parent[2:], (0, 0), two))
+    deg = np.bincount(ends, minlength=n)
+    return float(total) - 2.0 * float(pi.sum()), deg
 
 
 def one_tree_value(matrix: DistanceMatrix,
                    pi: Sequence[float]) -> float:
     """1-tree lower bound for node potentials pi."""
+    _require_n(matrix)
     pi = np.asarray(pi, dtype=float)
     if pi.shape != (matrix.n,):
         raise ConfigError(f"potentials must have length {matrix.n}")
-    return _potential_one_tree(matrix.d, pi, np.empty_like(matrix.d))[0]
+    if not np.isfinite(pi).all():
+        raise ConfigError("potentials must be finite")
+    return _one_tree(matrix.d, pi, np.empty_like(matrix.d))[0]
 
 
 def held_karp_bound(matrix: DistanceMatrix, max_iters: int = 1000,
@@ -151,9 +146,7 @@ def held_karp_bound(matrix: DistanceMatrix, max_iters: int = 1000,
     point: the remaining iterations could not change the bound, see
     below). `iterations_used` counts the iterations actually run.
     """
-    n = matrix.n
-    if n < 3:
-        raise DegenerateInstanceError(f"need n >= 3, got {n}")
+    n = _require_n(matrix)
     if max_iters <= 0:
         raise ConfigError(f"max_iters must be positive, got {max_iters}")
     if upper_bound_hint is None:
@@ -172,7 +165,7 @@ def held_karp_bound(matrix: DistanceMatrix, max_iters: int = 1000,
     stale = 0
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        value, deg = _potential_one_tree(d, pi, buf)
+        value, deg = _one_tree(d, pi, buf)
         if value > best:
             best = value
             stale = 0

@@ -14,7 +14,8 @@ from .errors import ConfigError, ParseError, TourcraftError
 from .instance import (Instance, build_distance_matrix, city_stats,
                        generate_random_euclidean)
 from .svgplot import plot_tour_svg
-from .tsplib import default_optima, load_optima, parse_tsplib, write_tour
+from .tsplib import (default_optima, load_optima, parse_tsplib, write_tour,
+                     write_tsplib)
 
 RANDOM_BOX = 1_000_000.0  # side of the square random instances fill
 
@@ -104,15 +105,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     instance = generate_random_euclidean(args.n, args.seed, args.box)
-    lines = [f"NAME: {instance.name}",
-             "TYPE: TSP",
-             f"DIMENSION: {instance.n}",
-             "EDGE_WEIGHT_TYPE: EUC_2D",
-             "NODE_COORD_SECTION"]
-    lines += [f"{i + 1} {x:.6f} {y:.6f}"
-              for i, (x, y) in enumerate(instance.coords)]
-    lines.append("EOF")
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    Path(args.out).write_text(write_tsplib(instance))
     print(f"wrote {instance.name} to {args.out}")
     return 0
 

@@ -39,8 +39,8 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateInstanceError
-from .instance import CityStats, DistanceMatrix, Tour, make_tour
+from .errors import ConfigError
+from .instance import CityStats, DistanceMatrix, Tour, _require_n, make_tour
 
 DEFAULT_EXPONENT_VALUES = (0.0, 0.5, 1.0)
 CANDIDATES = 8  # K: neighbours ranked per score row
@@ -84,7 +84,8 @@ class PathEndTracker:
     for the final, loop-closing edge (E == n - 1). `degree`, `other_end` and
     `adjacent` (city x's neighbours in slots 2x and 2x + 1, in connect order)
     are lists, read one city at a time; `open` is the boolean array of the
-    cities with degree < 2.
+    cities with degree < 2, which the construction's full-row fallback
+    masks a score row with.
     """
 
     __slots__ = ("n", "other_end", "degree", "adjacent", "open", "edge_count")
@@ -305,12 +306,11 @@ def construct_tour(matrix: DistanceMatrix, stats: CityStats,
     ranked eq. 2 neighbour scores) are those of `combo`; they are computed
     here unless given, as `grid_search` gives them to share them between
     grid points. A negative exponent on a zero statistic, or a power that
-    overflows, is a ConfigError, as in `grid_search`. `neighbor_evaluations`
-    is the paper's nominal n(n - 1): n - 1 scores for each of the n edges.
+    over- or underflows, is a ConfigError, as in `grid_search`.
+    `neighbor_evaluations` is the paper's nominal n(n - 1): n - 1 scores for
+    each of the n edges.
     """
-    n = matrix.n
-    if n < 3:
-        raise DegenerateInstanceError(f"tour construction needs n >= 3, got {n}")
+    n = _require_n(matrix)
     if order is None:
         order = _city_order(stats, combo.alpha, combo.beta)
     if scores is None:

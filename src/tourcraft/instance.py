@@ -223,6 +223,15 @@ def make_tour(order: Sequence[int], matrix: DistanceMatrix) -> Tour:
                 length=tour_length(order, matrix))
 
 
+def _require_n(matrix: DistanceMatrix) -> int:
+    """matrix.n, or a DegenerateInstanceError if it is too small to hold a
+    tour or bound one: every call that does needs n >= 3."""
+    if matrix.n < 3:
+        raise DegenerateInstanceError(
+            f"need at least 3 cities, got {matrix.n}")
+    return matrix.n
+
+
 def generate_random_euclidean(n: int, seed: int, box_side: float) -> Instance:
     """Uniform random points in [0, box_side]^2 with kind EUC_2D.
 

@@ -130,6 +130,22 @@ def _assemble_weights(values: List[float], n: int, fmt: str) -> np.ndarray:
     return w
 
 
+def write_tsplib(instance: Instance) -> str:
+    """Serialize a coordinate instance as a TSPLIB .tsp file (1-based node
+    numbers, coordinates with 6 decimals)."""
+    if instance.coords is None:
+        raise ValidationError(f"{instance.name} has no coordinates to write")
+    lines = [f"NAME: {instance.name}",
+             "TYPE: TSP",
+             f"DIMENSION: {instance.n}",
+             f"EDGE_WEIGHT_TYPE: {instance.kind}",
+             "NODE_COORD_SECTION"]
+    lines.extend(f"{i + 1} {x:.6f} {y:.6f}"
+                 for i, (x, y) in enumerate(instance.coords))
+    lines.append("EOF")
+    return "\n".join(lines) + "\n"
+
+
 def write_tour(tour: Tour, name: str) -> str:
     """Serialize a tour in TSPLIB .tour format (1-based, -1 terminated)."""
     lines = [f"NAME: {name}",

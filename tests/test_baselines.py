@@ -165,16 +165,26 @@ def clarke_wright_reference(m, hub):
     return order[k + 1:] + order[:k + 1]
 
 
+def float_matrices(n, seed):
+    """Exact Euclidean distances between random points, and the same
+    rounded to 0.1, which still ties some pairs."""
+    pts = np.random.default_rng(seed).uniform(0, 10, (n, 2))
+    exact = unrounded_matrix(pts)
+    return [exact, tc.DistanceMatrix(n, np.round(exact.d, 1))]
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 12, 20, 40])
 def test_merge_loop_matches_plain_reference_on_ties(n):
     # weights 1-3: most pairs tie on length and on savings, so every tour
-    # below depends on ties going to the smaller (i, j) pair
+    # below depends on ties going to the smaller (i, j) pair; on float
+    # weights a savings key summed in another order rounds differently
     for seed in range(3):
-        m = tie_heavy_matrix(n, 300 + 10 * n + seed)
-        assert tc.greedy_edge(m).order == tuple(greedy_reference(m))
-        default_hub = int(np.argmax(tc.city_stats(m).mu))
-        assert tc.clarke_wright(m).order == \
-            tuple(clarke_wright_reference(m, default_hub))
-        for hub in range(min(4, n)):
-            assert tc.clarke_wright(m, hub=hub).order == \
-                tuple(clarke_wright_reference(m, hub)), (seed, hub)
+        for m in [tie_heavy_matrix(n, 300 + 10 * n + seed),
+                  *float_matrices(n, 700 + 10 * n + seed)]:
+            assert tc.greedy_edge(m).order == tuple(greedy_reference(m))
+            default_hub = int(np.argmax(tc.city_stats(m).mu))
+            assert tc.clarke_wright(m).order == \
+                tuple(clarke_wright_reference(m, default_hub))
+            for hub in sorted({*range(min(4, n)), n - 1}):
+                assert tc.clarke_wright(m, hub=hub).order == \
+                    tuple(clarke_wright_reference(m, hub)), (seed, hub)

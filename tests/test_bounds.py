@@ -97,6 +97,21 @@ class TestOneTree:
             assert tc.one_tree_value(m, np.zeros(9)) == \
                 pytest.approx(mst + two)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_rejects_fewer_than_3_cities(self, n):
+        # a 1-tree needs city 0's two edges; n = 1 and 2 raised IndexError
+        m = tc.DistanceMatrix(n, np.ones((n, n)) - np.eye(n))
+        with pytest.raises(tc.DegenerateInstanceError):
+            tc.one_tree_value(m, np.zeros(n))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_potentials(self, bad):
+        # such a potential returned a NaN bound
+        pi = np.zeros(10)
+        pi[4] = bad
+        with pytest.raises(tc.ConfigError, match="finite"):
+            tc.one_tree_value(random_matrix(10, 0), pi)
+
 
 class TestHeldKarpBound:
     def test_single_iteration_is_plain_one_tree(self):

@@ -8,13 +8,9 @@ from tourcraft.cli import main
 
 
 def write_small_instance(path: Path) -> None:
-    inst = tc.generate_random_euclidean(15, 3, 1000.0)
-    lines = ["NAME: small15", "TYPE: TSP", "DIMENSION: 15",
-             "EDGE_WEIGHT_TYPE: EUC_2D", "NODE_COORD_SECTION"]
-    lines += [f"{i + 1} {x:.6f} {y:.6f}"
-              for i, (x, y) in enumerate(inst.coords)]
-    lines.append("EOF")
-    path.write_text("\n".join(lines) + "\n")
+    coords = tc.generate_random_euclidean(15, 3, 1000.0).coords
+    inst = tc.Instance("small15", 15, "EUC_2D", coords=coords)
+    path.write_text(tc.write_tsplib(inst))
 
 
 def test_gen_then_solve(tmp_path, capsys):
@@ -30,6 +26,14 @@ def test_gen_then_solve(tmp_path, capsys):
     order = tc.parse_tour(tour_file.read_text())
     assert tc.validate_tour(order, 12)
     assert svg_file.read_text().startswith("<?xml")
+
+
+def test_gen_output_pinned(tmp_path):
+    # sha256 of the .tsp file `gen --n 50 --seed 3` writes
+    tsp = tmp_path / "g.tsp"
+    assert main(["gen", "--n", "50", "--seed", "3", "--out", str(tsp)]) == 0
+    assert hashlib.sha256(tsp.read_bytes()).hexdigest() == \
+        "34c126d8a8029a704de5f306be06345e130eefe4b5eeb9fd9337c0ee5ee5e33e"
 
 
 def test_solve_n1000_outputs_pinned(tmp_path, capsys):
