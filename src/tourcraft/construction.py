@@ -6,17 +6,20 @@ connected to the neighbor maximizing (mu^delta * sigma^epsilon) / d^gamma
 among neighbors that keep the partial tour a disjoint set of paths. Step 1
 gives every city at least one edge, step 2 raises every degree to exactly 2,
 closing a single loop. The whole construction is repeated over a grid of
-exponent combinations and the shortest tour wins.
+exponent combinations and the shortest tour wins. The grid prices each
+construction's closed loop with the summation `tour_length` uses, and
+only the winner's loop becomes a validated Tour.
 
 Each step reads a short candidate list instead of the whole row of
 neighbour scores, with the same result. A score matrix, whose -inf diagonal
-keeps a city from being its own neighbour, is ranked once per grid: row i
-lists the neighbours scoring strictly above the row's (K+1)-th largest
-score, K = CANDIDATES or n - 1 if smaller, by (-score, index). The strict
-cut keeps or drops a tie as a whole, so the first admissible listed
-neighbour is the first maximum of the masked row; when every listed one is
-closed, the step scans the whole row. With gamma = 0 every row is the
-numerator, ranked as the eq. 1 order of (delta, epsilon).
+keeps a city from being its own neighbour, is ranked once per grid when
+more than one construction reads it: row i lists the neighbours scoring
+strictly above the row's (K+1)-th largest score, K = CANDIDATES or n - 1 if
+smaller, by (-score, index). The strict cut keeps or drops a tie as a
+whole, so the first admissible listed neighbour is the first maximum of
+the masked row; when every listed one is closed, and in a matrix read
+once, which lists none, the step scans the whole row. With gamma = 0 every
+row is the numerator, ranked as the eq. 1 order of (delta, epsilon).
 
 Conventions (fixed for determinism):
 
@@ -40,7 +43,8 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError
-from .instance import CityStats, DistanceMatrix, Tour, _require_n, make_tour
+from .instance import (CityStats, DistanceMatrix, Tour, _loop_length,
+                       _require_n, make_tour)
 
 DEFAULT_EXPONENT_VALUES = (0.0, 0.5, 1.0)
 CANDIDATES = 8  # K: neighbours ranked per score row
@@ -106,7 +110,9 @@ class PathEndTracker:
         return self.other_end[a] != b or self.edge_count == self.n - 1
 
     def connect(self, a: int, b: int) -> None:
-        assert self.can_connect(a, b), f"illegal connect {a}-{b}"
+        """Add edge a-b, which the caller has checked with `can_connect` or
+        an equivalent filter; `cycle` catches edges that close more than
+        one loop."""
         other_end, degree, adjacent = self.other_end, self.degree, self.adjacent
         end_a = other_end[a]
         end_b = other_end[b]
@@ -126,12 +132,15 @@ class PathEndTracker:
 
     def cycle(self, start: int = 0) -> List[int]:
         """The closed loop's cities from `start`, first along its first
-        edge."""
+        edge. A walk back to `start` before it has visited all n cities
+        (the edges close more than one loop) fails an assert."""
         assert self.edge_count == self.n, "the tour is not closed"
         adjacent = self.adjacent
         order = [start]
         prev, cur = start, adjacent[2 * start]
         for _ in range(self.n - 1):
+            assert cur != start, \
+                f"the edges close a loop of {len(order)} of {self.n} cities"
             order.append(cur)
             nxt = adjacent[2 * cur]
             prev, cur = cur, (nxt if nxt != prev else adjacent[2 * cur + 1])
@@ -212,7 +221,10 @@ def _score_rows(matrix: DistanceMatrix, stats: CityStats, gamma: float,
 class RankedScores:
     """The eq. 2 neighbour ranking of one (gamma, delta, epsilon). For
     gamma != 0, `scores` is the score matrix (filled into `out` if given)
-    and `rows` its `_candidate_rows`. For gamma = 0 every row is
+    and `rows` its `_candidate_rows` when `shared`, that is when more than
+    one construction reads it; for a single construction ranking costs
+    more than it saves, so every row lists no candidate and each step
+    scans its whole row. For gamma = 0 every row is
     mu^delta * sigma^epsilon, so `ranking` is the eq. 1 order of
     (delta, epsilon), and `scores` and `rows` are None."""
 
@@ -220,14 +232,15 @@ class RankedScores:
 
     def __init__(self, matrix: DistanceMatrix, stats: CityStats,
                  gamma: float, delta: float, epsilon: float,
-                 out: Optional[np.ndarray] = None):
+                 out: Optional[np.ndarray] = None, shared: bool = True):
         self.scores = self.rows = self.ranking = None
         if gamma == 0.0:
             self.ranking = _city_order(stats, delta, epsilon)
         else:
             self.scores = _score_rows(matrix, stats, gamma, delta, epsilon,
                                       out)
-            self.rows = _candidate_rows(self.scores)
+            self.rows = (_candidate_rows(self.scores) if shared
+                         else [()] * matrix.n)
 
 
 def _candidate_rows(scores: np.ndarray) -> List[List[int]]:
@@ -296,33 +309,40 @@ def _connect_pass(step: int, order: Sequence[int], ranked: RankedScores,
         tracker.connect(city, best)
 
 
+def _construct(order: Sequence[int], ranked: RankedScores) -> List[int]:
+    """The closed loop of both main passes over the cities of `order` on a
+    fresh tracker, walked from city 0."""
+    n = len(order)
+    tracker = PathEndTracker(n)
+    _connect_pass(1, order, ranked, tracker)
+    assert min(tracker.degree) >= 1, "step 1 left an isolated city"
+    _connect_pass(2, order, ranked, tracker)
+    assert tracker.edge_count == n and tracker.degree == [2] * n, \
+        "step 2 did not close a 2-regular cycle"
+    return tracker.cycle()
+
+
 def construct_tour(matrix: DistanceMatrix, stats: CityStats,
                    combo: ExponentCombo,
                    order: Optional[Sequence[int]] = None,
                    scores: Optional[RankedScores] = None) -> ConstructionResult:
-    """Run both main passes on a fresh tracker and walk the resulting cycle.
+    """The tour of both main passes for one combo.
 
     `order` (the cities by descending eq. 1 priority) and `scores` (the
     ranked eq. 2 neighbour scores) are those of `combo`; they are computed
-    here unless given, as `grid_search` gives them to share them between
-    grid points. A negative exponent on a zero statistic, or a power that
-    over- or underflows, is a ConfigError, as in `grid_search`.
-    `neighbor_evaluations` is the paper's nominal n(n - 1): n - 1 scores for
-    each of the n edges.
+    here unless given, and scores computed here serve this one
+    construction, so they are not ranked. A negative exponent on a zero
+    statistic, or a power that over- or underflows, is a ConfigError, as in
+    `grid_search`. `neighbor_evaluations` is the paper's nominal
+    n(n - 1): n - 1 scores for each of the n edges.
     """
     n = _require_n(matrix)
     if order is None:
         order = _city_order(stats, combo.alpha, combo.beta)
     if scores is None:
         scores = RankedScores(matrix, stats, combo.gamma, combo.delta,
-                              combo.epsilon)
-    tracker = PathEndTracker(n)
-    _connect_pass(1, order, scores, tracker)
-    assert min(tracker.degree) >= 1, "step 1 left an isolated city"
-    _connect_pass(2, order, scores, tracker)
-    assert tracker.edge_count == n and tracker.degree == [2] * n, \
-        "step 2 did not close a 2-regular cycle"
-    tour = make_tour(tracker.cycle(), matrix)
+                              combo.epsilon, shared=False)
+    tour = make_tour(_construct(order, scores), matrix)
     return ConstructionResult(tour=tour, combo=combo,
                               neighbor_evaluations=n * (n - 1))
 
@@ -337,8 +357,11 @@ def grid_search(matrix: DistanceMatrix, stats: CityStats,
     Each distinct pair of the two is constructed once, for the first grid
     point that has it, and every later grid point with the same pair has
     the same tour. Score matrices are filled one at a time into one buffer
-    and ranked once for all the orders run against them.
-    `neighbor_evaluations` is n(n - 1) per construction actually run.
+    and ranked once for all the orders run against them, or not at all
+    when only one order is. Each construction's closed loop is priced with
+    the summation `tour_length` uses, and only the winner's loop becomes a
+    validated `Tour`. `neighbor_evaluations` is n(n - 1) per construction
+    actually run.
     """
     combos = list(grid) if grid is not None else default_grid()
     if not combos:
@@ -352,20 +375,24 @@ def grid_search(matrix: DistanceMatrix, stats: CityStats,
         if ab not in orders:
             orders[ab] = _city_order(stats, combo.alpha, combo.beta)
         first.setdefault(combo.as_tuple()[2:], {}).setdefault(orders[ab], i)
+    n = _require_n(matrix)
     buffer = np.empty_like(matrix.heuristic)
-    best: Optional[ConstructionResult] = None
-    best_index = -1
+    best, best_loop = (math.inf, -1), None
     for (gamma, delta, epsilon), runs in first.items():
-        ranked = RankedScores(matrix, stats, gamma, delta, epsilon, buffer)
+        ranked = RankedScores(matrix, stats, gamma, delta, epsilon, buffer,
+                              shared=len(runs) > 1)
         for order, i in runs.items():
-            result = construct_tour(matrix, stats, combos[i], order, ranked)
+            loop = _construct(order, ranked)
             # shortest tour, earliest grid point on ties: what a scan in grid
             # order that keeps each strictly shorter tour picks
-            if best is None or \
-                    (result.tour.length, i) < (best.tour.length, best_index):
-                best, best_index = result, i
+            key = (_loop_length(loop, matrix), i)
+            if key < best:
+                best, best_loop = key, loop
         del ranked  # its lists go before the next matrix is ranked
-    assert best is not None
+    length, i = best
+    tour = make_tour(best_loop, matrix)
+    assert tour.length == length, "the winner's length is not its price"
     constructions = sum(len(runs) for runs in first.values())
-    best.neighbor_evaluations = constructions * matrix.n * (matrix.n - 1)
-    return best
+    return ConstructionResult(
+        tour=tour, combo=combos[i],
+        neighbor_evaluations=constructions * n * (n - 1))

@@ -214,8 +214,15 @@ def tour_length(order: Sequence[int], matrix: DistanceMatrix) -> float:
         unexpected = sorted(c for c, k in surplus.items() if k > 0)
         raise ValidationError(f"not a tour of {matrix.n} cities: missing "
                               f"{missing}, unexpected {unexpected}")
+    return _loop_length(order, matrix)
+
+
+def _loop_length(order: Sequence[int], matrix: DistanceMatrix) -> float:
+    """The length of the closed loop through `order`, unchecked: the one
+    summation every tour length comes from, so equal orders give equal
+    floats."""
     idx = np.asarray(order, dtype=int)
-    return float(matrix.d[idx, np.roll(idx, -1)].sum())
+    return float(matrix.d[idx, np.concatenate((idx[1:], idx[:1]))].sum())
 
 
 def make_tour(order: Sequence[int], matrix: DistanceMatrix) -> Tour:

@@ -150,6 +150,17 @@ class TestTracker:
                                                     order[:1])}
                 assert walked == connected
 
+    def test_cycle_refuses_two_loops(self):
+        # connect trusts its caller to pass only what can_connect admits;
+        # six edges that close two triangles are caught by the walk
+        t = tc.PathEndTracker(6)
+        for a, b in ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)):
+            t.connect(a, b)
+        assert t.edge_count == 6 and t.degree == [2] * 6
+        for s in range(6):
+            with pytest.raises(AssertionError, match="loop of 3 of 6"):
+                t.cycle(s)
+
 
 class TestMainSteps:
     def test_triangle_unique_cycle(self, triangle_345):
@@ -452,12 +463,14 @@ class TestGridMatchesBruteGrid:
             -eq1_priority(mu[c], sigma[c], a, b), c)))
             for a in (0, 0.5, 1) for b in (0, 0.5, 1)}
         calls = []
+        construct = construction._construct
 
-        def counted(*args):
-            calls.append(args[2])
-            return tc.construct_tour(*args)
+        def counted(order, ranked):
+            # the ranked scores are kept alive, so none shares another's id
+            calls.append((order, ranked))
+            return construct(order, ranked)
 
-        monkeypatch.setattr(construction, "construct_tour", counted)
+        monkeypatch.setattr(construction, "_construct", counted)
         result = tc.grid_search(m, stats)
         assert len(calls) == len(set(calls)) == 27 * len(orders) < 243
         assert result.neighbor_evaluations == len(calls) * 20 * 19
@@ -531,6 +544,64 @@ class TestCandidateLists:
     def test_grid_search_against_oracle(self, k):
         for m in self.matrices(k):
             assert_grid_matches_brute_grid(m, CANDIDATE_GRID)
+
+    def test_ranked_construction_against_oracle(self, k):
+        # a one-off construct_tour scans whole rows; given ranked scores, as
+        # the grid shares them, every combo's tour still matches the oracle
+        for m in self.matrices(k):
+            stats = tc.city_stats(m)
+            order_of = oracle(m, stats)
+            for combo in CANDIDATE_GRID:
+                ranked = construction.RankedScores(
+                    m, stats, combo.gamma, combo.delta, combo.epsilon)
+                got = tc.construct_tour(m, stats, combo, scores=ranked)
+                assert got.tour.order == tuple(order_of(combo)), (m.n, combo)
+
+
+def test_one_off_scores_are_not_ranked(monkeypatch):
+    # a score matrix that only one construction reads is scanned row by row,
+    # never ranked: construct_tour without `scores`, and a grid of one point
+    def never(scores):
+        raise AssertionError("a one-off score matrix was ranked")
+
+    monkeypatch.setattr(construction, "_candidate_rows", never)
+    for m in (random_matrix(40, 3), tie_heavy_matrix(15, 4),
+              coincident_matrix()):
+        stats = tc.city_stats(m)
+        order_of = oracle(m, stats)
+        for combo in CANDIDATE_GRID:
+            want = tuple(order_of(combo))
+            assert tc.construct_tour(m, stats, combo).tour.order == want
+            assert tc.grid_search(m, stats, [combo]).tour.order == want
+
+
+def fractional_matrix(n: int, seed: int) -> tc.DistanceMatrix:
+    """EXPLICIT instance with fractional weights in [0, 10): a length
+    summed in another order may differ in its last bits."""
+    w = np.triu(np.random.default_rng(seed).random((n, n)) * 10, 1)
+    inst = tc.Instance("frac", n, "EXPLICIT", explicit_weights=w + w.T)
+    return tc.build_distance_matrix(inst)
+
+
+@pytest.mark.parametrize("grid", [None, CANDIDATE_GRID],
+                         ids=["default", "gamma-signs"])
+def test_grid_prices_fractional_weights_exactly(grid):
+    # the grid prices each closed loop; its winner, combo and length must be
+    # those of a plain scan of construct_tour's validated tours. For n = 11,
+    # 14, 23, 25 and 49, on one grid or both, two grid points walk the
+    # winning loop in opposite directions, whose sums differ in the last bit
+    combos = tc.default_grid() if grid is None else grid
+    for n, seed in ((5, 1), (11, 0), (14, 2), (23, 0), (25, 0), (49, 2)):
+        m = fractional_matrix(n, seed)
+        stats = tc.city_stats(m)
+        want = None
+        for combo in combos:
+            tour = tc.construct_tour(m, stats, combo).tour
+            if want is None or tour.length < want[0].length:
+                want = (tour, combo)
+        got = tc.grid_search(m, stats, grid)
+        assert (got.tour.order, got.combo, got.tour.length) == \
+            (want[0].order, want[1], want[0].length), n
 
 
 @pytest.mark.parametrize("k", [1, 2, construction.CANDIDATES])
