@@ -8,15 +8,18 @@
   order read back from it, do not depend on the evaluation order.
 * one_tree_value / held_karp_bound: minimum 1-trees with node potentials,
   improved by subgradient ascent. One function builds a 1-tree: Prim's
-  step over cities 1..n-1 records each city's parent, and the degrees the
-  ascent needs are counted from those parents and city 0's two edges. Any
-  potential vector gives a valid lower bound on the optimal tour length;
-  the ascent only tightens it, and stops early once its potentials no
-  longer move.
+  step over cities 1..n-1 records the join order and each city's key, the
+  weight it joined with; after the loop each city's parent is read back
+  from them, and the degrees the ascent needs are counted from those
+  parents and city 0's two edges. Any potential vector gives a valid lower
+  bound on the optimal tour length; the ascent only tightens it, and stops
+  early once its potentials no longer move. Potentials or an upper-bound
+  hint large enough to overflow a float are a ConfigError.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -81,42 +84,62 @@ def exact_optimum(matrix: DistanceMatrix) -> Tour:
     return make_tour(order, matrix)
 
 
+@contextmanager
+def _overflow_is_config_error():
+    """Turn a float overflow or invalid operation in the block, from
+    potentials or a hint too large for the modified weights, a 1-tree or an
+    ascent step, into a ConfigError instead of an inf or NaN bound."""
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            yield
+        except FloatingPointError:
+            raise ConfigError("potentials or the upper-bound hint overflow "
+                              "the float range") from None
+
+
 def _one_tree(d: np.ndarray, pi: np.ndarray,
               buf: np.ndarray) -> Tuple[float, np.ndarray]:
     """1-tree bound and node degrees for potentials pi: the minimum 1-tree
     on the modified weights d[i][j] + pi[i] + pi[j], built in `buf`, minus
     2 * sum(pi). The 1-tree is a dense Prim MST over cities 1..n-1 plus the
     two cheapest edges at city 0; ties go to the lowest index, in the MST
-    and at city 0."""
+    and at city 0. Call it under `_overflow_is_config_error`.
+
+    The loop records only the join order and each city's key, the weight
+    it joined with; the parents are read back after it. A city's key is
+    the least offer of the cities that joined before it, and Prim's strict
+    update kept the first of equal offers, so its parent is the first city
+    in join order whose row holds its key, even when a city that joined
+    later offers the same weight.
+    """
     n = d.shape[0]
     np.add(d, pi[:, None], out=buf)
     buf += pi[None, :]
-    outside = np.ones(n, dtype=bool)  # not yet in the tree
-    outside[0] = False  # city 0 stays out of the MST
-    outside[1] = False
-    # best[j]: cheapest edge from the tree to j, inf once j is in the tree
-    best = buf[1].copy()
-    best[0] = np.inf
-    best[1] = np.inf
-    parent = np.ones(n, dtype=np.intp)  # fixed once its city joins the tree
-    mask = np.empty(n, dtype=bool)
+    # shut[k]: 0.0 while k is outside the tree, inf once it is in; added to
+    # a row, it leaves the weights to outside cities and makes the rest inf
+    shut = np.zeros(n)
+    shut[:2] = np.inf  # city 0 stays out of the MST, city 1 is its root
+    best = buf[1] + shut  # cheapest offer from the tree, inf once joined
+    cand = np.empty(n)
+    order = np.ones(n - 1, dtype=np.intp)  # join order, city 1 first
+    key = np.empty(n)
     total = 0.0
-    for _ in range(n - 2):
+    for i in range(1, n - 1):
         j = int(best.argmin())
-        total += best[j]
-        best[j] = np.inf
-        outside[j] = False
-        row = buf[j]
-        np.less(row, best, out=mask)
-        mask &= outside
-        np.copyto(best, row, where=mask)
-        parent[mask] = j
+        order[i] = j
+        key[j] = w = best[j]
+        total += w
+        shut[j] = best[j] = np.inf
+        np.add(buf[j], shut, out=cand)
+        np.minimum(best, cand, out=best)
+    # a bool gather: buf[order] would copy n x n floats
+    parent = order[(buf[:, 2:] == key[2:])[order].argmax(axis=0)]
     two = np.argsort(buf[0, 1:], kind="stable")[:2] + 1
     total += buf[0, two[0]] + buf[0, two[1]]
     # the edge ends: (j, parent[j]) for j = 2..n-1, and city 0's two edges
-    ends = np.concatenate((np.arange(2, n), parent[2:], (0, 0), two))
+    ends = np.concatenate((np.arange(2, n), parent, (0, 0), two))
     deg = np.bincount(ends, minlength=n)
-    return float(total) - 2.0 * float(pi.sum()), deg
+    return float(total - 2.0 * pi.sum()), deg
 
 
 def one_tree_value(matrix: DistanceMatrix,
@@ -128,7 +151,8 @@ def one_tree_value(matrix: DistanceMatrix,
         raise ConfigError(f"potentials must have length {matrix.n}")
     if not np.isfinite(pi).all():
         raise ConfigError("potentials must be finite")
-    return _one_tree(matrix.d, pi, np.empty_like(matrix.d))[0]
+    with _overflow_is_config_error():
+        return _one_tree(matrix.d, pi, np.empty_like(matrix.d))[0]
 
 
 def held_karp_bound(matrix: DistanceMatrix, max_iters: int = 1000,
@@ -153,7 +177,8 @@ def held_karp_bound(matrix: DistanceMatrix, max_iters: int = 1000,
         # cheap valid upper bound: nearest-neighbor-style greedy walk
         from .baselines import nearest_neighbor
         upper_bound_hint = nearest_neighbor(matrix).length
-    ub = float(upper_bound_hint)
+    # a numpy scalar, so that an overflow in the step raises
+    ub = np.float64(float(upper_bound_hint))
     if not np.isfinite(ub):
         raise ConfigError(f"upper_bound_hint must be finite, got {ub}")
 
@@ -164,29 +189,31 @@ def held_karp_bound(matrix: DistanceMatrix, max_iters: int = 1000,
     lam = 2.0
     stale = 0
     iterations = 0
-    for iterations in range(1, max_iters + 1):
-        value, deg = _one_tree(d, pi, buf)
-        if value > best:
-            best = value
-            stale = 0
-        else:
-            stale += 1
-            if stale >= 10:
-                lam *= 0.5
+    with _overflow_is_config_error():
+        for iterations in range(1, max_iters + 1):
+            value, deg = _one_tree(d, pi, buf)
+            if value > best:
+                best = value
                 stale = 0
-        g = np.subtract(deg, 2)
-        denom = float(np.dot(g, g))
-        if denom == 0.0:
-            break  # the 1-tree is a tour: bound is tight
-        step = lam * max(ub - value, 0.0) / denom
-        moved = pi + step * g
-        # Fixed point (a zero step is one at once): from here on every
-        # iteration would see this same pi, hence the same 1-tree, value and
-        # g. lam only shrinks, so the step only shrinks, and floating-point
-        # rounding is monotone, so pi + step * g would round back to pi every
-        # time. pi never moves again and best never changes: stopping now
-        # returns the bound that running all max_iters iterations would.
-        if np.array_equal(moved, pi):
-            break
-        pi = moved
+            else:
+                stale += 1
+                if stale >= 10:
+                    lam *= 0.5
+                    stale = 0
+            g = np.subtract(deg, 2)
+            denom = float(np.dot(g, g))
+            if denom == 0.0:
+                break  # the 1-tree is a tour: bound is tight
+            step = lam * max(ub - value, 0.0) / denom
+            moved = pi + step * g
+            # Fixed point (a zero step is one at once): from here on every
+            # iteration would see this same pi, hence the same 1-tree, value
+            # and g. lam only shrinks, so the step only shrinks, and
+            # floating-point rounding is monotone, so pi + step * g would
+            # round back to pi every time. pi never moves again and best
+            # never changes: stopping now returns the bound that running all
+            # max_iters iterations would.
+            if np.array_equal(moved, pi):
+                break
+            pi = moved
     return LowerBoundResult(bound=best, iterations_used=iterations)

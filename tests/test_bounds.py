@@ -5,6 +5,7 @@ import pytest
 
 import bounds_oracle
 import tourcraft as tc
+from tourcraft import bounds
 from tourcraft.bounds import EXACT_MAX_N
 from conftest import (brute_force_optimum, load_instance, memory_slack,
                       random_matrix, tie_heavy_matrix, traced_peak,
@@ -112,6 +113,14 @@ class TestOneTree:
         with pytest.raises(tc.ConfigError, match="finite"):
             tc.one_tree_value(random_matrix(10, 0), pi)
 
+    @pytest.mark.parametrize("pi", [[1e308] * 6,
+                                    [1e308, -1e308, 0, 0, 0, 0]])
+    def test_rejects_overflowing_potentials(self, pi):
+        # the modified weights overflow: these returned nan and -inf
+        m = tc.build_distance_matrix(tc.generate_random_euclidean(6, 1, 100.0))
+        with pytest.raises(tc.ConfigError, match="overflow"):
+            tc.one_tree_value(m, pi)
+
 
 class TestHeldKarpBound:
     def test_single_iteration_is_plain_one_tree(self):
@@ -137,6 +146,12 @@ class TestHeldKarpBound:
         # inf gave NaN potentials, NaN silently returned the first 1-tree
         with pytest.raises(tc.ConfigError, match="finite"):
             tc.held_karp_bound(random_matrix(10, 0), upper_bound_hint=bad)
+
+    def test_rejects_overflowing_hint(self):
+        # the step overflows: this warned and iterated on NaN potentials
+        m = tc.build_distance_matrix(tc.generate_random_euclidean(6, 1, 100.0))
+        with pytest.raises(tc.ConfigError, match="overflow"):
+            tc.held_karp_bound(m, 50, upper_bound_hint=1e308)
 
     def test_best_so_far_monotone(self):
         m = random_matrix(15, 11)
@@ -180,6 +195,43 @@ class TestMatchesOracle:
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 8, 11, 15, 20, 30, 40, 150])
     def test_tie_heavy_bounds(self, n, iters):
         self.assert_bounds_match(tie_heavy_matrix(n, n), iters)
+
+    @pytest.mark.parametrize("kind", ["random", "box10", "ties"])
+    @pytest.mark.parametrize("n", [3, 4, 5, 7, 10, 16, 25, 40, 64, 150])
+    def test_each_one_tree(self, monkeypatch, kind, n):
+        # every 1-tree an ascent builds: the value bits and the degrees
+        m = {"random": lambda: random_matrix(n, 4000 + n, 1_000_000),
+             "box10": lambda: random_matrix(n, 5000 + n, 10),
+             "ties": lambda: tie_heavy_matrix(n, 6000 + n)}[kind]()
+        seen = []
+
+        def recorded(d, pi, buf):
+            value, deg = one_tree(d, pi, buf)
+            seen.append((pi.copy(), value, deg))
+            return value, deg
+
+        one_tree = bounds._one_tree
+        monkeypatch.setattr(bounds, "_one_tree", recorded)
+        tc.held_karp_bound(m, 300)
+        for pi, value, deg in seen:
+            total, want = bounds_oracle.min_one_tree(
+                m.d + pi[:, None] + pi[None, :])
+            assert value.hex() == (total - 2.0 * float(pi.sum())).hex()
+            assert np.array_equal(deg, want)
+
+    def test_one_tree_keeps_first_equal_offer(self):
+        # Prim joins 1, 2, 3, 4, 5. City 4 joins with weight 5, offered
+        # first by city 1 and again by city 3, which joins later, and by
+        # city 5 after it: its parent is city 1.
+        d = np.zeros((6, 6))
+        for (i, j), w in {(0, 1): 7, (0, 2): 8, (0, 3): 9, (0, 4): 6,
+                          (0, 5): 10, (1, 2): 1, (1, 3): 6, (1, 4): 5,
+                          (1, 5): 20, (2, 3): 2, (2, 4): 10, (2, 5): 20,
+                          (3, 4): 5, (3, 5): 20, (4, 5): 5}.items():
+            d[i, j] = d[j, i] = w
+        value, deg = bounds._one_tree(d, np.zeros(6), np.empty_like(d))
+        assert value == 26.0
+        assert deg.tolist() == [2, 3, 2, 1, 3, 1]
 
     @pytest.mark.parametrize("n", range(3, EXACT_MAX_N + 1))
     def test_exact_orders(self, n):
