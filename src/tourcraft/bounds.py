@@ -1,11 +1,14 @@
 """Reference values for error computation.
 
 * exact_optimum: dynamic programming over subsets (exact, n <= 15), filled
-  one popcount layer at a time: for every subset size and every city j,
-  one numpy min over the table rows of the subsets without j. Each
-  candidate is the same single float addition as in a scalar loop and the
-  min is exact, so the table, and the lexicographically smallest optimal
-  order read back from it, do not depend on the evaluation order.
+  one popcount layer at a time. The table is stored k-major, one row per
+  start city and one column per subset, so for every subset size and
+  every city j one `take` gathers the columns of the subsets without j
+  and one numpy min runs down them. Each candidate is the same single
+  float addition as in a scalar loop and the min is exact, so the table,
+  and the lexicographically smallest optimal order read back from it, do
+  not depend on the evaluation order or the layout. Weights whose path
+  sums overflow a float are a ConfigError.
 * one_tree_value / held_karp_bound: minimum 1-trees with node potentials,
   improved by subgradient ascent. One function builds a 1-tree: Prim's
   step over cities 1..n-1 records the join order and each city's key, the
@@ -49,52 +52,62 @@ def exact_optimum(matrix: DistanceMatrix) -> Tour:
     d = matrix.d
     m = n - 1  # cities 1..n-1 mapped to bits 0..m-1
     full = (1 << m) - 1
-    # h[mask, j] = shortest path that starts at city j+1, visits exactly the
-    # cities in mask (which contains j), and ends at city 0; inf elsewhere,
-    # so a min over a whole row only sees the cities in its mask.
+    # ht[k, mask] = shortest path that starts at city k+1, visits exactly
+    # the cities in mask (which contains k), and ends at city 0; inf
+    # elsewhere, so a min over a whole column only sees the cities in its
+    # mask. Stored k-major, so one step gathers its columns with one take.
     bits = 1 << np.arange(m)
     masks = np.arange(full + 1)
     popcount = np.zeros(full + 1, dtype=int)
     for bit in bits:
         popcount += (masks & bit) != 0
-    h = np.full((full + 1, m), np.inf)
-    h[bits, np.arange(m)] = d[1:, 0]
-    inner = d[1:, 1:]
-    for size in range(2, m + 1):
-        layer = masks[popcount == size]
-        for j in range(m):
-            has = layer[(layer & bits[j]) != 0]
-            h[has, j] = (h[has ^ bits[j]] + inner[j]).min(axis=1)
+    ht = np.full((m, full + 1), np.inf)
+    inner_t = d[1:, 1:].T  # inner_t[k, j] = d[j+1, k+1]
+    with _overflow_is_config_error(
+            "distances too large: the exact DP's path lengths overflow the "
+            "float range"):
+        ht[np.arange(m), bits] = d[1:, 0]
+        for size in range(2, m + 1):
+            layer = masks[popcount == size]
+            for j in range(m):
+                has = layer[(layer & bits[j]) != 0]
+                w = ht.take(has ^ bits[j], axis=1)
+                w += inner_t[:, j:j + 1]
+                ht[j, has] = w.min(axis=0)
 
-    # h is inf outside each mask, so only cities still to visit can match
-    order = [0]
-    mask_cur = full
-    cur = 0
-    remaining = (d[0, 1:] + h[full]).min()
-    while mask_cur:
-        left = d[cur, 1:] + h[mask_cur]
-        match = np.flatnonzero(left == remaining)
-        if not match.size:  # pragma: no cover - float safety net
-            raise AssertionError("exact DP reconstruction failed")
-        j = int(match[0])
-        order.append(j + 1)
-        remaining = h[mask_cur, j]
-        mask_cur ^= 1 << j
-        cur = j + 1
+        # h is inf outside each mask, so only cities still to visit can
+        # match
+        h = ht.T
+        order = [0]
+        mask_cur = full
+        cur = 0
+        remaining = (d[0, 1:] + h[full]).min()
+        while mask_cur:
+            left = d[cur, 1:] + h[mask_cur]
+            match = np.flatnonzero(left == remaining)
+            if not match.size:  # pragma: no cover - float safety net
+                raise AssertionError("exact DP reconstruction failed")
+            j = int(match[0])
+            order.append(j + 1)
+            remaining = h[mask_cur, j]
+            mask_cur ^= 1 << j
+            cur = j + 1
     return make_tour(order, matrix)
 
 
 @contextmanager
-def _overflow_is_config_error():
-    """Turn a float overflow or invalid operation in the block, from
-    potentials or a hint too large for the modified weights, a 1-tree or an
-    ascent step, into a ConfigError instead of an inf or NaN bound."""
+def _overflow_is_config_error(message: str = "potentials or the upper-bound "
+                              "hint overflow the float range"):
+    """Turn a float overflow or invalid operation in the block into a
+    ConfigError with `message`, instead of an inf or NaN value: in the
+    ascent, from potentials or a hint too large for the modified weights,
+    a 1-tree or a step; in the exact DP, from weights whose path sums
+    overflow."""
     with np.errstate(over="raise", invalid="raise"):
         try:
             yield
         except FloatingPointError:
-            raise ConfigError("potentials or the upper-bound hint overflow "
-                              "the float range") from None
+            raise ConfigError(message) from None
 
 
 def _one_tree(d: np.ndarray, pi: np.ndarray,

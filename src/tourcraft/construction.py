@@ -6,9 +6,9 @@ connected to the neighbor maximizing (mu^delta * sigma^epsilon) / d^gamma
 among neighbors that keep the partial tour a disjoint set of paths. Step 1
 gives every city at least one edge, step 2 raises every degree to exactly 2,
 closing a single loop. The whole construction is repeated over a grid of
-exponent combinations and the shortest tour wins. The grid prices each
-construction's closed loop with the summation `tour_length` uses, and
-only the winner's loop becomes a validated Tour.
+exponent combinations and the shortest tour wins. The grid prices the
+closed loops of each neighbour rule together, with the summation
+`tour_length` uses, and only the winner's loop becomes a validated Tour.
 
 Each step reads a short candidate list instead of the whole row of
 neighbour scores, with the same result. A score matrix, whose -inf diagonal
@@ -43,7 +43,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError
-from .instance import (CityStats, DistanceMatrix, Tour, _loop_length,
+from .instance import (CityStats, DistanceMatrix, Tour, _loop_lengths,
                        _require_n, make_tour)
 
 DEFAULT_EXPONENT_VALUES = (0.0, 0.5, 1.0)
@@ -353,42 +353,53 @@ def grid_search(matrix: DistanceMatrix, stats: CityStats,
     """Best construction over the exponent grid (first combo wins ties).
 
     A construction depends on its combo only through the city order of
-    (alpha, beta) and the neighbour ranking of (gamma, delta, epsilon).
-    Each distinct pair of the two is constructed once, for the first grid
-    point that has it, and every later grid point with the same pair has
-    the same tour. Score matrices are filled one at a time into one buffer
-    and ranked once for all the orders run against them, or not at all
-    when only one order is. Each construction's closed loop is priced with
-    the summation `tour_length` uses, and only the winner's loop becomes a
-    validated `Tour`. `neighbor_evaluations` is n(n - 1) per construction
-    actually run.
+    (alpha, beta) and its neighbour rule, the ranking of (gamma, delta,
+    epsilon). Orders are compared as exact index sequences. A gamma = 0
+    rule reads nothing but its ranking, which is the eq. 1 order of
+    (delta, epsilon), so it is keyed by that index sequence too; any other
+    rule is keyed by its exponents. Each distinct pair of order and rule
+    is constructed once, for the first grid point that has it, and every
+    later grid point with the same pair has the same tour. Score matrices
+    are filled one at a time into one buffer and ranked once for all the
+    orders run against them, or not at all when only one order is. The
+    closed loops of one rule are priced together with the summation
+    `tour_length` uses, and only the winner's loop becomes a validated
+    `Tour`. `neighbor_evaluations` is n(n - 1) per construction actually
+    run.
     """
     combos = list(grid) if grid is not None else default_grid()
     if not combos:
         raise ConfigError("exponent grid must be non-empty")
-    # (gamma, delta, epsilon) -> {city order: index of its first grid point};
-    # orders are compared as exact index sequences, not by their exponents
-    orders = {}
+    orders = {}  # exponent pair -> its eq. 1 order
+
+    def order_of(a: float, b: float) -> Tuple[int, ...]:
+        if (a, b) not in orders:
+            orders[a, b] = _city_order(stats, a, b)
+        return orders[a, b]
+
+    city_orders = [order_of(c.alpha, c.beta) for c in combos]
+    # neighbour rule -> {city order: index of its first grid point}; a rule
+    # key starts with gamma, so a ranking never equals a set of exponents
     first = {}
-    for i, combo in enumerate(combos):
-        ab = (combo.alpha, combo.beta)
-        if ab not in orders:
-            orders[ab] = _city_order(stats, combo.alpha, combo.beta)
-        first.setdefault(combo.as_tuple()[2:], {}).setdefault(orders[ab], i)
+    for i, c in enumerate(combos):
+        rule = ((0.0, order_of(c.delta, c.epsilon)) if c.gamma == 0.0
+                else (c.gamma, c.delta, c.epsilon))
+        first.setdefault(rule, {}).setdefault(city_orders[i], i)
     n = _require_n(matrix)
     buffer = np.empty_like(matrix.heuristic)
     best, best_loop = (math.inf, -1), None
-    for (gamma, delta, epsilon), runs in first.items():
-        ranked = RankedScores(matrix, stats, gamma, delta, epsilon, buffer,
-                              shared=len(runs) > 1)
-        for order, i in runs.items():
-            loop = _construct(order, ranked)
-            # shortest tour, earliest grid point on ties: what a scan in grid
-            # order that keeps each strictly shorter tour picks
-            key = (_loop_length(loop, matrix), i)
-            if key < best:
-                best, best_loop = key, loop
+    for runs in first.values():
+        c = combos[next(iter(runs.values()))]
+        ranked = RankedScores(matrix, stats, c.gamma, c.delta, c.epsilon,
+                              buffer, shared=len(runs) > 1)
+        loops = [_construct(order, ranked) for order in runs]
         del ranked  # its lists go before the next matrix is ranked
+        prices = _loop_lengths(loops, matrix).tolist()
+        for price, i, loop in zip(prices, runs.values(), loops):
+            # shortest tour, earliest grid point on ties: what a scan in
+            # grid order that keeps each strictly shorter tour picks
+            if (price, i) < best:
+                best, best_loop = (price, i), loop
     length, i = best
     tour = make_tour(best_loop, matrix)
     assert tour.length == length, "the winner's length is not its price"

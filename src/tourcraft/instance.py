@@ -183,16 +183,23 @@ def build_distance_matrix(instance: Instance) -> DistanceMatrix:
 
 def city_stats(matrix: DistanceMatrix) -> CityStats:
     """Mean and population standard deviation of each city's n-1 distances
-    in the heuristic geometry."""
+    in the heuristic geometry. Distances so large that a sum or a square
+    overflows a float are a ValidationError; an underflow is not."""
     n = matrix.n
     if n < 2:
         raise DegenerateInstanceError("city statistics need at least 2 cities")
     d = matrix.heuristic
-    mu = d.sum(axis=1) / (n - 1)
-    # The diagonal is 0, so summing (d - mu)^2 over all j adds an extra mu^2.
-    dev = d - mu[:, None]
-    dev *= dev
-    var = (np.sum(dev, axis=1) - mu * mu) / (n - 1)
+    with np.errstate(over="raise"):
+        try:
+            mu = d.sum(axis=1) / (n - 1)
+            # The diagonal is 0, so summing (d - mu)^2 over all j adds an
+            # extra mu^2.
+            dev = d - mu[:, None]
+            dev *= dev
+            var = (np.sum(dev, axis=1) - mu * mu) / (n - 1)
+        except FloatingPointError:
+            raise ValidationError("distances too large: the city statistics "
+                                  "overflow the float range") from None
     sigma = np.sqrt(np.clip(var, 0.0, None))
     mu.setflags(write=False)
     sigma.setflags(write=False)
@@ -214,15 +221,23 @@ def tour_length(order: Sequence[int], matrix: DistanceMatrix) -> float:
         unexpected = sorted(c for c, k in surplus.items() if k > 0)
         raise ValidationError(f"not a tour of {matrix.n} cities: missing "
                               f"{missing}, unexpected {unexpected}")
-    return _loop_length(order, matrix)
+    return float(_loop_lengths([order], matrix)[0])
 
 
-def _loop_length(order: Sequence[int], matrix: DistanceMatrix) -> float:
-    """The length of the closed loop through `order`, unchecked: the one
-    summation every tour length comes from, so equal orders give equal
-    floats."""
-    idx = np.asarray(order, dtype=int)
-    return float(matrix.d[idx, np.concatenate((idx[1:], idx[:1]))].sum())
+def _loop_lengths(orders, matrix: DistanceMatrix) -> np.ndarray:
+    """The lengths of the closed loops through the rows of `orders`, an
+    r x n index array, unchecked: the one summation every tour length
+    comes from. A row sums the same operands in the same order as a loop
+    alone, so equal orders give equal floats. A length that overflows a
+    float is a ValidationError."""
+    idx = np.asarray(orders, dtype=int)
+    following = np.concatenate((idx[:, 1:], idx[:, :1]), axis=1)
+    with np.errstate(over="raise"):
+        try:
+            return matrix.d[idx, following].sum(axis=1)
+        except FloatingPointError:
+            raise ValidationError("distances too large: a tour length "
+                                  "overflows the float range") from None
 
 
 def make_tour(order: Sequence[int], matrix: DistanceMatrix) -> Tour:

@@ -39,6 +39,20 @@ def tie_heavy_matrix(n: int, seed: int) -> tc.DistanceMatrix:
     return tc.build_distance_matrix(inst)
 
 
+def fractional_matrix(n: int, seed: int) -> tc.DistanceMatrix:
+    """EXPLICIT instance with fractional weights in [0, 10): a length
+    summed in another order may differ in its last bits."""
+    w = np.triu(np.random.default_rng(seed).random((n, n)) * 10, 1)
+    inst = tc.Instance("frac", n, "EXPLICIT", explicit_weights=w + w.T)
+    return tc.build_distance_matrix(inst)
+
+
+def uniform_matrix(n: int, weight: float) -> tc.DistanceMatrix:
+    """Every off-diagonal distance `weight`: with a huge one, every sum of
+    distances overflows a float."""
+    return tc.DistanceMatrix(n, weight * (np.ones((n, n)) - np.eye(n)))
+
+
 def unrounded_matrix(coords) -> tc.DistanceMatrix:
     """Exact Euclidean distances, bypassing the TSPLIB rounding rules."""
     pts = np.asarray(coords, dtype=float)

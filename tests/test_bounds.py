@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ import bounds_oracle
 import tourcraft as tc
 from tourcraft import bounds
 from tourcraft.bounds import EXACT_MAX_N
-from conftest import (brute_force_optimum, load_instance, memory_slack,
-                      random_matrix, tie_heavy_matrix, traced_peak,
-                      unrounded_matrix)
+from conftest import (brute_force_optimum, fractional_matrix, load_instance,
+                      memory_slack, random_matrix, tie_heavy_matrix,
+                      traced_peak, uniform_matrix, unrounded_matrix)
 
 
 class TestExactOptimum:
@@ -41,6 +42,18 @@ class TestExactOptimum:
         a = tc.exact_optimum(m)
         b = tc.exact_optimum(m)
         assert a == b and a.order[0] == 0
+
+    def test_overflowing_path_sums_rejected(self):
+        # every path sum overflows to inf: the read-back then matched cities
+        # outside its mask and re-added them with the XOR, so it never ended
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(tc.ConfigError, match="overflow"):
+                tc.exact_optimum(uniform_matrix(5, 1e308))
+
+    def test_largest_finite_path_sums(self):
+        t = tc.exact_optimum(uniform_matrix(5, 1e307))
+        assert t.order == (0, 1, 2, 3, 4) and t.length == 5e307
 
     def test_size_limit(self):
         m = random_matrix(16, 1)
@@ -235,7 +248,8 @@ class TestMatchesOracle:
 
     @pytest.mark.parametrize("n", range(3, EXACT_MAX_N + 1))
     def test_exact_orders(self, n):
-        for m in (random_matrix(n, 2000 + n), tie_heavy_matrix(n, 3000 + n)):
+        for m in (random_matrix(n, 2000 + n), tie_heavy_matrix(n, 3000 + n),
+                  fractional_matrix(n, 7000 + n)):
             assert list(tc.exact_optimum(m).order) == \
                 bounds_oracle.exact_optimum(m)
 

@@ -1,4 +1,7 @@
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -156,3 +159,25 @@ def test_bad_input_is_an_error_line(tmp_path, capsys, argv, tsp):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("command,weight", [
+    ("solve", "1e200"), ("solve", "1e308"), ("bound", "1e308"),
+    ("bench", "1e308")])
+def test_overflowing_weights_are_an_error_line(tmp_path, command, weight):
+    # solve warned and carried NaN sigmas or blamed the exponents, bound
+    # blamed an upper-bound hint nobody gave, and bench --methods nn never
+    # ended in the exact DP's read-back
+    f = tmp_path / "huge.tsp"
+    f.write_text(EXPLICIT_HEAD + "DIMENSION: 5\nEDGE_WEIGHT_SECTION\n" +
+                 " ".join([weight] * 10) + "\nEOF\n")
+    argv = {"solve": ["solve", str(f)], "bound": ["bound", str(f)],
+            "bench": ["bench", "--tsplib", str(tmp_path),
+                      "--methods", "nn"]}[command]
+    src = Path(tc.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "tourcraft.cli", *argv], capture_output=True,
+        text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: distances too large")
+    assert proc.stderr.count("\n") == 1 and "Warning" not in proc.stderr

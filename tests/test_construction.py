@@ -11,9 +11,10 @@ import pytest
 
 import tourcraft as tc
 import tourcraft.construction as construction
-from conftest import (brute_force_optimum, load_instance, memory_slack,
-                      random_matrix, tie_heavy_matrix, traced_peak,
-                      triangle_345, unrounded_matrix)
+from conftest import (brute_force_optimum, fractional_matrix, load_instance,
+                      memory_slack, random_matrix, tie_heavy_matrix,
+                      traced_peak, triangle_345, uniform_matrix,
+                      unrounded_matrix)
 from paper_oracle import construct_order, eq1_priority, eq2_priority
 
 
@@ -392,7 +393,7 @@ def coincident_matrix():
 
 
 def equidistant_matrix(n=5):
-    return tc.DistanceMatrix(n, np.ones((n, n)) - np.eye(n))  # sigma = 0
+    return uniform_matrix(n, 1.0)  # sigma = 0
 
 
 def all_coincident_matrix(n=5):
@@ -455,13 +456,9 @@ class TestGridMatchesBruteGrid:
         for m in (random_matrix(30, 5), coincident_matrix()):
             assert_grid_matches_brute_grid(m, grid)
 
-    def test_constructs_each_distinct_pair_once(self, monkeypatch):
-        m = random_matrix(20, 13)
-        stats = tc.city_stats(m)
-        mu, sigma = stats.mu.tolist(), stats.sigma.tolist()
-        orders = {tuple(sorted(range(20), key=lambda c: (
-            -eq1_priority(mu[c], sigma[c], a, b), c)))
-            for a in (0, 0.5, 1) for b in (0, 0.5, 1)}
+    @staticmethod
+    def counted_constructions(monkeypatch):
+        """The (order, ranked scores) of every construction run from now."""
         calls = []
         construct = construction._construct
 
@@ -471,9 +468,56 @@ class TestGridMatchesBruteGrid:
             return construct(order, ranked)
 
         monkeypatch.setattr(construction, "_construct", counted)
+        return calls
+
+    def test_constructs_each_distinct_pair_once(self, monkeypatch):
+        m = random_matrix(20, 13)
+        stats = tc.city_stats(m)
+        mu, sigma = stats.mu.tolist(), stats.sigma.tolist()
+        orders = {tuple(sorted(range(20), key=lambda c: (
+            -eq1_priority(mu[c], sigma[c], a, b), c)))
+            for a in (0, 0.5, 1) for b in (0, 0.5, 1)}
+        calls = self.counted_constructions(monkeypatch)
         result = tc.grid_search(m, stats)
-        assert len(calls) == len(set(calls)) == 27 * len(orders) < 243
+        # 18 gamma != 0 rules, and one gamma = 0 rule per distinct ranking:
+        # the (delta, epsilon) rankings are the same len(orders) sequences
+        assert len(calls) == len(set(calls)) == \
+            (18 + len(orders)) * len(orders) < 243
         assert result.neighbor_evaluations == len(calls) * 20 * 19
+
+    def test_equal_gamma_zero_rankings_construct_once(self, monkeypatch):
+        # mu and mu^2 rank the cities alike, so the gamma = 0 rules of
+        # (delta, epsilon) = (1, 0) and (2, 0) are one rule: each city order
+        # is constructed with it once, for its first grid point
+        m = random_matrix(20, 13)
+        stats = tc.city_stats(m)
+        assert construction._city_order(stats, 1, 0) == \
+            construction._city_order(stats, 2, 0)
+        grid = [tc.ExponentCombo(a, 0, 0, delta, 0)
+                for a in (0, 1) for delta in (1, 2)]
+        calls = self.counted_constructions(monkeypatch)
+        result = tc.grid_search(m, stats, grid)
+        assert len(calls) == len(set(calls)) == 2
+        assert len({id(ranked) for _, ranked in calls}) == 1
+        assert result.combo in (grid[0], grid[2])
+        assert result.neighbor_evaluations == 2 * 20 * 19
+        assert_grid_matches_brute_grid(m, grid)
+
+    def test_distinct_gamma_zero_rankings_each_construct(self, monkeypatch):
+        # rankings by index, mu, sigma and mu * sigma all differ here, so
+        # every grid point keeps its own construction
+        m = random_matrix(20, 13)
+        stats = tc.city_stats(m)
+        pairs = ((0, 0), (1, 0), (0, 1), (1, 1))
+        rankings = {construction._city_order(stats, *p) for p in pairs}
+        assert len(rankings) == len(pairs)
+        grid = [tc.ExponentCombo(a, 0, 0, *p) for a in (0, 1) for p in pairs]
+        calls = self.counted_constructions(monkeypatch)
+        result = tc.grid_search(m, stats, grid)
+        assert len(calls) == len(set(calls)) == len(grid)
+        assert {ranked.ranking for _, ranked in calls} == rankings
+        assert result.neighbor_evaluations == len(grid) * 20 * 19
+        assert_grid_matches_brute_grid(m, grid)
 
     def test_sigma_zero_raises_no_warning(self):
         m = equidistant_matrix()
@@ -573,14 +617,6 @@ def test_one_off_scores_are_not_ranked(monkeypatch):
             want = tuple(order_of(combo))
             assert tc.construct_tour(m, stats, combo).tour.order == want
             assert tc.grid_search(m, stats, [combo]).tour.order == want
-
-
-def fractional_matrix(n: int, seed: int) -> tc.DistanceMatrix:
-    """EXPLICIT instance with fractional weights in [0, 10): a length
-    summed in another order may differ in its last bits."""
-    w = np.triu(np.random.default_rng(seed).random((n, n)) * 10, 1)
-    inst = tc.Instance("frac", n, "EXPLICIT", explicit_weights=w + w.T)
-    return tc.build_distance_matrix(inst)
 
 
 @pytest.mark.parametrize("grid", [None, CANDIDATE_GRID],

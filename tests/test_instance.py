@@ -1,10 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import tourcraft as tc
-from conftest import (DATA_DIR, memory_slack, random_matrix, traced_peak,
+from tourcraft import instance
+from conftest import (DATA_DIR, fractional_matrix, memory_slack,
+                      random_matrix, traced_peak, uniform_matrix,
                       unrounded_matrix)
 
 
@@ -248,6 +251,61 @@ class TestTourLength:
         m = random_matrix(4, 0)
         with pytest.raises(tc.ValidationError):
             tc.tour_length([0, 1, 1, 3], m)
+
+
+class TestLoopLengths:
+    """A row of `_loop_lengths` is the float a loop summed alone gives,
+    across numpy's summation block edges (8 and 128 elements, and its
+    8192-element buffer)."""
+
+    @staticmethod
+    def assert_rows_sum_alone(m, rows=5):
+        rng = np.random.default_rng(m.n)
+        orders = np.array([rng.permutation(m.n) for _ in range(rows)])
+        lengths = instance._loop_lengths(orders, m).tolist()
+        for order, length in zip(orders, lengths):
+            alone = float(m.d[order, np.roll(order, -1)].sum())
+            assert length.hex() == alone.hex()
+
+    @pytest.mark.parametrize("n", [3, 7, 8, 9, 16, 17, 127, 128, 129, 255,
+                                   256, 257, 1000])
+    def test_fractional_weights(self, n):
+        self.assert_rows_sum_alone(fractional_matrix(n, n))
+
+    @pytest.mark.parametrize("n", [8191, 8192, 8193, 9000])
+    def test_past_the_buffer_size(self, n):
+        # d[i, j] = w[j], a read-only view: no n x n array is held
+        w = np.random.default_rng(n).random(n) * 10
+        self.assert_rows_sum_alone(
+            tc.DistanceMatrix(n, np.broadcast_to(w, (n, n))), rows=3)
+
+
+class TestFloatRange:
+    """Distances whose statistics or tour lengths overflow a float are a
+    ValidationError, raised without a warning; tiny ones, whose squares
+    underflow, are not an error."""
+
+    @pytest.mark.parametrize("weight", [1e200, 1e308])
+    def test_overflowing_stats_rejected(self, weight):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(tc.ValidationError, match="overflow"):
+                tc.city_stats(uniform_matrix(5, weight))
+
+    def test_overflowing_tour_length_rejected(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(tc.ValidationError, match="overflow"):
+                tc.tour_length(range(5), uniform_matrix(5, 1e308))
+
+    def test_underflow_is_not_an_error(self):
+        m = tc.DistanceMatrix(6, fractional_matrix(6, 1).d * 1e-200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = tc.city_stats(uniform_matrix(5, 1e-200))
+            assert (s.mu == 1e-200).all() and (s.sigma == 0).all()
+            assert (tc.city_stats(m).mu > 0).all()
+            assert tc.tour_length(range(6), m) > 0
 
 
 class TestValidateTour:
