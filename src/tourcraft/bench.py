@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from .baselines import clarke_wright, greedy_edge, nearest_neighbor
-from .bounds import exact_optimum, held_karp_bound
-from .construction import ExponentCombo, default_grid, grid_search
+from .bounds import ASCENT_ITERS, exact_optimum, held_karp_bound
+from .construction import ExponentCombo, grid_search
 from .errors import ConfigError
 from .instance import (DistanceMatrix, Instance, build_distance_matrix,
                        city_stats)
@@ -49,7 +49,7 @@ class RunConfig:
     methods: Tuple[str, ...] = ("proposed",)
     grid: Optional[List[ExponentCombo]] = None
     optima: Optional[OptimaTable] = None
-    bound_iters: int = 1000
+    bound_iters: int = ASCENT_ITERS
 
     def validate(self) -> None:
         if not self.instances:
@@ -103,7 +103,6 @@ def run_benchmark(config: RunConfig) -> List[BenchRecord]:
     """
     config.validate()
     optima = config.optima if config.optima is not None else default_optima()
-    grid = config.grid if config.grid is not None else default_grid()
     records: List[BenchRecord] = []
     for instance in config.instances:
         matrix = build_distance_matrix(instance)
@@ -111,7 +110,7 @@ def run_benchmark(config: RunConfig) -> List[BenchRecord]:
         reference: Optional[Tuple[float, str]] = None
         for method in sorted(config.methods, key=METHODS.index):
             t0 = time.perf_counter()
-            length, combo = _solve(method, matrix, stats, grid)
+            length, combo = _solve(method, matrix, stats, config.grid)
             millis = (time.perf_counter() - t0) * 1000.0
             if reference is None:
                 reference = _reference(instance, matrix, optima,

@@ -32,6 +32,7 @@ from .errors import ConfigError, SizeLimitError
 from .instance import DistanceMatrix, Tour, _require_n, make_tour
 
 EXACT_MAX_N = 15
+ASCENT_ITERS = 1000  # the Held-Karp ascent's default iteration budget
 
 
 @dataclass(frozen=True)
@@ -168,7 +169,7 @@ def one_tree_value(matrix: DistanceMatrix,
         return _one_tree(matrix.d, pi, np.empty_like(matrix.d))[0]
 
 
-def held_karp_bound(matrix: DistanceMatrix, max_iters: int = 1000,
+def held_karp_bound(matrix: DistanceMatrix, max_iters: int = ASCENT_ITERS,
                     upper_bound_hint: Optional[float] = None,
                     ) -> LowerBoundResult:
     """Subgradient ascent on the 1-tree bound.

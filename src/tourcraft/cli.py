@@ -8,14 +8,13 @@ from pathlib import Path
 from typing import List, Optional
 
 from .bench import RunConfig, render_report, run_benchmark
-from .bounds import held_karp_bound
+from .bounds import ASCENT_ITERS, held_karp_bound
 from .construction import ExponentCombo, default_grid, grid_search
 from .errors import ConfigError, ParseError, TourcraftError
 from .instance import (Instance, build_distance_matrix, city_stats,
                        generate_random_euclidean)
 from .svgplot import plot_tour_svg
-from .tsplib import (default_optima, load_optima, parse_tsplib, write_tour,
-                     write_tsplib)
+from .tsplib import load_optima, parse_tsplib, write_tour, write_tsplib
 
 RANDOM_BOX = 1_000_000.0  # side of the square random instances fill
 
@@ -27,11 +26,12 @@ def _numbers(spec: str, sep: str, cast=float) -> list:
         raise ConfigError(f"malformed number in {spec!r}")
 
 
-def _parse_grid(spec: Optional[str]) -> List[ExponentCombo]:
+def _parse_grid(spec: Optional[str]) -> Optional[List[ExponentCombo]]:
     """--grid accepts either a value set '0,0.5,1' (full Cartesian grid) or
-    explicit combos 'a:b:g:d:e;a:b:g:d:e;...'."""
+    explicit combos 'a:b:g:d:e;a:b:g:d:e;...'; without it, the default
+    grid."""
     if spec is None:
-        return default_grid()
+        return None
     if ";" in spec or ":" in spec:
         combos = []
         for part in spec.split(";"):
@@ -89,8 +89,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         instances=instances,
         methods=tuple(args.methods.split(",")),
         grid=_parse_grid(args.grid),
-        optima=(_read(args.optima, load_optima)
-                if args.optima else default_optima()),
+        optima=_read(args.optima, load_optima) if args.optima else None,
         bound_iters=args.iters,
     )
     report = render_report(run_benchmark(config), args.format)
@@ -139,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", default="proposed",
                    help="comma list of proposed,nn,greedy,cw")
     p.add_argument("--grid")
-    p.add_argument("--iters", type=int, default=1000,
+    p.add_argument("--iters", type=int, default=ASCENT_ITERS,
                    help="lower-bound ascent iterations")
     p.add_argument("--format", choices=("csv", "md"), default="csv")
     p.add_argument("--out")
@@ -154,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="print the Held-Karp ascent bound")
     p.add_argument("file")
-    p.add_argument("--iters", type=int, default=1000)
+    p.add_argument("--iters", type=int, default=ASCENT_ITERS)
     p.set_defaults(func=_cmd_bound)
 
     return parser

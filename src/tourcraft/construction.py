@@ -19,7 +19,10 @@ smaller, by (-score, index). The strict cut keeps or drops a tie as a
 whole, so the first admissible listed neighbour is the first maximum of
 the masked row; when every listed one is closed, and in a matrix read
 once, which lists none, the step scans the whole row. With gamma = 0 every
-row is the numerator, ranked as the eq. 1 order of (delta, epsilon).
+row is the numerator, ranked as the eq. 1 order of (delta, epsilon), so
+such a neighbour rule is keyed by that ranking, (0.0, ranking), and any
+other by its exponents, (gamma, delta, epsilon). `construct_tour` is the
+grid of one point.
 
 Conventions (fixed for determinism):
 
@@ -76,6 +79,9 @@ def default_grid(values: Sequence[float] = DEFAULT_EXPONENT_VALUES,
         raise ConfigError("exponent value set must be non-empty")
     vals = sorted(float(v) for v in values)
     return [ExponentCombo(*combo) for combo in itertools.product(vals, repeat=5)]
+
+
+DEFAULT_GRID = tuple(default_grid())
 
 
 class PathEndTracker:
@@ -219,26 +225,24 @@ def _score_rows(matrix: DistanceMatrix, stats: CityStats, gamma: float,
 
 
 class RankedScores:
-    """The eq. 2 neighbour ranking of one (gamma, delta, epsilon). For
-    gamma != 0, `scores` is the score matrix (filled into `out` if given)
-    and `rows` its `_candidate_rows` when `shared`, that is when more than
-    one construction reads it; for a single construction ranking costs
-    more than it saves, so every row lists no candidate and each step
-    scans its whole row. For gamma = 0 every row is
-    mu^delta * sigma^epsilon, so `ranking` is the eq. 1 order of
-    (delta, epsilon), and `scores` and `rows` are None."""
+    """The eq. 2 neighbour ranking of one grid rule key. For (0.0, ranking),
+    a gamma = 0 rule, every row is mu^delta * sigma^epsilon, so `ranking`
+    is that eq. 1 order, used as given, and `scores` and `rows` are None.
+    For (gamma, delta, epsilon), `scores` is the score matrix (filled into
+    `out` if given) and `rows` its `_candidate_rows` when `shared`, that is
+    when more than one construction reads it; for a single construction
+    ranking costs more than it saves, so every row lists no candidate and
+    each step scans its whole row."""
 
     __slots__ = ("scores", "rows", "ranking")
 
-    def __init__(self, matrix: DistanceMatrix, stats: CityStats,
-                 gamma: float, delta: float, epsilon: float,
+    def __init__(self, matrix: DistanceMatrix, stats: CityStats, rule: tuple,
                  out: Optional[np.ndarray] = None, shared: bool = True):
         self.scores = self.rows = self.ranking = None
-        if gamma == 0.0:
-            self.ranking = _city_order(stats, delta, epsilon)
+        if rule[0] == 0.0:
+            self.ranking = rule[1]
         else:
-            self.scores = _score_rows(matrix, stats, gamma, delta, epsilon,
-                                      out)
+            self.scores = _score_rows(matrix, stats, *rule, out)
             self.rows = (_candidate_rows(self.scores) if shared
                          else [()] * matrix.n)
 
@@ -323,34 +327,18 @@ def _construct(order: Sequence[int], ranked: RankedScores) -> List[int]:
 
 
 def construct_tour(matrix: DistanceMatrix, stats: CityStats,
-                   combo: ExponentCombo,
-                   order: Optional[Sequence[int]] = None,
-                   scores: Optional[RankedScores] = None) -> ConstructionResult:
-    """The tour of both main passes for one combo.
-
-    `order` (the cities by descending eq. 1 priority) and `scores` (the
-    ranked eq. 2 neighbour scores) are those of `combo`; they are computed
-    here unless given, and scores computed here serve this one
-    construction, so they are not ranked. A negative exponent on a zero
-    statistic, or a power that over- or underflows, is a ConfigError, as in
-    `grid_search`. `neighbor_evaluations` is the paper's nominal
-    n(n - 1): n - 1 scores for each of the n edges.
-    """
-    n = _require_n(matrix)
-    if order is None:
-        order = _city_order(stats, combo.alpha, combo.beta)
-    if scores is None:
-        scores = RankedScores(matrix, stats, combo.gamma, combo.delta,
-                              combo.epsilon, shared=False)
-    tour = make_tour(_construct(order, scores), matrix)
-    return ConstructionResult(tour=tour, combo=combo,
-                              neighbor_evaluations=n * (n - 1))
+                   combo: ExponentCombo) -> ConstructionResult:
+    """The tour of both main passes for one combo: the grid of that one
+    point, whose score matrix, read by one construction, is not ranked."""
+    return grid_search(matrix, stats, [combo])
 
 
 def grid_search(matrix: DistanceMatrix, stats: CityStats,
                 grid: Optional[Iterable[ExponentCombo]] = None,
                 ) -> ConstructionResult:
-    """Best construction over the exponent grid (first combo wins ties).
+    """Best construction over the exponent grid, `DEFAULT_GRID` unless one
+    is given (first combo wins ties). Fewer than 3 cities is a
+    DegenerateInstanceError, raised before any power is taken.
 
     A construction depends on its combo only through the city order of
     (alpha, beta) and its neighbour rule, the ranking of (gamma, delta,
@@ -367,7 +355,8 @@ def grid_search(matrix: DistanceMatrix, stats: CityStats,
     `Tour`. `neighbor_evaluations` is n(n - 1) per construction actually
     run.
     """
-    combos = list(grid) if grid is not None else default_grid()
+    n = _require_n(matrix)
+    combos = DEFAULT_GRID if grid is None else tuple(grid)
     if not combos:
         raise ConfigError("exponent grid must be non-empty")
     orders = {}  # exponent pair -> its eq. 1 order
@@ -385,13 +374,11 @@ def grid_search(matrix: DistanceMatrix, stats: CityStats,
         rule = ((0.0, order_of(c.delta, c.epsilon)) if c.gamma == 0.0
                 else (c.gamma, c.delta, c.epsilon))
         first.setdefault(rule, {}).setdefault(city_orders[i], i)
-    n = _require_n(matrix)
     buffer = np.empty_like(matrix.heuristic)
     best, best_loop = (math.inf, -1), None
-    for runs in first.values():
-        c = combos[next(iter(runs.values()))]
-        ranked = RankedScores(matrix, stats, c.gamma, c.delta, c.epsilon,
-                              buffer, shared=len(runs) > 1)
+    for rule, runs in first.items():
+        ranked = RankedScores(matrix, stats, rule, buffer,
+                              shared=len(runs) > 1)
         loops = [_construct(order, ranked) for order in runs]
         del ranked  # its lists go before the next matrix is ranked
         prices = _loop_lengths(loops, matrix).tolist()

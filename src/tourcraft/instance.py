@@ -74,7 +74,7 @@ class Instance:
                 raise ValidationError(
                     f"weight table shape {w.shape} does not match n={self.n}")
             _require_finite_nonnegative(w, "EXPLICIT weights")
-            if not np.allclose(w, w.T):
+            if not np.array_equal(w, w.T):
                 raise ValidationError("EXPLICIT weight table is not symmetric")
             if np.any(np.diag(w) != 0):
                 raise ValidationError("EXPLICIT weight table has nonzero diagonal")
@@ -183,8 +183,9 @@ def build_distance_matrix(instance: Instance) -> DistanceMatrix:
 
 def city_stats(matrix: DistanceMatrix) -> CityStats:
     """Mean and population standard deviation of each city's n-1 distances
-    in the heuristic geometry. Distances so large that a sum or a square
-    overflows a float are a ValidationError; an underflow is not."""
+    in the heuristic geometry. Distances whose row sum, or the row sum of
+    whose squared deviations from the mean, overflows a float are a
+    ValidationError; an underflow is not."""
     n = matrix.n
     if n < 2:
         raise DegenerateInstanceError("city statistics need at least 2 cities")
@@ -192,15 +193,14 @@ def city_stats(matrix: DistanceMatrix) -> CityStats:
     with np.errstate(over="raise"):
         try:
             mu = d.sum(axis=1) / (n - 1)
-            # The diagonal is 0, so summing (d - mu)^2 over all j adds an
-            # extra mu^2.
             dev = d - mu[:, None]
+            np.fill_diagonal(dev, 0.0)
             dev *= dev
-            var = (np.sum(dev, axis=1) - mu * mu) / (n - 1)
+            var = np.sum(dev, axis=1) / (n - 1)
         except FloatingPointError:
             raise ValidationError("distances too large: the city statistics "
                                   "overflow the float range") from None
-    sigma = np.sqrt(np.clip(var, 0.0, None))
+    sigma = np.sqrt(var)
     mu.setflags(write=False)
     sigma.setflags(write=False)
     return CityStats(mu=mu, sigma=sigma)

@@ -226,9 +226,18 @@ class TestConstructTour:
         assert tc.validate_tour(r.tour.order, 25)
 
     def test_rejects_degenerate(self):
+        # at n = 2 sigma is 0, so beta = -1 would be a ConfigError; every
+        # path to a tour checks the city count first
         m = tc.DistanceMatrix(2, np.array([[0.0, 1.0], [1.0, 0.0]]))
+        stats = tc.city_stats(m)
         with pytest.raises(tc.DegenerateInstanceError):
-            tc.construct_tour(m, tc.city_stats(m), tc.ExponentCombo(0, 0, 0, 0, 0))
+            tc.grid_search(m, stats)
+        for combo in (tc.ExponentCombo(0, 0, 0, 0, 0),
+                      tc.ExponentCombo(0, -1, 1, 0, 0)):
+            with pytest.raises(tc.DegenerateInstanceError):
+                tc.construct_tour(m, stats, combo)
+            with pytest.raises(tc.DegenerateInstanceError):
+                tc.grid_search(m, stats, [combo])
 
     def test_coincident_cities_connect(self):
         inst = tc.Instance("dup", 4, "EUC_2D",
@@ -596,10 +605,13 @@ class TestCandidateLists:
             stats = tc.city_stats(m)
             order_of = oracle(m, stats)
             for combo in CANDIDATE_GRID:
-                ranked = construction.RankedScores(
-                    m, stats, combo.gamma, combo.delta, combo.epsilon)
-                got = tc.construct_tour(m, stats, combo, scores=ranked)
-                assert got.tour.order == tuple(order_of(combo)), (m.n, combo)
+                g, d, e = combo.gamma, combo.delta, combo.epsilon
+                rule = ((0.0, construction._city_order(stats, d, e))
+                        if g == 0 else (g, d, e))
+                got = construction._construct(
+                    construction._city_order(stats, combo.alpha, combo.beta),
+                    construction.RankedScores(m, stats, rule))
+                assert tuple(got) == tuple(order_of(combo)), (m.n, combo)
 
 
 def test_one_off_scores_are_not_ranked(monkeypatch):
@@ -669,10 +681,10 @@ def test_gamma_zero_walk_skips_the_closed_prefix():
     m = random_matrix(n, 7)
     stats = tc.city_stats(m)
     combo = tc.ExponentCombo(1, 0, 0, 1, 0)
-    ranked = construction.RankedScores(m, stats, 0, 1, 0)
-    ranked.ranking = CountingList(ranked.ranking)
-    got = tc.construct_tour(m, stats, combo, scores=ranked)
-    assert got.tour == tc.construct_tour(m, stats, combo).tour
+    order = construction._city_order(stats, 1, 0)
+    ranked = construction.RankedScores(m, stats, (0.0, CountingList(order)))
+    got = construction._construct(order, ranked)
+    assert tuple(got) == tc.construct_tour(m, stats, combo).tour.order
     assert ranked.ranking.reads <= 10 * n, ranked.ranking.reads
 
 

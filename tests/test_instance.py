@@ -79,9 +79,13 @@ class TestDistanceMatrix:
         assert m.heuristic is m.d
 
     def test_asymmetric_explicit_rejected(self):
-        w = np.array([[0, 2], [3, 0]], dtype=float)
-        with pytest.raises(tc.ValidationError):
-            tc.Instance("bad", 2, "EXPLICIT", explicit_weights=w)
+        # the second table's triangles differ by 1e-5 relative, so a tour
+        # and its reverse would have different lengths
+        near = np.full((5, 5), 10.0) - 10.0 * np.eye(5)
+        near[0, 1], near[1, 0] = 100000.0, 100001.0
+        for w in (np.array([[0, 2], [3, 0]], dtype=float), near):
+            with pytest.raises(tc.ValidationError, match="not symmetric"):
+                tc.Instance("bad", len(w), "EXPLICIT", explicit_weights=w)
 
     def test_size_guard_before_allocation(self, monkeypatch):
         assert tc.instance.MATRIX_MAX_N >= 1000
@@ -131,12 +135,11 @@ class TestInPlaceBuilds:
             assert m.d.tobytes() == d.tobytes()
             assert m.heuristic.tobytes() == exact.tobytes()
             mu = exact.sum(axis=1) / 149
-            dev = exact - mu[:, None]
-            var = (np.sum(dev * dev, axis=1) - mu * mu) / 149
+            dev = np.where(np.eye(150, dtype=bool), 0.0, exact - mu[:, None])
+            var = np.sum(dev * dev, axis=1) / 149
             stats = tc.city_stats(m)
             assert stats.mu.tobytes() == mu.tobytes()
-            assert stats.sigma.tobytes() == \
-                np.sqrt(np.clip(var, 0.0, None)).tobytes()
+            assert stats.sigma.tobytes() == np.sqrt(var).tobytes()
 
     @pytest.mark.parametrize("kind,arrays", [("EUC_2D", 2), ("CEIL_2D", 2),
                                              ("ATT", 3)])
@@ -285,12 +288,21 @@ class TestFloatRange:
     ValidationError, raised without a warning; tiny ones, whose squares
     underflow, are not an error."""
 
-    @pytest.mark.parametrize("weight", [1e200, 1e308])
+    @pytest.mark.parametrize("weight", [1e308])
     def test_overflowing_stats_rejected(self, weight):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(tc.ValidationError, match="overflow"):
                 tc.city_stats(uniform_matrix(5, weight))
+
+    @pytest.mark.parametrize("weight", [1e155, 1e200])
+    def test_stats_that_fit_a_float_accepted(self, weight):
+        # the squares of the distances overflow, those of the deviations
+        # from the mean do not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = tc.city_stats(uniform_matrix(5, weight))
+        assert (s.mu == weight).all() and (s.sigma == 0).all()
 
     def test_overflowing_tour_length_rejected(self):
         with warnings.catch_warnings():
