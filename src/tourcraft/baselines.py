@@ -16,12 +16,23 @@ from .errors import ConfigError
 from .instance import (CityStats, DistanceMatrix, Tour, _require_n,
                        city_stats, make_tour)
 
+MERGE_CHUNK = 512  # ranked pairs filtered at a time
+
+
+def _city(value: int, n: int, what: str) -> int:
+    """`value` as a city index for n cities; a ConfigError unless it is an
+    integer (a numpy one too, but not a bool) in range(n)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    if not 0 <= value < n:
+        raise ConfigError(f"{what} {value} out of range for n={n}")
+    return int(value)
+
 
 def nearest_neighbor(matrix: DistanceMatrix, start: int = 0) -> Tour:
     """Walk greedily to the nearest unvisited city, then close the cycle."""
     n = _require_n(matrix)
-    if not 0 <= start < n:
-        raise ConfigError(f"start city {start} out of range for n={n}")
+    start = _city(start, n, "start city")
     visited = np.zeros(n, dtype=bool)
     visited[start] = True
     order = [start]
@@ -34,20 +45,30 @@ def nearest_neighbor(matrix: DistanceMatrix, start: int = 0) -> Tour:
     return make_tour(order, matrix)
 
 
-def _merge(n: int, key: np.ndarray) -> PathEndTracker:
-    """The closed tour of n cities built by connecting the pairs i < j in
-    ascending key, ties toward the earlier pair, while `can_connect` admits
-    them, until it holds n edges. `key` holds one key per pair, in
-    np.triu_indices order."""
-    first, second = np.triu_indices(n, k=1)
+def _merge(n: int, key: np.ndarray, first: np.ndarray,
+           second: np.ndarray) -> PathEndTracker:
+    """The closed tour of n cities built by connecting the pairs
+    (first[k], second[k]) in ascending key[k], ties toward the lower k,
+    while `can_connect` admits them, until it holds n edges.
+
+    The ranked pairs are read MERGE_CHUNK at a time, and each chunk first
+    drops, in numpy, every pair with an end already at degree 2. That is
+    exact: a city at degree 2 never reopens and `can_connect` rejects any
+    pair with a closed end, so the same edges join in the same order.
+    """
     tracker = PathEndTracker(n)
-    for k in _ranked(key):
-        if tracker.edge_count == n:
-            break
-        a = int(first[k])
-        b = int(second[k])
-        if tracker.can_connect(a, b):
-            tracker.connect(a, b)
+    is_open = tracker.open
+    ranked = _ranked(key)
+    for lo in range(0, len(ranked), MERGE_CHUNK):
+        chunk = ranked[lo:lo + MERGE_CHUNK]
+        a = first[chunk]
+        b = second[chunk]
+        live = is_open[a] & is_open[b]
+        for x, y in zip(a[live].tolist(), b[live].tolist()):
+            if tracker.can_connect(x, y):
+                tracker.connect(x, y)
+                if tracker.edge_count == n:
+                    return tracker
     return tracker
 
 
@@ -55,7 +76,8 @@ def greedy_edge(matrix: DistanceMatrix) -> Tour:
     """Add edges in ascending length while every city keeps degree <= 2 and
     no cycle forms before the final closing edge."""
     n = _require_n(matrix)
-    tracker = _merge(n, matrix.d[np.triu_indices(n, k=1)])
+    first, second = np.triu_indices(n, k=1)
+    tracker = _merge(n, matrix.d[first, second], first, second)
     return make_tour(tracker.cycle(), matrix)
 
 
@@ -76,12 +98,16 @@ def clarke_wright(matrix: DistanceMatrix, hub: Optional[int] = None,
     if hub is None:
         st = stats if stats is not None else city_stats(matrix)
         hub = int(np.argmax(st.mu))
-    if not 0 <= hub < n:
-        raise ConfigError(f"hub {hub} out of range for n={n}")
+    hub = _city(hub, n, "hub")
     d = matrix.d
-    key = -(d[hub][:, None] + d[hub] - d)  # minus the savings of pair (i, j)
-    key[hub, :] = key[:, hub] = np.inf
-    tracker = _merge(n, key[np.triu_indices(n, k=1)])
+    first, second = np.triu_indices(n, k=1)
+    # minus the savings of pair (i, j), -((d[h, i] + d[h, j]) - d[i, j])
+    key = d[hub][first]
+    key += d[hub][second]
+    key -= d[first, second]
+    np.negative(key, out=key)
+    key[(first == hub) | (second == hub)] = np.inf
+    tracker = _merge(n, key, first, second)
     order = tracker.cycle(start=int(hub == 0))
     k = order.index(hub)
     return make_tour(order[k + 1:] + order[:k + 1], matrix)

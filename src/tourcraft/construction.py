@@ -95,7 +95,7 @@ class PathEndTracker:
     `adjacent` (city x's neighbours in slots 2x and 2x + 1, in connect order)
     are lists, read one city at a time; `open` is the boolean array of the
     cities with degree < 2, which the construction's full-row fallback
-    masks a score row with.
+    masks a score row with and the baselines' merge filters pairs with.
     """
 
     __slots__ = ("n", "other_end", "degree", "adjacent", "open", "edge_count")

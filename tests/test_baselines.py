@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 import tourcraft as tc
-from conftest import (brute_force_optimum, load_instance, random_matrix,
-                      tie_heavy_matrix, unrounded_matrix)
+from conftest import (brute_force_optimum, load_instance, memory_slack,
+                      random_matrix, tie_heavy_matrix, traced_peak,
+                      unrounded_matrix)
+from tourcraft import baselines
+
+NOT_CITY_INDICES = [1.5, "2", True, False, np.bool_(True)]
 
 
 class TestNearestNeighbor:
@@ -22,8 +26,13 @@ class TestNearestNeighbor:
 
     def test_invalid_start(self):
         m = random_matrix(5, 0)
-        with pytest.raises(tc.ConfigError):
-            tc.nearest_neighbor(m, 7)
+        for start in [7, -1, *NOT_CITY_INDICES, None]:
+            with pytest.raises(tc.ConfigError):
+                tc.nearest_neighbor(m, start)
+
+    def test_numpy_integer_start(self):
+        m = random_matrix(5, 0)
+        assert tc.nearest_neighbor(m, np.int64(2)) == tc.nearest_neighbor(m, 2)
 
 
 class TestGreedyEdge:
@@ -55,8 +64,14 @@ class TestClarkeWright:
             assert order[0] == int(hub == 0) and order[-1] == hub
 
     def test_invalid_hub(self):
-        with pytest.raises(tc.ConfigError):
-            tc.clarke_wright(random_matrix(6, 0), hub=9)
+        m = random_matrix(6, 0)
+        for hub in [9, -1, *NOT_CITY_INDICES]:  # hub=None is the default hub
+            with pytest.raises(tc.ConfigError):
+                tc.clarke_wright(m, hub=hub)
+
+    def test_numpy_integer_hub(self):
+        m = random_matrix(6, 0)
+        assert tc.clarke_wright(m, hub=np.int32(2)) == tc.clarke_wright(m, hub=2)
 
     def test_default_hub_most_remote(self):
         m = unrounded_matrix([(0, 0), (1, 0), (0, 1), (50, 50)])
@@ -173,18 +188,44 @@ def float_matrices(n, seed):
     return [exact, tc.DistanceMatrix(n, np.round(exact.d, 1))]
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 8, 12, 20, 40])
-def test_merge_loop_matches_plain_reference_on_ties(n):
+def assert_merges_match_references(n, seed):
     # weights 1-3: most pairs tie on length and on savings, so every tour
     # below depends on ties going to the smaller (i, j) pair; on float
     # weights a savings key summed in another order rounds differently
+    for m in [tie_heavy_matrix(n, 300 + 10 * n + seed),
+              *float_matrices(n, 700 + 10 * n + seed)]:
+        assert tc.greedy_edge(m).order == tuple(greedy_reference(m))
+        default_hub = int(np.argmax(tc.city_stats(m).mu))
+        assert tc.clarke_wright(m).order == \
+            tuple(clarke_wright_reference(m, default_hub))
+        for hub in sorted({*range(min(4, n)), n - 1}):
+            assert tc.clarke_wright(m, hub=hub).order == \
+                tuple(clarke_wright_reference(m, hub)), (seed, hub)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 12, 20, 40, 60, 100])
+def test_merge_loop_matches_plain_reference_on_ties(n):
     for seed in range(3):
-        for m in [tie_heavy_matrix(n, 300 + 10 * n + seed),
-                  *float_matrices(n, 700 + 10 * n + seed)]:
-            assert tc.greedy_edge(m).order == tuple(greedy_reference(m))
-            default_hub = int(np.argmax(tc.city_stats(m).mu))
-            assert tc.clarke_wright(m).order == \
-                tuple(clarke_wright_reference(m, default_hub))
-            for hub in sorted({*range(min(4, n)), n - 1}):
-                assert tc.clarke_wright(m, hub=hub).order == \
-                    tuple(clarke_wright_reference(m, hub)), (seed, hub)
+        assert_merges_match_references(n, seed)
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 12, 20])
+def test_merge_chunk_boundaries_match_plain_reference(monkeypatch, chunk, n):
+    # with one or three pairs per chunk, accepted edges, rejected pairs and
+    # the closing edge each fall on a chunk boundary, so a pair whose end
+    # closes in the chunk before is dropped by the filter, not by can_connect
+    monkeypatch.setattr(baselines, "MERGE_CHUNK", chunk)
+    for seed in range(3):
+        assert_merges_match_references(n, seed)
+
+
+@pytest.mark.parametrize("method", [tc.greedy_edge, tc.clarke_wright])
+def test_merge_holds_two_matrices_of_pairs(method):
+    # the pair index arrays (n(n-1)/2 int64 each) and the key and its
+    # ranking: two n x n float arrays' worth of bytes, nothing n x n beyond
+    n = 300
+    m = random_matrix(n, 4)
+    method(m)  # warm numpy up
+    peak = traced_peak(lambda: method(m))
+    assert peak <= 16 * n * n + memory_slack(n)
