@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from .construction import PathEndTracker, _ranked
-from .errors import ConfigError
+from .errors import ConfigError, _integer
 from .instance import (CityStats, DistanceMatrix, Tour, _require_n,
                        city_stats, make_tour)
 
@@ -22,11 +22,10 @@ MERGE_CHUNK = 512  # ranked pairs filtered at a time
 def _city(value: int, n: int, what: str) -> int:
     """`value` as a city index for n cities; a ConfigError unless it is an
     integer (a numpy one too, but not a bool) in range(n)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    value = _integer(value, what)
     if not 0 <= value < n:
         raise ConfigError(f"{what} {value} out of range for n={n}")
-    return int(value)
+    return value
 
 
 def nearest_neighbor(matrix: DistanceMatrix, start: int = 0) -> Tour:

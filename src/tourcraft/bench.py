@@ -10,7 +10,7 @@ from typing import List, Optional, Sequence, Tuple
 from .baselines import clarke_wright, greedy_edge, nearest_neighbor
 from .bounds import ASCENT_ITERS, exact_optimum, held_karp_bound
 from .construction import ExponentCombo, grid_search
-from .errors import ConfigError
+from .errors import ConfigError, _integer
 from .instance import (DistanceMatrix, Instance, build_distance_matrix,
                        city_stats)
 from .tsplib import OptimaTable, default_optima
@@ -61,6 +61,7 @@ class RunConfig:
             raise ConfigError("no methods configured")
         if len(set(self.methods)) != len(self.methods):
             raise ConfigError(f"duplicate method in {self.methods}")
+        _integer(self.bound_iters, "bound_iters")
         if self.bound_iters < 1:
             raise ConfigError(
                 f"bound_iters must be >= 1, got {self.bound_iters}")

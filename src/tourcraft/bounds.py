@@ -7,8 +7,7 @@
   and one numpy min runs down them. Each candidate is the same single
   float addition as in a scalar loop and the min is exact, so the table,
   and the lexicographically smallest optimal order read back from it, do
-  not depend on the evaluation order or the layout. Weights whose path
-  sums overflow a float are a ConfigError.
+  not depend on the evaluation order or the layout.
 * one_tree_value / held_karp_bound: minimum 1-trees with node potentials,
   improved by subgradient ascent. One function builds a 1-tree: Prim's
   step over cities 1..n-1 records the join order and each city's key, the
@@ -16,23 +15,27 @@
   from them, and the degrees the ascent needs are counted from those
   parents and city 0's two edges. Any potential vector gives a valid lower
   bound on the optimal tour length; the ascent only tightens it, and stops
-  early once its potentials no longer move. Potentials or an upper-bound
-  hint large enough to overflow a float are a ConfigError.
+  early once its potentials no longer move.
+
+All three run under the one float guard, errors._FloatErrors: an overflow
+or invalid operation, from weights whose path sums overflow or from
+potentials or a hint too large for the modified weights, is a ConfigError.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, SizeLimitError
+from .errors import ConfigError, SizeLimitError, _FloatErrors, _integer
 from .instance import DistanceMatrix, Tour, _require_n, make_tour
 
 EXACT_MAX_N = 15
 ASCENT_ITERS = 1000  # the Held-Karp ascent's default iteration budget
+_OVERFLOW = {"over": "raise", "invalid": "raise"}
+_HINT_OVERFLOW = "potentials or the upper-bound hint overflow the float range"
 
 
 @dataclass(frozen=True)
@@ -64,9 +67,8 @@ def exact_optimum(matrix: DistanceMatrix) -> Tour:
         popcount += (masks & bit) != 0
     ht = np.full((m, full + 1), np.inf)
     inner_t = d[1:, 1:].T  # inner_t[k, j] = d[j+1, k+1]
-    with _overflow_is_config_error(
-            "distances too large: the exact DP's path lengths overflow the "
-            "float range"):
+    with _FloatErrors(ConfigError, "distances too large: the exact DP's path "
+                      "lengths overflow the float range", **_OVERFLOW):
         ht[np.arange(m), bits] = d[1:, 0]
         for size in range(2, m + 1):
             layer = masks[popcount == size]
@@ -96,28 +98,13 @@ def exact_optimum(matrix: DistanceMatrix) -> Tour:
     return make_tour(order, matrix)
 
 
-@contextmanager
-def _overflow_is_config_error(message: str = "potentials or the upper-bound "
-                              "hint overflow the float range"):
-    """Turn a float overflow or invalid operation in the block into a
-    ConfigError with `message`, instead of an inf or NaN value: in the
-    ascent, from potentials or a hint too large for the modified weights,
-    a 1-tree or a step; in the exact DP, from weights whose path sums
-    overflow."""
-    with np.errstate(over="raise", invalid="raise"):
-        try:
-            yield
-        except FloatingPointError:
-            raise ConfigError(message) from None
-
-
 def _one_tree(d: np.ndarray, pi: np.ndarray,
               buf: np.ndarray) -> Tuple[float, np.ndarray]:
     """1-tree bound and node degrees for potentials pi: the minimum 1-tree
     on the modified weights d[i][j] + pi[i] + pi[j], built in `buf`, minus
     2 * sum(pi). The 1-tree is a dense Prim MST over cities 1..n-1 plus the
     two cheapest edges at city 0; ties go to the lowest index, in the MST
-    and at city 0. Call it under `_overflow_is_config_error`.
+    and at city 0. Call it under the ascent's `_FloatErrors` guard.
 
     The loop records only the join order and each city's key, the weight
     it joined with; the parents are read back after it. A city's key is
@@ -165,7 +152,7 @@ def one_tree_value(matrix: DistanceMatrix,
         raise ConfigError(f"potentials must have length {matrix.n}")
     if not np.isfinite(pi).all():
         raise ConfigError("potentials must be finite")
-    with _overflow_is_config_error():
+    with _FloatErrors(ConfigError, _HINT_OVERFLOW, **_OVERFLOW):
         return _one_tree(matrix.d, pi, np.empty_like(matrix.d))[0]
 
 
@@ -185,6 +172,7 @@ def held_karp_bound(matrix: DistanceMatrix, max_iters: int = ASCENT_ITERS,
     below). `iterations_used` counts the iterations actually run.
     """
     n = _require_n(matrix)
+    max_iters = _integer(max_iters, "max_iters")
     if max_iters <= 0:
         raise ConfigError(f"max_iters must be positive, got {max_iters}")
     if upper_bound_hint is None:
@@ -203,7 +191,7 @@ def held_karp_bound(matrix: DistanceMatrix, max_iters: int = ASCENT_ITERS,
     lam = 2.0
     stale = 0
     iterations = 0
-    with _overflow_is_config_error():
+    with _FloatErrors(ConfigError, _HINT_OVERFLOW, **_OVERFLOW):
         for iterations in range(1, max_iters + 1):
             value, deg = _one_tree(d, pi, buf)
             if value > best:

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .bench import RunConfig, render_report, run_benchmark
+from .bench import METHODS, RunConfig, render_report, run_benchmark
 from .bounds import ASCENT_ITERS, held_karp_bound
 from .construction import ExponentCombo, default_grid, grid_search
 from .errors import ConfigError, ParseError, TourcraftError
@@ -17,6 +17,8 @@ from .svgplot import plot_tour_svg
 from .tsplib import load_optima, parse_tsplib, write_tour, write_tsplib
 
 RANDOM_BOX = 1_000_000.0  # side of the square random instances fill
+GRID_HELP = ("value set '0,0.5,1' or combos 'a:b:g:d:e;...'; a value that "
+             "starts with '-' needs '=', as in --grid=-1,0,1")
 
 
 def _numbers(spec: str, sep: str, cast=float) -> list:
@@ -126,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="grid-search the priority construction")
     p.add_argument("file")
-    p.add_argument("--grid", help="value set '0,0.5,1' or combos 'a:b:g:d:e;...'")
+    p.add_argument("--grid", help=GRID_HELP)
     p.add_argument("--out", help="write best tour in TSPLIB .tour format")
     p.add_argument("--plot", help="write an SVG plot of the best tour")
     p.set_defaults(func=_cmd_solve)
@@ -136,8 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--optima", help="optima fixture file (default: bundled)")
     p.add_argument("--random", help="generated instances as 'n,count,first-seed'")
     p.add_argument("--methods", default="proposed",
-                   help="comma list of proposed,nn,greedy,cw")
-    p.add_argument("--grid")
+                   help=f"comma list of {','.join(METHODS)}")
+    p.add_argument("--grid", help=GRID_HELP)
     p.add_argument("--iters", type=int, default=ASCENT_ITERS,
                    help="lower-bound ascent iterations")
     p.add_argument("--format", choices=("csv", "md"), default="csv")

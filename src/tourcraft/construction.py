@@ -45,7 +45,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _FloatErrors
 from .instance import (CityStats, DistanceMatrix, Tour, _loop_lengths,
                        _require_n, make_tour)
 
@@ -168,18 +168,16 @@ def _numerator_vector(stats: CityStats, exp_mu: float, exp_sigma: float,
     exponent on a zero statistic, or an over- or underflow, is a
     ConfigError."""
     out = np.ones(len(stats.mu))
-    with np.errstate(over="raise", under="raise"):
-        try:
-            for base, exp in ((stats.mu, exp_mu), (stats.sigma, exp_sigma)):
-                if exp != 0.0:
-                    if exp < 0 and np.any(base == 0.0):
-                        raise ConfigError(
-                            f"negative exponent {exp} with a zero statistic "
-                            f"would divide by zero")
-                    out = out * base ** exp
-        except FloatingPointError:
-            raise ConfigError(f"exponents overflow or underflow a float: "
-                              f"mu^{exp_mu} * sigma^{exp_sigma}") from None
+    with _FloatErrors(ConfigError, f"exponents overflow or underflow a float: "
+                      f"mu^{exp_mu} * sigma^{exp_sigma}",
+                      over="raise", under="raise"):
+        for base, exp in ((stats.mu, exp_mu), (stats.sigma, exp_sigma)):
+            if exp != 0.0:
+                if exp < 0 and np.any(base == 0.0):
+                    raise ConfigError(
+                        f"negative exponent {exp} with a zero statistic "
+                        f"would divide by zero")
+                out = out * base ** exp
     return out
 
 
@@ -209,15 +207,12 @@ def _score_rows(matrix: DistanceMatrix, stats: CityStats, gamma: float,
     num = _numerator_vector(stats, delta, epsilon)
     if out is None:
         out = np.empty_like(matrix.heuristic)
-    with np.errstate(divide="ignore", invalid="ignore", over="raise",
-                     under="raise"):
-        try:
-            np.power(matrix.heuristic, gamma, out=out)
-            np.divide(num, out, out=out)
-        except FloatingPointError:
-            raise ConfigError(f"exponents overflow or underflow a float: "
-                              f"mu^{delta} * sigma^{epsilon} / d^{gamma}"
-                              ) from None
+    with _FloatErrors(ConfigError, f"exponents overflow or underflow a float: "
+                      f"mu^{delta} * sigma^{epsilon} / d^{gamma}",
+                      divide="ignore", invalid="ignore", over="raise",
+                      under="raise"):
+        np.power(matrix.heuristic, gamma, out=out)
+        np.divide(num, out, out=out)
     if gamma > 0.0 and not num.all():
         out[np.isnan(out)] = np.inf
     np.fill_diagonal(out, -np.inf)

@@ -30,7 +30,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import (ConfigError, DegenerateInstanceError, SizeLimitError,
-                     ValidationError)
+                     ValidationError, _FloatErrors, _integer)
 
 SUPPORTED_KINDS = ("EUC_2D", "ATT", "CEIL_2D", "EXPLICIT")
 
@@ -190,16 +190,13 @@ def city_stats(matrix: DistanceMatrix) -> CityStats:
     if n < 2:
         raise DegenerateInstanceError("city statistics need at least 2 cities")
     d = matrix.heuristic
-    with np.errstate(over="raise"):
-        try:
-            mu = d.sum(axis=1) / (n - 1)
-            dev = d - mu[:, None]
-            np.fill_diagonal(dev, 0.0)
-            dev *= dev
-            var = np.sum(dev, axis=1) / (n - 1)
-        except FloatingPointError:
-            raise ValidationError("distances too large: the city statistics "
-                                  "overflow the float range") from None
+    with _FloatErrors(ValidationError, "distances too large: the city "
+                      "statistics overflow the float range", over="raise"):
+        mu = d.sum(axis=1) / (n - 1)
+        dev = d - mu[:, None]
+        np.fill_diagonal(dev, 0.0)
+        dev *= dev
+        var = np.sum(dev, axis=1) / (n - 1)
     sigma = np.sqrt(var)
     mu.setflags(write=False)
     sigma.setflags(write=False)
@@ -232,12 +229,9 @@ def _loop_lengths(orders, matrix: DistanceMatrix) -> np.ndarray:
     float is a ValidationError."""
     idx = np.asarray(orders, dtype=int)
     following = np.concatenate((idx[:, 1:], idx[:, :1]), axis=1)
-    with np.errstate(over="raise"):
-        try:
-            return matrix.d[idx, following].sum(axis=1)
-        except FloatingPointError:
-            raise ValidationError("distances too large: a tour length "
-                                  "overflows the float range") from None
+    with _FloatErrors(ValidationError, "distances too large: a tour length "
+                      "overflows the float range", over="raise"):
+        return matrix.d[idx, following].sum(axis=1)
 
 
 def make_tour(order: Sequence[int], matrix: DistanceMatrix) -> Tour:
@@ -261,13 +255,15 @@ def generate_random_euclidean(n: int, seed: int, box_side: float) -> Instance:
     two uniform doubles per city in x,y order), so identical (n, seed,
     box_side) reproduce identical coordinates on every platform.
     """
+    n = _integer(n, "n")
     if n < 3:
         raise DegenerateInstanceError(f"random instance needs n >= 3, got {n}")
     if not (np.isfinite(box_side) and box_side > 0):
         raise ConfigError(
             f"box_side must be positive and finite, got {box_side}")
+    seed = _integer(seed, "seed")
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
-    rng = np.random.Generator(np.random.PCG64(int(seed)))
+    rng = np.random.Generator(np.random.PCG64(seed))
     pts = rng.random((n, 2)) * float(box_side)
     return Instance(name=f"rand-n{n}-s{seed}", n=n, kind="EUC_2D", coords=pts)

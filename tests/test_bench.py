@@ -62,6 +62,13 @@ class TestRunBenchmark:
         with pytest.raises(tc.ConfigError):
             tc.run_benchmark(tc.RunConfig())
 
+    @pytest.mark.parametrize("methods", [(), []])
+    def test_no_methods_rejected(self, methods):
+        config = tc.RunConfig(instances=[triangle_instance()],
+                              methods=methods)
+        with pytest.raises(tc.ConfigError, match="no methods configured"):
+            tc.run_benchmark(config)
+
     def test_unknown_method_rejected(self):
         config = tc.RunConfig(instances=[triangle_instance()],
                               methods=("magic",))
@@ -87,9 +94,10 @@ class TestRunBenchmark:
         assert references(("nn", "proposed")) == \
             references(("proposed", "nn"))
 
-    @pytest.mark.parametrize("iters", [0, -1])
+    @pytest.mark.parametrize("iters", [0, -1, 2.5, True, "3"])
     def test_nonpositive_bound_iters_rejected(self, iters):
-        # rejected up front, even where every reference is exact
+        # rejected up front, even where every reference is exact; a
+        # non-integer raised a bare TypeError in the ascent
         config = tc.RunConfig(instances=[triangle_instance()],
                               methods=("nn",), bound_iters=iters)
         with pytest.raises(tc.ConfigError, match="bound_iters"):

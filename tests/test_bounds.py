@@ -126,6 +126,12 @@ class TestOneTree:
         with pytest.raises(tc.ConfigError, match="finite"):
             tc.one_tree_value(random_matrix(10, 0), pi)
 
+    @pytest.mark.parametrize("pi", [np.zeros(9), np.zeros(11),
+                                    np.zeros((10, 1)), 0.0])
+    def test_rejects_potentials_of_wrong_length(self, pi):
+        with pytest.raises(tc.ConfigError, match="length 10"):
+            tc.one_tree_value(random_matrix(10, 0), pi)
+
     @pytest.mark.parametrize("pi", [[1e308] * 6,
                                     [1e308, -1e308, 0, 0, 0, 0]])
     def test_rejects_overflowing_potentials(self, pi):
@@ -151,8 +157,15 @@ class TestHeldKarpBound:
             assert plain - 1e-9 <= r.bound <= opt + 1e-9
 
     def test_rejects_bad_iters(self):
-        with pytest.raises(tc.ConfigError):
-            tc.held_karp_bound(random_matrix(5, 0), max_iters=0)
+        # a non-integer raised a bare TypeError, and True ran one iteration
+        for bad in (0, 2.5, True, "3", np.float64(4.0)):
+            with pytest.raises(tc.ConfigError, match="max_iters"):
+                tc.held_karp_bound(random_matrix(5, 0), max_iters=bad)
+
+    def test_numpy_integer_iters_accepted(self):
+        m = random_matrix(8, 1)
+        assert tc.held_karp_bound(m, max_iters=np.int64(20)) == \
+            tc.held_karp_bound(m, max_iters=20)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_hint(self, bad):

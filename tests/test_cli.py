@@ -70,6 +70,34 @@ def test_bench_random_csv(tmp_path):
     assert len(lines) == 1 + 4 + 2  # header, 2x2 records, 2 mean rows
 
 
+@pytest.mark.parametrize("argv,shown", [
+    (["solve", "{f}", "--grid=-1:0:1:0:0"],
+     "alpha=-1 beta=0 gamma=1 delta=0 epsilon=0"),
+    (["bench", "--random", "12,1,1", "--grid=-1,0,1"], "rand-n12-s1,12,"),
+], ids=["solve-combo", "bench-set"])
+def test_negative_grid_value_after_equals(tmp_path, capsys, argv, shown):
+    # with a space, argparse reads "-1..." as an option: exit 2
+    f = tmp_path / "in.tsp"
+    write_small_instance(f)
+    argv = [a.format(f=f) for a in argv]
+    assert main(argv) == 0
+    assert shown in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main([*argv[:-1], "--grid", argv[-1].split("=")[1]])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,fragment", [
+    (["bench", "--random", "5,1"], "--random expects n,count,first-seed"),
+    (["bench", "--tsplib", "{d}"], "no .tsp files under"),
+], ids=["random-two-fields", "tsplib-empty-dir"])
+def test_bench_source_errors(tmp_path, capsys, argv, fragment):
+    assert main([a.format(d=tmp_path) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and fragment in err
+
+
 def test_bench_tsplib_dir(tmp_path, capsys):
     write_small_instance(tmp_path / "small15.tsp")
     assert main(["bench", "--tsplib", str(tmp_path), "--methods", "nn",

@@ -355,6 +355,11 @@ class TestGridSearch:
         with pytest.raises(tc.ConfigError, match="finite"):
             tc.default_grid([0, bad])
 
+    @pytest.mark.parametrize("values", [[], ()])
+    def test_empty_value_set_rejected(self, values):
+        with pytest.raises(tc.ConfigError, match="must be non-empty"):
+            tc.default_grid(values)
+
     def test_grid_order_lexicographic(self):
         grid = tc.default_grid([1, 0])
         assert grid[0] == tc.ExponentCombo(0, 0, 0, 0, 0)

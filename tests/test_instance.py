@@ -193,6 +193,29 @@ class TestInputValidation:
             tc.DistanceMatrix(4, np.ones((4, 4)) - np.eye(4), heuristic=d)
 
 
+    @pytest.mark.parametrize("kwargs,error,fragment", [
+        (dict(n=0, kind="EUC_2D", coords=()), tc.DegenerateInstanceError,
+         "n >= 1, got 0"),
+        (dict(n=3, kind="EXPLICIT"), tc.ValidationError,
+         "requires a weight table"),
+        (dict(n=3, kind="EXPLICIT", explicit_weights=np.zeros((2, 2))),
+         tc.ValidationError, r"shape \(2, 2\) does not match n=3"),
+        (dict(n=2, kind="EXPLICIT", explicit_weights=np.ones((2, 2))),
+         tc.ValidationError, "nonzero diagonal"),
+        (dict(n=3, kind="EUC_2D", coords=((0, 0), (1, 1))),
+         tc.ValidationError, "expected 3 coordinate pairs, got 2"),
+    ], ids=["n-below-1", "explicit-without-table", "table-shape",
+            "nonzero-diagonal", "coordinate-count"])
+    def test_bad_instance_rejected(self, kwargs, error, fragment):
+        with pytest.raises(error, match=fragment):
+            tc.Instance("t", **kwargs)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4,), (3, 3)])
+    def test_distance_matrix_shape_rejected(self, shape):
+        with pytest.raises(tc.ValidationError, match="matrix shape"):
+            tc.DistanceMatrix(4, np.zeros(shape))
+
+
 class TestHeuristicGeometry:
     def test_stats_use_exact_euclidean_distances(self):
         inst = tc.parse_tsplib((DATA_DIR / "eil51.tsp").read_text())
@@ -358,3 +381,21 @@ class TestRandomGenerator:
     def test_rejects_tiny(self):
         with pytest.raises(tc.DegenerateInstanceError):
             tc.generate_random_euclidean(2, 1, 10)
+
+    @pytest.mark.parametrize("n,seed,what", [
+        (10.5, 1, "n"), (True, 1, "n"), ("10", 1, "n"),
+        (10, 1.5, "seed"), (10, True, "seed"), (10, "3", "seed"),
+        (10, np.float64(1.0), "seed"),
+    ], ids=["float-n", "bool-n", "str-n", "float-seed", "bool-seed",
+            "str-seed", "numpy-float-seed"])
+    def test_rejects_non_integer_n_and_seed(self, n, seed, what):
+        # a float or bool seed named the instance after it (rand-n10-s1.5,
+        # rand-n10-sTrue), a float n or a str seed was a bare TypeError
+        with pytest.raises(tc.ConfigError, match=f"{what} must be an integer"):
+            tc.generate_random_euclidean(n, seed, 1.0)
+
+    def test_numpy_integer_n_and_seed_accepted(self):
+        a = tc.generate_random_euclidean(np.int64(10), np.int32(3), 1.0)
+        b = tc.generate_random_euclidean(10, 3, 1.0)
+        assert a.name == b.name == "rand-n10-s3"
+        assert np.array_equal(a.coords, b.coords)

@@ -88,6 +88,37 @@ def test_non_positive_dimension(dim):
         tc.parse_tsplib(text)
 
 
+EXPLICIT_3 = "DIMENSION: 3\nEDGE_WEIGHT_TYPE: EXPLICIT\n"
+
+
+@pytest.mark.parametrize("text,fragment", [
+    ("DIMENSION: 2\nEDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\n"
+     "1 0 0\n2 1\n", "line 5: coordinate line needs 'index x y'"),
+    (EXPLICIT_3 + "EDGE_WEIGHT_FORMAT: UPPER_ROW\nEDGE_WEIGHT_SECTION\n"
+     "1 2 y\n", "line 5: malformed number"),
+    ("DIMENSION: three\nEDGE_WEIGHT_TYPE: EUC_2D\n",
+     "malformed DIMENSION: 'three'"),
+    (EXPLICIT_3 + "EDGE_WEIGHT_FORMAT: LOWER_ROW\nEDGE_WEIGHT_SECTION\n"
+     "1 2 3\n", "unsupported EDGE_WEIGHT_FORMAT 'LOWER_ROW'"),
+    (EXPLICIT_3 + "EDGE_WEIGHT_FORMAT: UPPER_ROW\nEDGE_WEIGHT_SECTION\n"
+     "1 2 3 4\n", "UPPER_ROW needs 3 values, got 4"),
+], ids=["short-coordinate-line", "malformed-weight", "non-integer-dimension",
+        "unsupported-weight-format", "wrong-weight-count"])
+def test_malformed_instance_rejected(text, fragment):
+    with pytest.raises(tc.ParseError, match=fragment):
+        tc.parse_tsplib(text)
+
+
+def test_display_data_section_skipped():
+    text = ("DIMENSION: 3\nEDGE_WEIGHT_TYPE: EXPLICIT\n"
+            "EDGE_WEIGHT_FORMAT: UPPER_ROW\nEDGE_WEIGHT_SECTION\n1 2 3\n"
+            "DISPLAY_DATA_SECTION\n1 x y\n2 0\n3 0 0\nEOF\n")
+    inst = tc.parse_tsplib(text)
+    assert inst.coords is None
+    assert np.array_equal(inst.explicit_weights,
+                          [[0, 1, 2], [1, 0, 3], [2, 3, 0]])
+
+
 class TestTourFiles:
     def test_index_shift(self):
         tour = tc.Tour(order=(0, 2, 1), length=0.0)
@@ -95,6 +126,11 @@ class TestTourFiles:
         body = text.splitlines()
         section = body.index("TOUR_SECTION")
         assert body[section + 1:section + 5] == ["1", "3", "2", "-1"]
+
+    def test_malformed_index_rejected(self):
+        with pytest.raises(tc.ParseError, match="line 2: malformed tour "
+                                                "index '2a'"):
+            tc.parse_tour("TOUR_SECTION\n1 2a\n-1\n")
 
     def test_round_trip(self):
         rng = np.random.default_rng(3)
@@ -133,6 +169,15 @@ class TestOptima:
     def test_non_positive_rejected(self):
         with pytest.raises(tc.ValidationError):
             tc.load_optima("a 0\n")
+
+    @pytest.mark.parametrize("text,fragment", [
+        ("# fixture\na 1 2\n", "line 2: expected 'name length'"),
+        ("a\n", "line 1: expected 'name length'"),
+        ("a 1.5\n", "line 1: malformed length '1.5'"),
+    ], ids=["three-columns", "one-column", "malformed-length"])
+    def test_malformed_line_rejected(self, text, fragment):
+        with pytest.raises(tc.ParseError, match=fragment):
+            tc.load_optima(text)
 
 
 def test_parse_write_parse_identity():
