@@ -13,8 +13,8 @@ import numpy as np
 
 from .construction import PathEndTracker, _ranked
 from .errors import ConfigError, _integer
-from .instance import (CityStats, DistanceMatrix, Tour, _require_n,
-                       city_stats, make_tour)
+from .instance import (DistanceMatrix, Tour, _require_n, city_stats,
+                       make_tour)
 
 MERGE_CHUNK = 512  # ranked pairs filtered at a time
 
@@ -80,8 +80,7 @@ def greedy_edge(matrix: DistanceMatrix) -> Tour:
     return make_tour(tracker.cycle(), matrix)
 
 
-def clarke_wright(matrix: DistanceMatrix, hub: Optional[int] = None,
-                  stats: Optional[CityStats] = None) -> Tour:
+def clarke_wright(matrix: DistanceMatrix, hub: Optional[int] = None) -> Tour:
     """Savings heuristic: merge paths over the non-hub cities in descending
     savings d[h,i] + d[h,j] - d[i,j], then close the path through the hub.
     The hub's pairs are keyed +inf, so they sort after every other pair and
@@ -95,8 +94,7 @@ def clarke_wright(matrix: DistanceMatrix, hub: Optional[int] = None,
     """
     n = _require_n(matrix)
     if hub is None:
-        st = stats if stats is not None else city_stats(matrix)
-        hub = int(np.argmax(st.mu))
+        hub = int(np.argmax(city_stats(matrix).mu))
     hub = _city(hub, n, "hub")
     d = matrix.d
     first, second = np.triu_indices(n, k=1)

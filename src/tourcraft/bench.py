@@ -11,8 +11,7 @@ from .baselines import clarke_wright, greedy_edge, nearest_neighbor
 from .bounds import ASCENT_ITERS, exact_optimum, held_karp_bound
 from .construction import ExponentCombo, grid_search
 from .errors import ConfigError, _integer
-from .instance import (DistanceMatrix, Instance, build_distance_matrix,
-                       city_stats)
+from .instance import DistanceMatrix, Instance, build_distance_matrix
 from .tsplib import OptimaTable, default_optima
 
 METHODS = ("proposed", "nn", "greedy", "cw")
@@ -67,18 +66,14 @@ class RunConfig:
                 f"bound_iters must be >= 1, got {self.bound_iters}")
 
 
-def _solve(method: str, matrix: DistanceMatrix, stats,
+def _solve(method: str, matrix: DistanceMatrix,
            grid) -> Tuple[float, Optional[ExponentCombo]]:
     if method == "proposed":
-        result = grid_search(matrix, stats, grid)
+        result = grid_search(matrix, grid)
         return result.tour.length, result.combo
-    if method == "nn":
-        t = nearest_neighbor(matrix)
-    elif method == "greedy":
-        t = greedy_edge(matrix)
-    else:
-        t = clarke_wright(matrix, stats=stats)
-    return t.length, None
+    baseline = {"nn": nearest_neighbor, "greedy": greedy_edge,
+                "cw": clarke_wright}[method]  # this call's module attributes
+    return baseline(matrix).length, None
 
 
 def _reference(instance: Instance, matrix: DistanceMatrix,
@@ -107,11 +102,10 @@ def run_benchmark(config: RunConfig) -> List[BenchRecord]:
     records: List[BenchRecord] = []
     for instance in config.instances:
         matrix = build_distance_matrix(instance)
-        stats = city_stats(matrix)
         reference: Optional[Tuple[float, str]] = None
         for method in sorted(config.methods, key=METHODS.index):
             t0 = time.perf_counter()
-            length, combo = _solve(method, matrix, stats, config.grid)
+            length, combo = _solve(method, matrix, config.grid)
             millis = (time.perf_counter() - t0) * 1000.0
             if reference is None:
                 reference = _reference(instance, matrix, optima,

@@ -11,7 +11,7 @@ from .bench import METHODS, RunConfig, render_report, run_benchmark
 from .bounds import ASCENT_ITERS, held_karp_bound
 from .construction import ExponentCombo, default_grid, grid_search
 from .errors import ConfigError, ParseError, TourcraftError
-from .instance import (Instance, build_distance_matrix, city_stats,
+from .instance import (Instance, build_distance_matrix,
                        generate_random_euclidean)
 from .svgplot import plot_tour_svg
 from .tsplib import load_optima, parse_tsplib, write_tour, write_tsplib
@@ -58,7 +58,7 @@ def _read(path, parse=parse_tsplib):
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = _read(args.file)
     matrix = build_distance_matrix(instance)
-    result = grid_search(matrix, city_stats(matrix), _parse_grid(args.grid))
+    result = grid_search(matrix, _parse_grid(args.grid))
     c = result.combo
     print(f"{instance.name}: length {result.tour.length:g} with exponents "
           f"alpha={c.alpha:g} beta={c.beta:g} gamma={c.gamma:g} "

@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import ConfigError, _FloatErrors
 from .instance import (CityStats, DistanceMatrix, Tour, _loop_lengths,
-                       _require_n, make_tour)
+                       _require_n, city_stats, make_tour)
 
 DEFAULT_EXPONENT_VALUES = (0.0, 0.5, 1.0)
 CANDIDATES = 8  # K: neighbours ranked per score row
@@ -168,8 +168,8 @@ def _numerator_vector(stats: CityStats, exp_mu: float, exp_sigma: float,
     exponent on a zero statistic, or an over- or underflow, is a
     ConfigError."""
     out = np.ones(len(stats.mu))
-    with _FloatErrors(ConfigError, f"exponents overflow or underflow a float: "
-                      f"mu^{exp_mu} * sigma^{exp_sigma}",
+    with _FloatErrors(ConfigError, "exponents overflow or underflow a float: "
+                      "mu^{} * sigma^{}", exp_mu, exp_sigma,
                       over="raise", under="raise"):
         for base, exp in ((stats.mu, exp_mu), (stats.sigma, exp_sigma)):
             if exp != 0.0:
@@ -207,8 +207,8 @@ def _score_rows(matrix: DistanceMatrix, stats: CityStats, gamma: float,
     num = _numerator_vector(stats, delta, epsilon)
     if out is None:
         out = np.empty_like(matrix.heuristic)
-    with _FloatErrors(ConfigError, f"exponents overflow or underflow a float: "
-                      f"mu^{delta} * sigma^{epsilon} / d^{gamma}",
+    with _FloatErrors(ConfigError, "exponents overflow or underflow a float: "
+                      "mu^{} * sigma^{} / d^{}", delta, epsilon, gamma,
                       divide="ignore", invalid="ignore", over="raise",
                       under="raise"):
         np.power(matrix.heuristic, gamma, out=out)
@@ -321,19 +321,19 @@ def _construct(order: Sequence[int], ranked: RankedScores) -> List[int]:
     return tracker.cycle()
 
 
-def construct_tour(matrix: DistanceMatrix, stats: CityStats,
+def construct_tour(matrix: DistanceMatrix,
                    combo: ExponentCombo) -> ConstructionResult:
     """The tour of both main passes for one combo: the grid of that one
     point, whose score matrix, read by one construction, is not ranked."""
-    return grid_search(matrix, stats, [combo])
+    return grid_search(matrix, [combo])
 
 
-def grid_search(matrix: DistanceMatrix, stats: CityStats,
+def grid_search(matrix: DistanceMatrix,
                 grid: Optional[Iterable[ExponentCombo]] = None,
                 ) -> ConstructionResult:
     """Best construction over the exponent grid, `DEFAULT_GRID` unless one
     is given (first combo wins ties). Fewer than 3 cities is a
-    DegenerateInstanceError, raised before any power is taken.
+    DegenerateInstanceError, raised before `city_stats` or any power.
 
     A construction depends on its combo only through the city order of
     (alpha, beta) and its neighbour rule, the ranking of (gamma, delta,
@@ -351,6 +351,7 @@ def grid_search(matrix: DistanceMatrix, stats: CityStats,
     run.
     """
     n = _require_n(matrix)
+    stats = city_stats(matrix)
     combos = DEFAULT_GRID if grid is None else tuple(grid)
     if not combos:
         raise ConfigError("exponent grid must be non-empty")

@@ -29,23 +29,24 @@ class SizeLimitError(TourcraftError):
 
 
 class _FloatErrors(np.errstate):
-    """`np.errstate` with these states, whose block raises `error(message)`
-    in place of a FloatingPointError; other exceptions pass through. Named
-    states and direct base calls, not `**states` and super(), cut an entry
-    from 1.4 to 0.5 us over a bare errstate block (timeit, 2-CPU Xeon)."""
+    """`np.errstate` with these states whose block, in place of a
+    FloatingPointError, raises `error(message.format(*values))`, formatted
+    only then; other exceptions pass through. Named states and direct base
+    calls, not `**states` and super(), cut an entry from 1.4 to 0.5 us over
+    a bare errstate block (timeit, 2-CPU Xeon)."""
 
-    __slots__ = ("_error", "_message")
+    __slots__ = ("_error", "_message", "_values")
 
-    def __init__(self, error: type, message: str, *, divide=None, over=None,
-                 under=None, invalid=None) -> None:
+    def __init__(self, error: type, message: str, *values, divide=None,
+                 over=None, under=None, invalid=None) -> None:
         np.errstate.__init__(self, divide=divide, over=over, under=under,
                              invalid=invalid)
-        self._error, self._message = error, message
+        self._error, self._message, self._values = error, message, values
 
     def __exit__(self, exc_type, exc, tb) -> None:
         np.errstate.__exit__(self, exc_type, exc, tb)
         if exc_type is FloatingPointError:
-            raise self._error(self._message) from None
+            raise self._error(self._message.format(*self._values)) from None
 
 
 def _integer(value, what: str) -> int:

@@ -24,7 +24,7 @@ population form over those n-1 values.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,56 +40,61 @@ SUPPORTED_KINDS = ("EUC_2D", "ATT", "CEIL_2D", "EXPLICIT")
 MATRIX_MAX_N = 10_000
 
 
-def _require_finite_nonnegative(a: np.ndarray, what: str) -> None:
-    """Raise unless every entry of `a` is finite and >= 0. NaN fails both
-    comparisons; two reductions allocate no temporary of a's size."""
+def _table(a, what: str) -> np.ndarray:
+    """`a` as a float array: a ValidationError unless it is a square table
+    of finite entries >= 0 (two reductions, which NaN fails, allocate no
+    temporary), and a DegenerateInstanceError if it is empty."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValidationError(f"{what} shape {a.shape} is not square")
+    if not len(a):
+        raise DegenerateInstanceError(f"{what} need n >= 1, got 0")
     if not (a.min() >= 0 and a.max() < np.inf):
         raise ValidationError(f"{what} must be finite and >= 0")
+    return a
 
 
 @dataclass(frozen=True, eq=False)
 class Instance:
     """Immutable problem statement: coordinates (or explicit weights) plus a
     distance-function tag. ``coords`` is stored as a read-only (n, 2) float
-    array."""
+    array; ``n`` is its row count, or the weight table's."""
 
     name: str
-    n: int
     kind: str
     coords: Optional[np.ndarray] = None
     explicit_weights: Optional[np.ndarray] = None
+    n: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.kind not in SUPPORTED_KINDS:
             raise ConfigError(f"unsupported distance kind {self.kind!r}; "
                               f"expected one of {SUPPORTED_KINDS}")
-        if self.n < 1:
-            raise DegenerateInstanceError(f"instance needs n >= 1, got {self.n}")
         if self.kind == "EXPLICIT":
-            w = self.explicit_weights
-            if w is None:
+            if self.explicit_weights is None:
                 raise ValidationError("EXPLICIT instance requires a weight table")
-            w = np.asarray(w, dtype=float)
-            if w.shape != (self.n, self.n):
-                raise ValidationError(
-                    f"weight table shape {w.shape} does not match n={self.n}")
-            _require_finite_nonnegative(w, "EXPLICIT weights")
+            w = _table(self.explicit_weights, "EXPLICIT weights")
             if not np.array_equal(w, w.T):
                 raise ValidationError("EXPLICIT weight table is not symmetric")
             if np.any(np.diag(w) != 0):
                 raise ValidationError("EXPLICIT weight table has nonzero diagonal")
             object.__setattr__(self, "explicit_weights", w)
         if self.kind != "EXPLICIT" or self.coords is not None:
-            pts = np.array(() if self.coords is None else self.coords,
-                           dtype=float).reshape(-1, 2)
-            if len(pts) != self.n:
-                raise ValidationError(
-                    f"instance {self.name!r}: expected {self.n} coordinate "
-                    f"pairs, got {len(pts)}")
+            pts = np.array(() if self.coords is None else self.coords, float)
+            if not pts.size:
+                raise DegenerateInstanceError("instance needs n >= 1, got 0")
+            if pts.ndim != 2 or pts.shape[1] != 2:
+                raise ValidationError(f"instance {self.name!r}: coordinates "
+                                      f"are not (x, y) pairs: {pts.shape}")
+            if self.kind == "EXPLICIT" and len(pts) != len(w):
+                raise ValidationError(f"instance {self.name!r}: expected "
+                                      f"{len(w)} coordinate pairs, got {len(pts)}")
             if not np.all(np.isfinite(pts)):
                 raise ValidationError(f"{self.name}: non-finite coordinate")
             pts.setflags(write=False)
             object.__setattr__(self, "coords", pts)
+        rows = self.explicit_weights if self.kind == "EXPLICIT" else self.coords
+        object.__setattr__(self, "n", len(rows))
 
 
 @dataclass(frozen=True)
@@ -97,29 +102,27 @@ class DistanceMatrix:
     """Symmetric pairwise distances with zero diagonal; the only geometry
     consumers see.
 
-    ``d`` is the objective that tour lengths are measured on. ``heuristic``
-    is the geometry the construction scores on; it defaults to ``d`` itself
-    (the same array, not a copy).
+    ``d``, an n x n table, is the objective that tour lengths are measured
+    on. ``heuristic`` is the geometry the construction scores on, of d's
+    shape; it defaults to ``d`` itself (the same array, not a copy).
     """
 
-    n: int
     d: np.ndarray
     heuristic: Optional[np.ndarray] = None
+    n: int = field(init=False)
 
     def __post_init__(self) -> None:
-        d = self._read_only(self.d, "distances")
+        d = h = _table(self.d, "distances")
+        if self.heuristic is not None:
+            h = np.asarray(self.heuristic, dtype=float)
+            if h.shape != d.shape:
+                raise ValidationError(f"heuristic shape {h.shape} != {d.shape}")
+            _table(h, "heuristic distances")
+        d.setflags(write=False)
+        h.setflags(write=False)
         object.__setattr__(self, "d", d)
-        h = d if self.heuristic is None else \
-            self._read_only(self.heuristic, "heuristic distances")
         object.__setattr__(self, "heuristic", h)
-
-    def _read_only(self, a: np.ndarray, what: str) -> np.ndarray:
-        a = np.asarray(a, dtype=float)
-        if a.shape != (self.n, self.n):
-            raise ValidationError(f"matrix shape {a.shape} != ({self.n}, {self.n})")
-        _require_finite_nonnegative(a, what)
-        a.setflags(write=False)
-        return a
+        object.__setattr__(self, "n", len(d))
 
 
 @dataclass(frozen=True)
@@ -150,7 +153,7 @@ def build_distance_matrix(instance: Instance) -> DistanceMatrix:
         raise SizeLimitError(
             f"distance matrix is limited to n <= {MATRIX_MAX_N}, got {n}")
     if instance.kind == "EXPLICIT":
-        return DistanceMatrix(n, np.array(instance.explicit_weights, dtype=float))
+        return DistanceMatrix(np.array(instance.explicit_weights, dtype=float))
 
     # Each step writes into an array it no longer needs, so the build holds
     # two n x n arrays at its peak (three for ATT), with the same operations
@@ -178,7 +181,7 @@ def build_distance_matrix(instance: Instance) -> DistanceMatrix:
         else:  # CEIL_2D
             np.ceil(exact, out=d)
     np.fill_diagonal(d, 0.0)
-    return DistanceMatrix(n, d, heuristic=exact)
+    return DistanceMatrix(d, heuristic=exact)
 
 
 def city_stats(matrix: DistanceMatrix) -> CityStats:
@@ -266,4 +269,4 @@ def generate_random_euclidean(n: int, seed: int, box_side: float) -> Instance:
         raise ConfigError(f"seed must be non-negative, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
     pts = rng.random((n, 2)) * float(box_side)
-    return Instance(name=f"rand-n{n}-s{seed}", n=n, kind="EUC_2D", coords=pts)
+    return Instance(name=f"rand-n{n}-s{seed}", kind="EUC_2D", coords=pts)

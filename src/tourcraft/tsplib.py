@@ -105,12 +105,12 @@ def parse_tsplib(text: str) -> Instance:
         if fmt not in _WEIGHT_COUNTS:
             raise ParseError(f"unsupported EDGE_WEIGHT_FORMAT {fmt!r}")
         w = _assemble_weights(weight_values, n, fmt)
-        return Instance(name=name, n=n, kind="EXPLICIT", explicit_weights=w)
+        return Instance(name=name, kind="EXPLICIT", explicit_weights=w)
 
     if len(coord_lines) != n:
         raise ParseError(f"DIMENSION is {n} but found {len(coord_lines)} "
                          f"coordinate lines")
-    return Instance(name=name, n=n, kind=kind, coords=coord_lines)
+    return Instance(name=name, kind=kind, coords=coord_lines)
 
 
 def _assemble_weights(values: List[float], n: int, fmt: str) -> np.ndarray:

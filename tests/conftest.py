@@ -35,7 +35,7 @@ def tie_heavy_matrix(n: int, seed: int) -> tc.DistanceMatrix:
     counts."""
     w = np.random.default_rng(seed).integers(1, 4, (n, n)).astype(float)
     w = np.triu(w, 1)
-    inst = tc.Instance("ties", n, "EXPLICIT", explicit_weights=w + w.T)
+    inst = tc.Instance("ties", "EXPLICIT", explicit_weights=w + w.T)
     return tc.build_distance_matrix(inst)
 
 
@@ -43,14 +43,14 @@ def fractional_matrix(n: int, seed: int) -> tc.DistanceMatrix:
     """EXPLICIT instance with fractional weights in [0, 10): a length
     summed in another order may differ in its last bits."""
     w = np.triu(np.random.default_rng(seed).random((n, n)) * 10, 1)
-    inst = tc.Instance("frac", n, "EXPLICIT", explicit_weights=w + w.T)
+    inst = tc.Instance("frac", "EXPLICIT", explicit_weights=w + w.T)
     return tc.build_distance_matrix(inst)
 
 
 def uniform_matrix(n: int, weight: float) -> tc.DistanceMatrix:
     """Every off-diagonal distance `weight`: with a huge one, every sum of
     distances overflows a float."""
-    return tc.DistanceMatrix(n, weight * (np.ones((n, n)) - np.eye(n)))
+    return tc.DistanceMatrix(weight * (np.ones((n, n)) - np.eye(n)))
 
 
 def unrounded_matrix(coords) -> tc.DistanceMatrix:
@@ -59,7 +59,7 @@ def unrounded_matrix(coords) -> tc.DistanceMatrix:
     diff = pts[:, None, :] - pts[None, :, :]
     d = np.sqrt((diff * diff).sum(axis=2))
     np.fill_diagonal(d, 0.0)
-    return tc.DistanceMatrix(len(pts), d)
+    return tc.DistanceMatrix(d)
 
 
 def memory_slack(n: int) -> int:
@@ -102,4 +102,4 @@ def square_exact() -> tc.DistanceMatrix:
 def triangle_345() -> tc.DistanceMatrix:
     """Explicit 3-4-5 triangle distances."""
     d = np.array([[0.0, 3.0, 4.0], [3.0, 0.0, 5.0], [4.0, 5.0, 0.0]])
-    return tc.DistanceMatrix(3, d)
+    return tc.DistanceMatrix(d)

@@ -58,7 +58,7 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 def solve_grid(name: str):
     inst = load_instance(name)
     m = tc.build_distance_matrix(inst)
-    return tc.grid_search(m, tc.city_stats(m))
+    return tc.grid_search(m)
 
 
 @pytest.mark.parametrize("name,paper_length", TABLE1_SMALL)
@@ -75,9 +75,9 @@ def test_criterion_2_att48_reproduction():
     # the paper's att48 numbers (34839 obtained / 33523 optimal) match the
     # rounded-Euclidean metric on these coordinates, not the pseudo-Euclidean
     # one (whose optimum is 10628), so the comparison runs under EUC_2D
-    euc = tc.Instance("att48", inst.n, "EUC_2D", coords=inst.coords)
+    euc = tc.Instance("att48", "EUC_2D", coords=inst.coords)
     m = tc.build_distance_matrix(euc)
-    result = tc.construct_tour(m, tc.city_stats(m), PAPER_COMBO_ATT48)
+    result = tc.construct_tour(m, PAPER_COMBO_ATT48)
     length = result.tour.length
     vs_paper = 100.0 * (length - 34839) / 34839
     err = tc.percent_error(length, 33523)
@@ -104,15 +104,14 @@ def test_criterion_4_random_euclidean_testbed():
     for seed in range(1, 16):
         inst = tc.generate_random_euclidean(100, seed, 1_000_000)
         m = tc.build_distance_matrix(inst)
-        stats = tc.city_stats(m)
-        best = tc.grid_search(m, stats)
+        best = tc.grid_search(m)
         bound = tc.held_karp_bound(m, max_iters=1000,
                                    upper_bound_hint=best.tour.length).bound
         for method, length in (
                 ("proposed", best.tour.length),
                 ("nn", tc.nearest_neighbor(m).length),
                 ("greedy", tc.greedy_edge(m).length),
-                ("cw", tc.clarke_wright(m, stats=stats).length)):
+                ("cw", tc.clarke_wright(m).length)):
             excess[method].append(tc.percent_error(length, bound))
     means = {k: float(np.mean(v)) for k, v in excess.items()}
     ok = (means["proposed"] <= 11.0 and 18.0 <= means["nn"] <= 33.0
@@ -132,12 +131,11 @@ def test_criterion_5_oracle_equivalence():
         n = int(rng.integers(4, 13))
         inst = tc.generate_random_euclidean(n, int(rng.integers(1 << 30)), 1000.0)
         m = tc.build_distance_matrix(inst)
-        stats = tc.city_stats(m)
         opt = tc.exact_optimum(m).length
-        tours = [tc.grid_search(m, stats, grid).tour,
+        tours = [tc.grid_search(m, grid).tour,
                  tc.nearest_neighbor(m),
                  tc.greedy_edge(m),
-                 tc.clarke_wright(m, stats=stats)]
+                 tc.clarke_wright(m)]
         for t in tours:
             runs += 1
             if not tc.validate_tour(t.order, n) or t.length < opt - 1e-9:
@@ -154,12 +152,11 @@ def test_criterion_6_complexity_scaling():
     def run(n):
         inst = tc.generate_random_euclidean(n, 7, 1_000_000)
         m = tc.build_distance_matrix(inst)
-        stats = tc.city_stats(m)
         best_wall = float("inf")
         result = None
         for _ in range(5):
             t0 = time.perf_counter()
-            result = tc.construct_tour(m, stats, combo)
+            result = tc.construct_tour(m, combo)
             best_wall = min(best_wall, time.perf_counter() - t0)
         return result.neighbor_evaluations, best_wall
 

@@ -15,7 +15,7 @@ NOT_CITY_INDICES = [1.5, "2", True, False, np.bool_(True)]
 class TestNearestNeighbor:
     def test_equilateral(self):
         d = 2.0 * (np.ones((3, 3)) - np.eye(3))
-        m = tc.DistanceMatrix(3, d)
+        m = tc.DistanceMatrix(d)
         assert tc.nearest_neighbor(m, 0).length == 6
 
     def test_collinear_hand_walk(self):
@@ -113,7 +113,7 @@ def test_tour_orders_pinned():
         for seed in (1, 2, 3)]
     orders = []
     for m in matrices:
-        orders.append(tc.grid_search(m, tc.city_stats(m)).tour.order)
+        orders.append(tc.grid_search(m).tour.order)
         orders.append(tc.nearest_neighbor(m).order)
         orders.append(tc.greedy_edge(m).order)
         orders.append(tc.clarke_wright(m).order)
@@ -185,7 +185,7 @@ def float_matrices(n, seed):
     rounded to 0.1, which still ties some pairs."""
     pts = np.random.default_rng(seed).uniform(0, 10, (n, 2))
     exact = unrounded_matrix(pts)
-    return [exact, tc.DistanceMatrix(n, np.round(exact.d, 1))]
+    return [exact, tc.DistanceMatrix(np.round(exact.d, 1))]
 
 
 def assert_merges_match_references(n, seed):

@@ -6,10 +6,11 @@ import pytest
 import tourcraft as tc
 from tourcraft.bench import CSV_HEADER
 from tourcraft.cli import main
+from conftest import DATA_DIR
 
 
 def triangle_instance():
-    return tc.Instance("tri", 3, "EUC_2D", coords=((0, 0), (3, 0), (0, 4)))
+    return tc.Instance("tri", "EUC_2D", coords=((0, 0), (3, 0), (0, 4)))
 
 
 class TestPercentError:
@@ -109,14 +110,19 @@ class TestRunBenchmark:
      "930a4ee790e8bfc85fe5c584572f48de474f31ae0f9a45c0366d13241e793e6d"),
     ("12,10,1",
      "c1b7656e1e90cd5cd0681ddc38835fca0ce14516e138b85a02cbc9d2394caf20"),
+    ("tsplib",
+     "2b7dc33e7164099e5c88bbb752f7399781218bb3ff493c449ff96c283bc31429"),
 ])
 def test_reference_columns_pinned(tmp_path, spec, digest):
     # sha256 of the bench CSV of all four methods with wall_millis stripped:
     # n=100 takes its references from the Held-Karp ascent, n=12 from the
     # exact DP, so any change of a bound's printed digits or of an exact
-    # length changes it
+    # length changes it; the bundled TSPLIB set pins every method's tour
+    # length on real instances against their known optima
+    source = (["--tsplib", str(DATA_DIR)] if spec == "tsplib"
+              else ["--random", spec])
     out = tmp_path / "report.csv"
-    assert main(["bench", "--random", spec, "--methods",
+    assert main(["bench", *source, "--methods",
                  "proposed,nn,greedy,cw", "--out", str(out)]) == 0
     text = "\n".join(line.rsplit(",", 1)[0]
                      for line in out.read_text().splitlines())

@@ -64,7 +64,7 @@ class TestExactOptimum:
 class TestOneTree:
     def test_345_triangle_equals_tour(self):
         d = np.array([[0, 3, 4], [3, 0, 5], [4, 5, 0]], dtype=float)
-        m = tc.DistanceMatrix(3, d)
+        m = tc.DistanceMatrix(d)
         # MST over {1,2} is the 5-edge; plus both edges at city 0: 3+4+5
         assert tc.one_tree_value(m, [0, 0, 0]) == 12
 
@@ -114,7 +114,7 @@ class TestOneTree:
     @pytest.mark.parametrize("n", [1, 2])
     def test_rejects_fewer_than_3_cities(self, n):
         # a 1-tree needs city 0's two edges; n = 1 and 2 raised IndexError
-        m = tc.DistanceMatrix(n, np.ones((n, n)) - np.eye(n))
+        m = tc.DistanceMatrix(np.ones((n, n)) - np.eye(n))
         with pytest.raises(tc.DegenerateInstanceError):
             tc.one_tree_value(m, np.zeros(n))
 

@@ -13,7 +13,7 @@ from tourcraft.cli import main
 
 def write_small_instance(path: Path) -> None:
     coords = tc.generate_random_euclidean(15, 3, 1000.0).coords
-    inst = tc.Instance("small15", 15, "EUC_2D", coords=coords)
+    inst = tc.Instance("small15", "EUC_2D", coords=coords)
     path.write_text(tc.write_tsplib(inst))
 
 

@@ -11,6 +11,7 @@ import pytest
 
 import tourcraft as tc
 import tourcraft.construction as construction
+from tourcraft.errors import _FloatErrors
 from conftest import (brute_force_optimum, fractional_matrix, load_instance,
                       memory_slack, random_matrix, tie_heavy_matrix,
                       traced_peak, triangle_345, uniform_matrix,
@@ -165,10 +166,9 @@ class TestTracker:
 
 class TestMainSteps:
     def test_triangle_unique_cycle(self, triangle_345):
-        stats = tc.city_stats(triangle_345)
         for combo in (tc.ExponentCombo(0, 0, 0, 0, 0),
                       tc.ExponentCombo(1, 1, 1, 1, 1)):
-            tour = tc.construct_tour(triangle_345, stats, combo).tour
+            tour = tc.construct_tour(triangle_345, combo).tour
             assert sorted(tour.order) == [0, 1, 2]
             assert tour.length == 12
 
@@ -176,8 +176,7 @@ class TestMainSteps:
         # combo (0,0,1,0,0) reduces the neighbor score to 1/d: hand-simulating
         # the two passes on 4 symmetric points yields the perimeter
         m = unrounded_matrix([(0, 0), (1, 0), (1, 1), (0, 1)])
-        stats = tc.city_stats(m)
-        result = tc.construct_tour(m, stats, tc.ExponentCombo(0, 0, 1, 0, 0))
+        result = tc.construct_tour(m, tc.ExponentCombo(0, 0, 1, 0, 0))
         assert result.tour.length == pytest.approx(4.0)
         assert brute_force_optimum(m) == pytest.approx(4.0)
 
@@ -187,64 +186,57 @@ class TestMainSteps:
         rng = np.random.default_rng(23)
         for seed in range(100):
             m = random_matrix(5, seed)
-            stats = tc.city_stats(m)
             combo = tc.ExponentCombo(*rng.choice([0, 0.5, 1], size=5))
-            tour = tc.construct_tour(m, stats, combo).tour
+            tour = tc.construct_tour(m, combo).tour
             assert sorted(tour.order) == list(range(5))
 
 
 class TestConstructTour:
     def test_triangle_forced(self, triangle_345):
-        stats = tc.city_stats(triangle_345)
-        r = tc.construct_tour(triangle_345, stats, tc.ExponentCombo(1, 0, 1, 0, 0))
+        r = tc.construct_tour(triangle_345, tc.ExponentCombo(1, 0, 1, 0, 0))
         assert r.tour.length == 12
 
     def test_never_beats_brute_force(self):
         for seed in range(15):
             n = 4 + seed % 6  # n in 4..9
             m = random_matrix(n, 100 + seed)
-            stats = tc.city_stats(m)
             opt = brute_force_optimum(m)
             for combo in (tc.ExponentCombo(0, 0.5, 1, 0, 0.5),
                           tc.ExponentCombo(1, 1, 1, 1, 1)):
-                r = tc.construct_tour(m, stats, combo)
+                r = tc.construct_tour(m, combo)
                 assert tc.validate_tour(r.tour.order, n)
                 assert r.tour.length >= opt - 1e-9
 
     def test_deterministic(self):
         m = random_matrix(40, 9)
-        stats = tc.city_stats(m)
         combo = tc.ExponentCombo(0.5, 1, 1, 0.5, 0)
-        a = tc.construct_tour(m, stats, combo)
-        b = tc.construct_tour(m, stats, combo)
+        a = tc.construct_tour(m, combo)
+        b = tc.construct_tour(m, combo)
         assert a.tour == b.tour
 
     def test_single_cycle_structure(self):
         m = random_matrix(25, 3)
-        stats = tc.city_stats(m)
-        r = tc.construct_tour(m, stats, tc.ExponentCombo(0.5, 0.5, 1, 0.5, 0))
+        r = tc.construct_tour(m, tc.ExponentCombo(0.5, 0.5, 1, 0.5, 0))
         assert tc.validate_tour(r.tour.order, 25)
 
     def test_rejects_degenerate(self):
         # at n = 2 sigma is 0, so beta = -1 would be a ConfigError; every
         # path to a tour checks the city count first
-        m = tc.DistanceMatrix(2, np.array([[0.0, 1.0], [1.0, 0.0]]))
-        stats = tc.city_stats(m)
+        m = tc.DistanceMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(tc.DegenerateInstanceError):
-            tc.grid_search(m, stats)
+            tc.grid_search(m)
         for combo in (tc.ExponentCombo(0, 0, 0, 0, 0),
                       tc.ExponentCombo(0, -1, 1, 0, 0)):
             with pytest.raises(tc.DegenerateInstanceError):
-                tc.construct_tour(m, stats, combo)
+                tc.construct_tour(m, combo)
             with pytest.raises(tc.DegenerateInstanceError):
-                tc.grid_search(m, stats, [combo])
+                tc.grid_search(m, [combo])
 
     def test_coincident_cities_connect(self):
-        inst = tc.Instance("dup", 4, "EUC_2D",
+        inst = tc.Instance("dup", "EUC_2D",
                            coords=((0, 0), (0, 0), (10, 0), (10, 10)))
         m = tc.build_distance_matrix(inst)
-        stats = tc.city_stats(m)
-        r = tc.construct_tour(m, stats, tc.ExponentCombo(0, 0, 1, 0, 0))
+        r = tc.construct_tour(m, tc.ExponentCombo(0, 0, 1, 0, 0))
         order = list(r.tour.order)
         pos = {c: i for i, c in enumerate(order)}
         assert abs(pos[0] - pos[1]) in (1, 3)  # zero-distance pair adjacent
@@ -255,13 +247,12 @@ def test_scores_on_exact_geometry_and_measures_rounded():
     # 2 (0.6 away) is nearer than 1 (1.4 away)
     coords = ((0, 0), (1.4, 0), (0, 0.6), (1.4, 2), (0, 2))
     combo = tc.ExponentCombo(0, 0, 1, 0, 0)
-    m = tc.build_distance_matrix(tc.Instance("r", 5, "EUC_2D", coords=coords))
+    m = tc.build_distance_matrix(tc.Instance("r", "EUC_2D", coords=coords))
     exact = unrounded_matrix(coords)
-    rounded_only = tc.DistanceMatrix(5, m.d)
-    r = tc.construct_tour(m, tc.city_stats(m), combo)
-    want = tc.construct_tour(exact, tc.city_stats(exact), combo).tour.order
-    wrong = tc.construct_tour(rounded_only, tc.city_stats(rounded_only),
-                              combo).tour.order
+    rounded_only = tc.DistanceMatrix(m.d)
+    r = tc.construct_tour(m, combo)
+    want = tc.construct_tour(exact, combo).tour.order
+    wrong = tc.construct_tour(rounded_only, combo).tour.order
     # step 1 joins city 0 first, to 2, and the walk leaves 0 along that edge
     assert r.tour.order[1] == 2
     assert r.tour.order == want != wrong
@@ -271,39 +262,35 @@ def test_scores_on_exact_geometry_and_measures_rounded():
 class TestGridSearch:
     def test_singleton_grid(self):
         m = random_matrix(12, 8)
-        stats = tc.city_stats(m)
         combo = tc.ExponentCombo(0.5, 0, 1, 0.5, 0)
-        single = tc.grid_search(m, stats, [combo])
-        direct = tc.construct_tour(m, stats, combo)
+        single = tc.grid_search(m, [combo])
+        direct = tc.construct_tour(m, combo)
         assert single.tour == direct.tour and single.combo == combo
 
     def test_superset_dominance(self):
         m = random_matrix(20, 13)
-        stats = tc.city_stats(m)
-        small = tc.grid_search(m, stats, tc.default_grid([0, 1]))
-        full = tc.grid_search(m, stats, tc.default_grid([0, 0.5, 1]))
+        small = tc.grid_search(m, tc.default_grid([0, 1]))
+        full = tc.grid_search(m, tc.default_grid([0, 0.5, 1]))
         assert full.tour.length <= small.tour.length
 
     def test_best_bounds_every_combo(self):
         m = random_matrix(10, 21)
-        stats = tc.city_stats(m)
         grid = tc.default_grid([0, 1])
-        best = tc.grid_search(m, stats, grid)
+        best = tc.grid_search(m, grid)
         for combo in grid:
             assert best.tour.length <= \
-                tc.construct_tour(m, stats, combo).tour.length + 1e-9
+                tc.construct_tour(m, combo).tour.length + 1e-9
 
     def test_empty_grid_rejected(self):
         m = random_matrix(5, 1)
         with pytest.raises(tc.ConfigError):
-            tc.grid_search(m, tc.city_stats(m), [])
+            tc.grid_search(m, [])
 
     def test_negative_exponent_with_zero_stat_rejected(self):
         d = np.ones((4, 4)) - np.eye(4)  # sigma = 0 everywhere
-        m = tc.DistanceMatrix(4, d)
-        stats = tc.city_stats(m)
+        m = tc.DistanceMatrix(d)
         with pytest.raises(tc.ConfigError):
-            tc.grid_search(m, stats, [tc.ExponentCombo(0, -1, 0, 0, 0)])
+            tc.grid_search(m, [tc.ExponentCombo(0, -1, 0, 0, 0)])
 
     @pytest.mark.parametrize("combo", [tc.ExponentCombo(0, -1, 0, 0, 0),
                                        tc.ExponentCombo(0, 0, 1, 0, -1)],
@@ -311,9 +298,9 @@ class TestGridSearch:
     def test_construct_tour_rejects_negative_exponent_on_zero_stat(self,
                                                                    combo):
         d = np.ones((3, 3)) - np.eye(3)  # equilateral: sigma = 0 everywhere
-        m = tc.DistanceMatrix(3, d)
+        m = tc.DistanceMatrix(d)
         with pytest.raises(tc.ConfigError, match="zero statistic"):
-            tc.construct_tour(m, tc.city_stats(m), combo)
+            tc.construct_tour(m, combo)
 
     @pytest.mark.parametrize("combo", [tc.ExponentCombo(0, 0, 1000, 0, 0),
                                        tc.ExponentCombo(1000, 0, 0, 0, 0),
@@ -323,11 +310,10 @@ class TestGridSearch:
                                   "negative-gamma"])
     def test_overflowing_power_rejected(self, combo):
         m = random_matrix(20, 0, box=10.0)  # distances 0.15 to 14
-        stats = tc.city_stats(m)
         with pytest.raises(tc.ConfigError, match=r"overflow.*\^-?1000"):
-            tc.construct_tour(m, stats, combo)
+            tc.construct_tour(m, combo)
         with pytest.raises(tc.ConfigError, match=r"overflow.*\^-?1000"):
-            tc.grid_search(m, stats, [tc.ExponentCombo(0, 0, 0, 0, 0), combo])
+            tc.grid_search(m, [tc.ExponentCombo(0, 0, 0, 0, 0), combo])
 
     @pytest.mark.parametrize("scale,combo", [
         (1, tc.ExponentCombo(0, 0, -1000, 0, 0)),
@@ -341,12 +327,43 @@ class TestGridSearch:
         # distances 15 to 1358 (0.003 to 0.27 scaled), mu 394 to 813: each
         # power, or the ratio mu^-100 / d^90, is below the smallest float
         d = random_matrix(20, 0).d * scale
-        m = tc.DistanceMatrix(20, d)
-        stats = tc.city_stats(m)
+        m = tc.DistanceMatrix(d)
         with pytest.raises(tc.ConfigError, match=r"underflow.*\^-?\d+"):
-            tc.construct_tour(m, stats, combo)
+            tc.construct_tour(m, combo)
         with pytest.raises(tc.ConfigError, match=r"underflow.*\^-?\d+"):
-            tc.grid_search(m, stats, [tc.ExponentCombo(0, 0, 0, 0, 0), combo])
+            tc.grid_search(m, [tc.ExponentCombo(0, 0, 0, 0, 0), combo])
+
+    @pytest.mark.parametrize("combo,powers", [
+        (tc.ExponentCombo(1000, 0, 0, 0, 0), "mu^1000 * sigma^0"),
+        (tc.ExponentCombo(0, 0, 1000, 0.5, 0), "mu^0.5 * sigma^0 / d^1000"),
+    ], ids=["eq1", "eq2"])
+    def test_float_range_message(self, combo, powers):
+        # word for word, each exponent printed as given
+        m = random_matrix(20, 0, box=10.0)
+        with pytest.raises(tc.ConfigError) as err:
+            tc.construct_tour(m, combo)
+        assert str(err.value) == \
+            f"exponents overflow or underflow a float: {powers}"
+
+    def test_float_range_message_formatted_only_when_raised(self):
+        formatted = []
+
+        class Exponent:
+            def __format__(self, spec):
+                formatted.append(spec)
+                return "x"
+
+        def guard():
+            return _FloatErrors(tc.ConfigError, "mu^{} * sigma^{}",
+                                Exponent(), Exponent(), over="raise")
+
+        with guard():
+            np.float64(2.0) * 2.0
+        assert formatted == []
+        with pytest.raises(tc.ConfigError, match=r"^mu\^x \* sigma\^x$"):
+            with guard():
+                np.float64(1e308) * 10.0
+        assert formatted == ["", ""]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_exponent_rejected(self, bad):
@@ -387,7 +404,7 @@ def oracle(m, stats):
 def assert_grid_matches_brute_grid(m, grid=None, reference=oracle):
     stats = tc.city_stats(m)
     combos = tc.default_grid() if grid is None else grid
-    got = tc.grid_search(m, stats, grid)
+    got = tc.grid_search(m, grid)
     want = brute_grid(m, combos, reference(m, stats))
     assert (got.tour.order, got.combo) == want
 
@@ -402,7 +419,7 @@ def criterion_5_matrices(count):
 
 def coincident_matrix():
     coords = ((0, 0), (5, 5), (0, 0), (10, 0), (5, 5), (0, 10), (10, 10))
-    return tc.build_distance_matrix(tc.Instance("dup", 7, "EUC_2D",
+    return tc.build_distance_matrix(tc.Instance("dup", "EUC_2D",
                                                 coords=coords))
 
 
@@ -411,14 +428,14 @@ def equidistant_matrix(n=5):
 
 
 def all_coincident_matrix(n=5):
-    return tc.build_distance_matrix(tc.Instance("same", n, "EUC_2D",
+    return tc.build_distance_matrix(tc.Instance("same", "EUC_2D",
                                                 coords=[(3, 3)] * n))
 
 
 def zero_row_matrix():
     w = tie_heavy_matrix(6, 9).d.copy()
     w[2, :] = w[:, 2] = 0.0  # city 2: mu = sigma = 0
-    return tc.build_distance_matrix(tc.Instance("zrow", 6, "EXPLICIT",
+    return tc.build_distance_matrix(tc.Instance("zrow", "EXPLICIT",
                                                 explicit_weights=w))
 
 
@@ -458,7 +475,7 @@ class TestGridMatchesBruteGrid:
         m = tc.build_distance_matrix(
             tc.generate_random_euclidean(100, seed, 1_000_000))
         assert_grid_matches_brute_grid(m, reference=lambda m, stats: (
-            lambda combo: tc.construct_tour(m, stats, combo).tour.order))
+            lambda combo: tc.construct_tour(m, combo).tour.order))
 
     @pytest.mark.parametrize("grid", [
         tc.default_grid([0, 1]),
@@ -492,7 +509,7 @@ class TestGridMatchesBruteGrid:
             -eq1_priority(mu[c], sigma[c], a, b), c)))
             for a in (0, 0.5, 1) for b in (0, 0.5, 1)}
         calls = self.counted_constructions(monkeypatch)
-        result = tc.grid_search(m, stats)
+        result = tc.grid_search(m)
         # 18 gamma != 0 rules, and one gamma = 0 rule per distinct ranking:
         # the (delta, epsilon) rankings are the same len(orders) sequences
         assert len(calls) == len(set(calls)) == \
@@ -510,7 +527,7 @@ class TestGridMatchesBruteGrid:
         grid = [tc.ExponentCombo(a, 0, 0, delta, 0)
                 for a in (0, 1) for delta in (1, 2)]
         calls = self.counted_constructions(monkeypatch)
-        result = tc.grid_search(m, stats, grid)
+        result = tc.grid_search(m, grid)
         assert len(calls) == len(set(calls)) == 2
         assert len({id(ranked) for _, ranked in calls}) == 1
         assert result.combo in (grid[0], grid[2])
@@ -527,7 +544,7 @@ class TestGridMatchesBruteGrid:
         assert len(rankings) == len(pairs)
         grid = [tc.ExponentCombo(a, 0, 0, *p) for a in (0, 1) for p in pairs]
         calls = self.counted_constructions(monkeypatch)
-        result = tc.grid_search(m, stats, grid)
+        result = tc.grid_search(m, grid)
         assert len(calls) == len(set(calls)) == len(grid)
         assert {ranked.ranking for _, ranked in calls} == rankings
         assert result.neighbor_evaluations == len(grid) * 20 * 19
@@ -537,7 +554,7 @@ class TestGridMatchesBruteGrid:
         m = equidistant_matrix()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            tc.grid_search(m, tc.city_stats(m))
+            tc.grid_search(m)
 
     def test_sigma_zero_solve_writes_nothing_to_stderr(self, tmp_path):
         f = tmp_path / "eq.tsp"
@@ -596,7 +613,7 @@ class TestCandidateLists:
             stats = tc.city_stats(m)
             order_of = oracle(m, stats)
             for combo in CANDIDATE_GRID:
-                got = tc.construct_tour(m, stats, combo).tour.order
+                got = tc.construct_tour(m, combo).tour.order
                 assert got == tuple(order_of(combo)), (m.n, combo)
 
     def test_grid_search_against_oracle(self, k):
@@ -632,8 +649,8 @@ def test_one_off_scores_are_not_ranked(monkeypatch):
         order_of = oracle(m, stats)
         for combo in CANDIDATE_GRID:
             want = tuple(order_of(combo))
-            assert tc.construct_tour(m, stats, combo).tour.order == want
-            assert tc.grid_search(m, stats, [combo]).tour.order == want
+            assert tc.construct_tour(m, combo).tour.order == want
+            assert tc.grid_search(m, [combo]).tour.order == want
 
 
 @pytest.mark.parametrize("grid", [None, CANDIDATE_GRID],
@@ -646,13 +663,12 @@ def test_grid_prices_fractional_weights_exactly(grid):
     combos = tc.default_grid() if grid is None else grid
     for n, seed in ((5, 1), (11, 0), (14, 2), (23, 0), (25, 0), (49, 2)):
         m = fractional_matrix(n, seed)
-        stats = tc.city_stats(m)
         want = None
         for combo in combos:
-            tour = tc.construct_tour(m, stats, combo).tour
+            tour = tc.construct_tour(m, combo).tour
             if want is None or tour.length < want[0].length:
                 want = (tour, combo)
-        got = tc.grid_search(m, stats, grid)
+        got = tc.grid_search(m, grid)
         assert (got.tour.order, got.combo, got.tour.length) == \
             (want[0].order, want[1], want[0].length), n
 
@@ -689,16 +705,15 @@ def test_gamma_zero_walk_skips_the_closed_prefix():
     order = construction._city_order(stats, 1, 0)
     ranked = construction.RankedScores(m, stats, (0.0, CountingList(order)))
     got = construction._construct(order, ranked)
-    assert tuple(got) == tc.construct_tour(m, stats, combo).tour.order
+    assert tuple(got) == tc.construct_tour(m, combo).tour.order
     assert ranked.ranking.reads <= 10 * n, ranked.ranking.reads
 
 
 def test_grid_search_holds_one_extra_matrix():
     n = 300
     m = random_matrix(n, 4)
-    stats = tc.city_stats(m)
-    tc.grid_search(m, stats, tc.default_grid([1]))  # warm numpy up
-    peak = traced_peak(lambda: tc.grid_search(m, stats))
+    tc.grid_search(m, tc.default_grid([1]))  # warm numpy up
+    peak = traced_peak(lambda: tc.grid_search(m))
     assert peak <= 8 * n * n + memory_slack(n)
 
 
@@ -721,8 +736,7 @@ def test_neighbor_evaluations_exactly_quadratic():
     # the n placed edges, whatever the candidate lists save
     for n, seed in ((20, 1), (50, 2), (100, 3)):
         m = random_matrix(n, seed)
-        stats = tc.city_stats(m)
-        r = tc.construct_tour(m, stats, tc.ExponentCombo(0.5, 1, 1, 0.5, 0))
+        r = tc.construct_tour(m, tc.ExponentCombo(0.5, 1, 1, 0.5, 0))
         assert r.neighbor_evaluations == n * (n - 1)
 
 
@@ -738,7 +752,7 @@ def test_matches_paper_transcription_on_default_grid(n, seed):
     d, mu, sigma = m.heuristic.tolist(), stats.mu.tolist(), stats.sigma.tolist()
     rounded = m.d.tolist()
     for combo in tc.default_grid():
-        got = tc.construct_tour(m, stats, combo).tour
+        got = tc.construct_tour(m, combo).tour
         want = construct_order(d, mu, sigma, combo.as_tuple())
         assert got.order == tuple(want), combo
         assert got.length == sum(rounded[a][b]

@@ -34,7 +34,7 @@ def test_att48_optimal_tour_both_metrics():
     att = tc.build_distance_matrix(inst)
     assert tc.tour_length(order, att) == 10628  # published ATT optimum
     euc = tc.build_distance_matrix(
-        tc.Instance("att48", inst.n, "EUC_2D", coords=inst.coords))
+        tc.Instance("att48", "EUC_2D", coords=inst.coords))
     # the benchmark tables use the rounded-Euclidean metric for att48; the
     # ATT-optimal tour measures 33522 there, within 1 of the tabled 33523
     assert abs(tc.tour_length(order, euc) - 33523) <= 1

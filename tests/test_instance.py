@@ -13,7 +13,7 @@ from conftest import (DATA_DIR, fractional_matrix, memory_slack,
 
 def pair_distance(kind, a, b):
     """TSPLIB distance of one pair, read from a two-city matrix."""
-    inst = tc.Instance("pair", 2, kind, coords=(a, b))
+    inst = tc.Instance("pair", kind, coords=(a, b))
     return tc.build_distance_matrix(inst).d[0, 1]
 
 
@@ -46,12 +46,12 @@ class TestDistance:
 
     def test_unknown_kind(self):
         with pytest.raises(tc.ConfigError):
-            tc.Instance("g", 2, "GEO", coords=((0, 0), (1, 1)))
+            tc.Instance("g", "GEO", coords=((0, 0), (1, 1)))
 
 
 class TestDistanceMatrix:
     def test_rounding_example(self):
-        inst = tc.Instance("t", 3, "EUC_2D", coords=((0, 0), (0, 1), (1, 0)))
+        inst = tc.Instance("t", "EUC_2D", coords=((0, 0), (0, 1), (1, 0)))
         m = tc.build_distance_matrix(inst)
         assert m.d[0][1] == 1 and m.d[0][2] == 1
         assert m.d[1][2] == 1  # sqrt(2) rounds down to 1
@@ -59,7 +59,7 @@ class TestDistanceMatrix:
 
     def test_berlin52_first_pair(self):
         # round(sqrt(540^2 + 390^2)) = round(666.11) = 666
-        inst = tc.Instance("b", 2, "EUC_2D",
+        inst = tc.Instance("b", "EUC_2D",
                            coords=((565.0, 575.0), (25.0, 185.0)))
         m = tc.build_distance_matrix(inst)
         assert m.d[0][1] == 666
@@ -73,7 +73,7 @@ class TestDistanceMatrix:
 
     def test_explicit_passthrough(self):
         w = np.array([[0, 2, 3], [2, 0, 4], [3, 4, 0]], dtype=float)
-        inst = tc.Instance("e", 3, "EXPLICIT", explicit_weights=w)
+        inst = tc.Instance("e", "EXPLICIT", explicit_weights=w)
         m = tc.build_distance_matrix(inst)
         assert np.array_equal(m.d, w)
         assert m.heuristic is m.d
@@ -85,7 +85,7 @@ class TestDistanceMatrix:
         near[0, 1], near[1, 0] = 100000.0, 100001.0
         for w in (np.array([[0, 2], [3, 0]], dtype=float), near):
             with pytest.raises(tc.ValidationError, match="not symmetric"):
-                tc.Instance("bad", len(w), "EXPLICIT", explicit_weights=w)
+                tc.Instance("bad", "EXPLICIT", explicit_weights=w)
 
     def test_size_guard_before_allocation(self, monkeypatch):
         assert tc.instance.MATRIX_MAX_N >= 1000
@@ -96,7 +96,7 @@ class TestDistanceMatrix:
         assert tc.build_distance_matrix(
             tc.generate_random_euclidean(10, 1, 100.0)).n == 10
         for inst in (tc.generate_random_euclidean(11, 1, 100.0),
-                     tc.Instance("e", 11, "EXPLICIT",
+                     tc.Instance("e", "EXPLICIT",
                                  explicit_weights=np.zeros((11, 11)))):
             with pytest.raises(tc.SizeLimitError, match="n <= 10"):
                 tc.build_distance_matrix(inst)
@@ -130,7 +130,7 @@ class TestInPlaceBuilds:
         # real coordinates, and integer ones with exact and repeated distances
         for pts in (rng.random((150, 2)) * 10_000,
                     rng.integers(0, 30, (150, 2)).astype(float)):
-            m = tc.build_distance_matrix(tc.Instance("r", 150, kind, coords=pts))
+            m = tc.build_distance_matrix(tc.Instance("r", kind, coords=pts))
             d, exact = plain_matrix(pts, kind)
             assert m.d.tobytes() == d.tobytes()
             assert m.heuristic.tobytes() == exact.tobytes()
@@ -146,7 +146,7 @@ class TestInPlaceBuilds:
     def test_matrix_build_peak(self, kind, arrays):
         n = 300
         pts = np.random.default_rng(9).random((n, 2)) * 1000
-        inst = tc.Instance("r", n, kind, coords=pts)
+        inst = tc.Instance("r", kind, coords=pts)
         tc.build_distance_matrix(inst)  # warm numpy up
         peak = traced_peak(lambda: tc.build_distance_matrix(inst))
         assert peak <= arrays * 8 * n * n + memory_slack(n)
@@ -161,7 +161,7 @@ class TestInPlaceBuilds:
 
 class TestInputValidation:
     def test_coords_are_one_read_only_array(self):
-        inst = tc.Instance("t", 3, "EUC_2D", coords=[(0, 0), (1, 2), (3, 4)])
+        inst = tc.Instance("t", "EUC_2D", coords=[(0, 0), (1, 2), (3, 4)])
         assert inst.coords.shape == (3, 2) and inst.coords.dtype == float
         with pytest.raises(ValueError):
             inst.coords[0, 0] = 5.0
@@ -169,18 +169,18 @@ class TestInputValidation:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_coordinate_rejected(self, bad):
         with pytest.raises(tc.ValidationError, match="non-finite"):
-            tc.Instance("t", 3, "EUC_2D", coords=((0, 0), (bad, 1), (2, 2)))
+            tc.Instance("t", "EUC_2D", coords=((0, 0), (bad, 1), (2, 2)))
 
     def test_negative_weight_rejected(self):
         w = np.array([[0, -1, 3], [-1, 0, 4], [3, 4, 0]], dtype=float)
         with pytest.raises(tc.ValidationError, match=">= 0"):
-            tc.Instance("e", 3, "EXPLICIT", explicit_weights=w)
+            tc.Instance("e", "EXPLICIT", explicit_weights=w)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_weight_rejected(self, bad):
         w = np.array([[0, bad, 3], [bad, 0, 4], [3, 4, 0]], dtype=float)
         with pytest.raises(tc.ValidationError, match="finite"):
-            tc.Instance("e", 3, "EXPLICIT", explicit_weights=w)
+            tc.Instance("e", "EXPLICIT", explicit_weights=w)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
     def test_distance_matrix_entries_rejected(self, bad):
@@ -188,32 +188,66 @@ class TestInputValidation:
         d = np.ones((4, 4)) - np.eye(4)
         d[1, 2] = d[2, 1] = bad
         with pytest.raises(tc.ValidationError, match="finite and >= 0"):
-            tc.DistanceMatrix(4, d)
+            tc.DistanceMatrix(d)
         with pytest.raises(tc.ValidationError, match="finite and >= 0"):
-            tc.DistanceMatrix(4, np.ones((4, 4)) - np.eye(4), heuristic=d)
+            tc.DistanceMatrix(np.ones((4, 4)) - np.eye(4), heuristic=d)
 
 
     @pytest.mark.parametrize("kwargs,error,fragment", [
-        (dict(n=0, kind="EUC_2D", coords=()), tc.DegenerateInstanceError,
+        (dict(kind="EUC_2D", coords=()), tc.DegenerateInstanceError,
          "n >= 1, got 0"),
-        (dict(n=3, kind="EXPLICIT"), tc.ValidationError,
+        (dict(kind="EXPLICIT"), tc.ValidationError,
          "requires a weight table"),
-        (dict(n=3, kind="EXPLICIT", explicit_weights=np.zeros((2, 2))),
-         tc.ValidationError, r"shape \(2, 2\) does not match n=3"),
-        (dict(n=2, kind="EXPLICIT", explicit_weights=np.ones((2, 2))),
+        (dict(kind="EXPLICIT", explicit_weights=np.zeros((2, 3))),
+         tc.ValidationError, r"shape \(2, 3\) is not square"),
+        (dict(kind="EXPLICIT", explicit_weights=np.ones((2, 2))),
          tc.ValidationError, "nonzero diagonal"),
-        (dict(n=3, kind="EUC_2D", coords=((0, 0), (1, 1))),
+        (dict(kind="EXPLICIT", explicit_weights=np.zeros((3, 3)),
+              coords=((0, 0), (1, 1))),
          tc.ValidationError, "expected 3 coordinate pairs, got 2"),
     ], ids=["n-below-1", "explicit-without-table", "table-shape",
             "nonzero-diagonal", "coordinate-count"])
     def test_bad_instance_rejected(self, kwargs, error, fragment):
+        # n is read from the arrays: no coordinates is no city, and display
+        # coordinates must number the table's rows
         with pytest.raises(error, match=fragment):
             tc.Instance("t", **kwargs)
 
+    @pytest.mark.parametrize("coords", [[[0, 0, 0], [1, 1, 1]], [0, 0, 1]],
+                             ids=["triples", "odd-flat-list"])
+    def test_coordinates_must_be_pairs(self, coords):
+        # the triples were read as the pairs (0, 0), (0, 1), (1, 1), and an
+        # odd-length flat list was a bare ValueError from reshape
+        with pytest.raises(tc.ValidationError, match=r"not \(x, y\) pairs"):
+            tc.Instance("t", "EUC_2D", coords=coords)
+
     @pytest.mark.parametrize("shape", [(3, 4), (4,), (3, 3)])
     def test_distance_matrix_shape_rejected(self, shape):
-        with pytest.raises(tc.ValidationError, match="matrix shape"):
-            tc.DistanceMatrix(4, np.zeros(shape))
+        # d must be square, and a heuristic must have the shape of d
+        d = np.ones((4, 4)) - np.eye(4)
+        with pytest.raises(tc.ValidationError, match="heuristic shape"):
+            tc.DistanceMatrix(d, heuristic=np.zeros(shape))
+        if shape != (3, 3):
+            with pytest.raises(tc.ValidationError, match="is not square"):
+                tc.DistanceMatrix(np.zeros(shape))
+
+    def test_empty_matrix_is_degenerate(self):
+        # was a bare ValueError from the finiteness check's reduction
+        with pytest.raises(tc.DegenerateInstanceError, match="n >= 1, got 0"):
+            tc.DistanceMatrix(np.zeros((0, 0)))
+        with pytest.raises(tc.DegenerateInstanceError, match="n >= 1, got 0"):
+            tc.Instance("t", "EXPLICIT", explicit_weights=np.zeros((0, 0)))
+
+    def test_n_is_a_python_int_read_from_the_arrays(self):
+        # a float n was accepted, gave bare TypeErrors in the solvers and
+        # was written as DIMENSION: 4.0
+        pts = np.array([(0, 0), (3, 0), (3, 4), (0, 4)], dtype=np.float64)
+        w = np.ones((4, 4)) - np.eye(4)
+        inst = tc.Instance("t", "EUC_2D", coords=pts)
+        for n in (inst.n, tc.Instance("e", "EXPLICIT", explicit_weights=w).n,
+                  tc.DistanceMatrix(w).n, tc.build_distance_matrix(inst).n):
+            assert type(n) is int and n == 4
+        assert "\nDIMENSION: 4\n" in tc.write_tsplib(inst)
 
 
 class TestHeuristicGeometry:
@@ -226,7 +260,7 @@ class TestHeuristicGeometry:
 
     def test_matrix_from_array_scores_on_it(self):
         d = np.array([[0.0, 3.0, 4.0], [3.0, 0.0, 5.0], [4.0, 5.0, 0.0]])
-        m = tc.DistanceMatrix(3, d)
+        m = tc.DistanceMatrix(d)
         assert m.heuristic is m.d
         s = tc.city_stats(m)
         assert s.mu[0] == 3.5 and s.sigma[0] == 0.5
@@ -235,28 +269,28 @@ class TestHeuristicGeometry:
 class TestCityStats:
     def test_equilateral(self):
         d = np.ones((3, 3)) - np.eye(3)
-        s = tc.city_stats(tc.DistanceMatrix(3, d))
+        s = tc.city_stats(tc.DistanceMatrix(d))
         assert np.allclose(s.mu, 1) and np.allclose(s.sigma, 0)
 
     def test_two_distances(self):
         d = np.array([[0, 3, 5], [3, 0, 1], [5, 1, 0]], dtype=float)
-        s = tc.city_stats(tc.DistanceMatrix(3, d))
+        s = tc.city_stats(tc.DistanceMatrix(d))
         assert s.mu[0] == 4 and s.sigma[0] == 1
 
     def test_n2_single_sample(self):
         d = np.array([[0, 7], [7, 0]], dtype=float)
-        s = tc.city_stats(tc.DistanceMatrix(2, d))
+        s = tc.city_stats(tc.DistanceMatrix(d))
         assert np.allclose(s.mu, 7) and np.allclose(s.sigma, 0)
 
     def test_constant_offdiagonal(self):
         for c in (0.5, 3.0, 42.0):
             d = c * (np.ones((6, 6)) - np.eye(6))
-            s = tc.city_stats(tc.DistanceMatrix(6, d))
+            s = tc.city_stats(tc.DistanceMatrix(d))
             assert np.allclose(s.mu, c) and np.allclose(s.sigma, 0)
 
     def test_degenerate(self):
         with pytest.raises(tc.DegenerateInstanceError):
-            tc.city_stats(tc.DistanceMatrix(1, np.zeros((1, 1))))
+            tc.city_stats(tc.DistanceMatrix(np.zeros((1, 1))))
 
 
 class TestTourLength:
@@ -303,7 +337,7 @@ class TestLoopLengths:
         # d[i, j] = w[j], a read-only view: no n x n array is held
         w = np.random.default_rng(n).random(n) * 10
         self.assert_rows_sum_alone(
-            tc.DistanceMatrix(n, np.broadcast_to(w, (n, n))), rows=3)
+            tc.DistanceMatrix(np.broadcast_to(w, (n, n))), rows=3)
 
 
 class TestFloatRange:
@@ -334,7 +368,7 @@ class TestFloatRange:
                 tc.tour_length(range(5), uniform_matrix(5, 1e308))
 
     def test_underflow_is_not_an_error(self):
-        m = tc.DistanceMatrix(6, fractional_matrix(6, 1).d * 1e-200)
+        m = tc.DistanceMatrix(fractional_matrix(6, 1).d * 1e-200)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             s = tc.city_stats(uniform_matrix(5, 1e-200))

@@ -5,7 +5,7 @@ import tourcraft as tc
 
 
 def square_instance():
-    return tc.Instance("sq", 4, "EUC_2D",
+    return tc.Instance("sq", "EUC_2D",
                        coords=((0, 0), (10, 0), (10, 10), (0, 10)))
 
 
@@ -30,7 +30,7 @@ def test_deterministic():
 
 def test_explicit_with_display_coords():
     w = np.array([[0, 1, 2], [1, 0, 3], [2, 3, 0]], dtype=float)
-    inst = tc.Instance("ex", 3, "EXPLICIT", explicit_weights=w,
+    inst = tc.Instance("ex", "EXPLICIT", explicit_weights=w,
                        coords=((0, 0), (1, 0), (0, 1)))
     assert tc.plot_tour_svg(inst, [0, 1, 2]).count("<circle") == 3
 
@@ -46,6 +46,6 @@ def test_non_tour_rejected(order, reference):
 
 def test_explicit_rejected():
     w = np.array([[0, 1, 2], [1, 0, 3], [2, 3, 0]], dtype=float)
-    inst = tc.Instance("ex", 3, "EXPLICIT", explicit_weights=w)
+    inst = tc.Instance("ex", "EXPLICIT", explicit_weights=w)
     with pytest.raises(tc.ConfigError):
         tc.plot_tour_svg(inst, [0, 1, 2])

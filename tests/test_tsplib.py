@@ -143,11 +143,11 @@ class TestTourFiles:
 def test_instance_file_round_trip():
     pts = np.round(np.random.default_rng(4).uniform(0, 1e3, (20, 2)), 6)
     for kind in ("EUC_2D", "CEIL_2D"):
-        inst = tc.Instance("r20", 20, kind, coords=pts)
+        inst = tc.Instance("r20", kind, coords=pts)
         back = tc.parse_tsplib(tc.write_tsplib(inst))
         assert (back.name, back.n, back.kind) == ("r20", 20, kind)
         assert np.array_equal(back.coords, inst.coords)
-    weights = tc.Instance("w3", 3, "EXPLICIT",
+    weights = tc.Instance("w3", "EXPLICIT",
                           explicit_weights=np.ones((3, 3)) - np.eye(3))
     with pytest.raises(tc.ValidationError, match="no coordinates"):
         tc.write_tsplib(weights)
