@@ -13,16 +13,19 @@ closed loops of each neighbour rule together, with the summation
 Each step reads a short candidate list instead of the whole row of
 neighbour scores, with the same result. A score matrix, whose -inf diagonal
 keeps a city from being its own neighbour, is ranked once per grid when
-more than one construction reads it: row i lists the neighbours scoring
-strictly above the row's (K+1)-th largest score, K = CANDIDATES or n - 1 if
-smaller, by (-score, index). The strict cut keeps or drops a tie as a
-whole, so the first admissible listed neighbour is the first maximum of
-the masked row; when every listed one is closed, and in a matrix read
-once, which lists none, the step scans the whole row. With gamma = 0 every
-row is the numerator, ranked as the eq. 1 order of (delta, epsilon), so
-such a neighbour rule is keyed by that ranking, (0.0, ranking), and any
-other by its exponents, (gamma, delta, epsilon). `construct_tour` is the
-grid of one point.
+more than one construction reads it. Every such matrix draws its lists
+from one neighbour set per row, built once per grid: the M = CANDIDATES
+(or n - 1 if smaller) nearest other cities by the heuristic geometry, or
+the farthest for gamma < 0. Row i lists the cities of its set that score
+strictly above every city outside it, by (-score, index), so every city
+left out scores strictly below every listed one, whichever set was chosen,
+and the first admissible listed neighbour is the first maximum of the
+masked row; when every listed one is closed, and in a matrix read once,
+which lists none, the step scans the whole row. With gamma = 0 every row
+is the numerator, ranked as the eq. 1 order of (delta, epsilon), so such
+a neighbour rule is keyed by that ranking, (0.0, ranking), and any other
+by its exponents, (gamma, delta, epsilon). `construct_tour` is the grid of
+one point.
 
 Conventions (fixed for determinism):
 
@@ -50,8 +53,8 @@ from .instance import (CityStats, DistanceMatrix, Tour, _loop_lengths,
                        _require_n, city_stats, make_tour)
 
 DEFAULT_EXPONENT_VALUES = (0.0, 0.5, 1.0)
-CANDIDATES = 8  # K: neighbours ranked per score row
-CANDIDATE_BLOCK = 64  # score rows ranked at a time
+CANDIDATES = 16  # M: cities in each row's neighbour set
+CANDIDATE_BLOCK = 64  # rows partitioned at a time into neighbour sets
 
 
 @dataclass(frozen=True, order=True)
@@ -224,52 +227,69 @@ class RankedScores:
     a gamma = 0 rule, every row is mu^delta * sigma^epsilon, so `ranking`
     is that eq. 1 order, used as given, and `scores` and `rows` are None.
     For (gamma, delta, epsilon), `scores` is the score matrix (filled into
-    `out` if given) and `rows` its `_candidate_rows` when `shared`, that is
-    when more than one construction reads it; for a single construction
-    ranking costs more than it saves, so every row lists no candidate and
-    each step scans its whole row."""
+    `out` if given) and `rows` its `_candidate_rows` from `sets` (the
+    rule's `_neighbour_sets`, built here if not given) when `shared`, that
+    is when more than one construction reads it; for a single construction
+    ranking costs more than it saves, so no set is built, every row lists
+    no candidate and each step scans its whole row."""
 
     __slots__ = ("scores", "rows", "ranking")
 
     def __init__(self, matrix: DistanceMatrix, stats: CityStats, rule: tuple,
-                 out: Optional[np.ndarray] = None, shared: bool = True):
+                 out: Optional[np.ndarray] = None, shared: bool = True,
+                 sets: Optional[np.ndarray] = None):
         self.scores = self.rows = self.ranking = None
         if rule[0] == 0.0:
             self.ranking = rule[1]
-        else:
-            self.scores = _score_rows(matrix, stats, *rule, out)
-            self.rows = (_candidate_rows(self.scores) if shared
-                         else [()] * matrix.n)
+            return
+        self.scores = _score_rows(matrix, stats, *rule, out)
+        if not shared:
+            self.rows = [()] * matrix.n
+            return
+        if sets is None:
+            sets = _neighbour_sets(matrix, nearest=rule[0] > 0)
+        self.rows = _candidate_rows(self.scores, sets)
 
 
-def _candidate_rows(scores: np.ndarray) -> List[List[int]]:
-    """Each row's neighbours scoring strictly above the row's (K+1)-th
-    largest score, by (-score, index), with K = CANDIDATES or n - 1 if
-    smaller; the -inf diagonal, a row's only minimum, is never listed.
-
-    The strict cut never splits a tie: every neighbour left out scores at
-    most the cut and every listed one above it, so the first admissible
-    neighbour in list order, if any, is the first maximum of the masked
-    row. Rows are ranked CANDIDATE_BLOCK at a time, so no n x n index
-    array is held.
-    """
-    n = len(scores)
-    k = min(CANDIDATES, n - 1)
-    rows: List[List[int]] = []
+def _neighbour_sets(matrix: DistanceMatrix, nearest: bool) -> np.ndarray:
+    """Each row's M = CANDIDATES (or n - 1 if smaller) nearest other cities
+    by `matrix.heuristic`, or farthest if not `nearest`, as an n x M array
+    whose rows are ascending indices. A tie at the M-th distance goes either
+    way: `_candidate_rows` is exact for any set. Rows are partitioned
+    CANDIDATE_BLOCK at a time, so no n x n array is held."""
+    n = matrix.n
+    m = min(CANDIDATES, n - 1)
+    sets = np.empty((n, m), dtype=np.intp)
     for lo in range(0, n, CANDIDATE_BLOCK):
-        block = scores[lo:lo + CANDIDATE_BLOCK]
-        # the K+1 largest of each row, the (K+1)-th largest in column 0; a
-        # copy, so the block's full index array goes before the next one's
-        top = np.argpartition(block, n - k - 1, axis=1)[:, n - k - 1:].copy()
-        values = np.take_along_axis(block, top, axis=1)
-        keep = values[:, 1:] > values[:, :1]
-        row, col = np.nonzero(keep)
-        col += 1
-        cand, score = top[row, col], values[row, col]
-        flat = cand[np.lexsort((cand, -score, row))].tolist()
-        ends = np.cumsum(keep.sum(axis=1)).tolist()
-        rows.extend(flat[a:b] for a, b in zip([0] + ends, ends))
-    return rows
+        # a copy, the farthest first when negated, and the city itself last
+        block = matrix.heuristic[lo:lo + CANDIDATE_BLOCK] * (
+            1.0 if nearest else -1.0)
+        own = np.arange(len(block))
+        block[own, own + lo] = np.inf
+        sets[lo:lo + len(block)] = np.argpartition(block, m - 1, axis=1)[:, :m]
+    sets.sort(axis=1)
+    return sets
+
+
+def _candidate_rows(scores: np.ndarray, sets: np.ndarray) -> List[List[int]]:
+    """Row i lists the cities of sets[i] that score strictly above every
+    city outside the set, by (-score, index); the -inf diagonal, a row's
+    only minimum, is never listed.
+
+    Every unlisted city scores strictly below every listed one, so the
+    first admissible neighbour in list order, if any, is the first maximum
+    of the masked row, whatever the sets hold. The best score outside a
+    set is one row-wise max with the set's entries at -inf, which are then
+    restored: `scores` ends bit-identical.
+    """
+    rows = np.arange(len(scores))[:, None]
+    inside = scores[rows, sets]
+    scores[rows, sets] = -np.inf
+    outside = scores.max(axis=1)
+    scores[rows, sets] = inside
+    listed = (inside > outside[:, None]).sum(axis=1).tolist()
+    ranked = np.take_along_axis(sets, np.lexsort((sets, -inside)), axis=1)
+    return [row[:k] for row, k in zip(ranked.tolist(), listed)]
 
 
 def _connect_pass(step: int, order: Sequence[int], ranked: RankedScores,
@@ -370,11 +390,17 @@ def grid_search(matrix: DistanceMatrix,
         rule = ((0.0, order_of(c.delta, c.epsilon)) if c.gamma == 0.0
                 else (c.gamma, c.delta, c.epsilon))
         first.setdefault(rule, {}).setdefault(city_orders[i], i)
+    # the neighbour sets of the shared gamma != 0 matrices, nearest for
+    # gamma > 0 and farthest for gamma < 0, built before the buffer so that
+    # their temporaries never coexist with it
+    nearest = {rule[0] > 0 for rule, runs in first.items()
+               if rule[0] != 0.0 and len(runs) > 1}
+    sets = {near: _neighbour_sets(matrix, near) for near in nearest}
     buffer = np.empty_like(matrix.heuristic)
     best, best_loop = (math.inf, -1), None
     for rule, runs in first.items():
         ranked = RankedScores(matrix, stats, rule, buffer,
-                              shared=len(runs) > 1)
+                              shared=len(runs) > 1, sets=sets.get(rule[0] > 0))
         loops = [_construct(order, ranked) for order in runs]
         del ranked  # its lists go before the next matrix is ranked
         prices = _loop_lengths(loops, matrix).tolist()

@@ -54,6 +54,15 @@ def _table(a, what: str) -> np.ndarray:
     return a
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """`a` if it is read-only, else a read-only copy: nothing can write to
+    the array returned, the caller's own array stays writable."""
+    if a.flags.writeable:
+        a = a.copy()
+        a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class Instance:
     """Immutable problem statement: coordinates (or explicit weights) plus a
@@ -104,7 +113,9 @@ class DistanceMatrix:
 
     ``d``, an n x n table, is the objective that tour lengths are measured
     on. ``heuristic`` is the geometry the construction scores on, of d's
-    shape; it defaults to ``d`` itself (the same array, not a copy).
+    shape; it defaults to ``d`` itself (the same array, not a copy). Both
+    are stored read-only: an array the caller can still write to is
+    copied, and a read-only one is kept as it is.
     """
 
     d: np.ndarray
@@ -112,14 +123,12 @@ class DistanceMatrix:
     n: int = field(init=False)
 
     def __post_init__(self) -> None:
-        d = h = _table(self.d, "distances")
+        d = h = _frozen(_table(self.d, "distances"))
         if self.heuristic is not None:
             h = np.asarray(self.heuristic, dtype=float)
             if h.shape != d.shape:
                 raise ValidationError(f"heuristic shape {h.shape} != {d.shape}")
-            _table(h, "heuristic distances")
-        d.setflags(write=False)
-        h.setflags(write=False)
+            h = _frozen(_table(h, "heuristic distances"))
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "heuristic", h)
         object.__setattr__(self, "n", len(d))
@@ -153,7 +162,9 @@ def build_distance_matrix(instance: Instance) -> DistanceMatrix:
         raise SizeLimitError(
             f"distance matrix is limited to n <= {MATRIX_MAX_N}, got {n}")
     if instance.kind == "EXPLICIT":
-        return DistanceMatrix(np.array(instance.explicit_weights, dtype=float))
+        w = np.array(instance.explicit_weights, dtype=float)
+        w.setflags(write=False)  # fresh, so DistanceMatrix need not copy it
+        return DistanceMatrix(w)
 
     # Each step writes into an array it no longer needs, so the build holds
     # two n x n arrays at its peak (three for ATT), with the same operations
@@ -181,6 +192,8 @@ def build_distance_matrix(instance: Instance) -> DistanceMatrix:
         else:  # CEIL_2D
             np.ceil(exact, out=d)
     np.fill_diagonal(d, 0.0)
+    d.setflags(write=False)  # both fresh, so DistanceMatrix copies neither
+    exact.setflags(write=False)
     return DistanceMatrix(d, heuristic=exact)
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -43,10 +43,13 @@ def parse_tsplib(text: str) -> Instance:
     """Parse a TSPLIB instance (keyword header + coordinate or weight section).
 
     Unknown keywords are ignored; unsupported EDGE_WEIGHT_TYPE values and
-    malformed numbers raise ParseError naming the line.
+    malformed numbers raise ParseError naming the line. City i is the
+    NODE_COORD_SECTION line of node number i + 1; a line other than
+    'node x y', or a node number that is not an integer, lies outside
+    1..DIMENSION or repeats, is a ParseError naming the line.
     """
     header: Dict[str, str] = {}
-    coord_lines: List[tuple] = []
+    coord_lines: List[Tuple[int, str]] = []
     weight_values: List[float] = []
     section = None
 
@@ -64,14 +67,7 @@ def parse_tsplib(text: str) -> Instance:
             section = "ignored"
             continue
         if section == "coords":
-            parts = line.split()
-            if len(parts) < 3:
-                raise ParseError(f"line {lineno}: coordinate line needs "
-                                 f"'index x y', got {line!r}")
-            try:
-                coord_lines.append((float(parts[1]), float(parts[2])))
-            except ValueError:
-                raise ParseError(f"line {lineno}: malformed number in {line!r}")
+            coord_lines.append((lineno, line))
             continue
         if section == "weights":
             try:
@@ -107,10 +103,36 @@ def parse_tsplib(text: str) -> Instance:
         w = _assemble_weights(weight_values, n, fmt)
         return Instance(name=name, kind="EXPLICIT", explicit_weights=w)
 
-    if len(coord_lines) != n:
-        raise ParseError(f"DIMENSION is {n} but found {len(coord_lines)} "
+    return Instance(name=name, kind=kind, coords=_node_coords(coord_lines, n))
+
+
+def _node_coords(lines: List[Tuple[int, str]], n: int) -> List[tuple]:
+    """The (x, y) of nodes 1..n from their NODE_COORD_SECTION lines
+    'node x y', each placed by its node number, whatever the line order."""
+    coords: List[Optional[tuple]] = [None] * n
+    for lineno, line in lines:
+        parts = line.split()
+        if len(parts) != 3:
+            raise ParseError(f"line {lineno}: coordinate line needs "
+                             f"'index x y', got {line!r}")
+        try:
+            node = int(parts[0])
+        except ValueError:
+            raise ParseError(f"line {lineno}: node number {parts[0]!r} is "
+                             f"not an integer")
+        if not 1 <= node <= n:
+            raise ParseError(f"line {lineno}: node {node} is outside "
+                             f"1..{n} (DIMENSION)")
+        if coords[node - 1] is not None:
+            raise ParseError(f"line {lineno}: node {node} is repeated")
+        try:
+            coords[node - 1] = (float(parts[1]), float(parts[2]))
+        except ValueError:
+            raise ParseError(f"line {lineno}: malformed number in {line!r}")
+    if len(lines) != n:
+        raise ParseError(f"DIMENSION is {n} but found {len(lines)} "
                          f"coordinate lines")
-    return Instance(name=name, kind=kind, coords=coord_lines)
+    return coords
 
 
 def _assemble_weights(values: List[float], n: int, fmt: str) -> np.ndarray:

@@ -575,13 +575,43 @@ CANDIDATE_GRID = [tc.ExponentCombo(*combo) for combo in itertools.product(
     (0, 1), (0, 1), (-1, -0.5, 0, 0.5, 1), (0, 1), (0, 1))]
 
 
+def assert_rows_are_certified(scores, sets, rows):
+    """Row i is a prefix of its (-score, index) order of the other cities,
+    drawn from sets[i], and every listed score is strictly above every
+    unlisted one: exactly the cities of sets[i] that score strictly above
+    every city outside it."""
+    for i, row in enumerate(scores.tolist()):
+        ranked = sorted((-s, j) for j, s in enumerate(row) if j != i)
+        got = rows[i]
+        assert i not in got, i
+        assert got == [j for _, j in ranked[:len(got)]], i
+        unlisted = [-s for s, j in ranked[len(got):]]
+        if got and unlisted:
+            assert row[got[-1]] > max(unlisted), i
+        inside = set(sets[i].tolist())
+        outside = max((s for j, s in enumerate(row)
+                       if j != i and j not in inside), default=-math.inf)
+        assert got == [j for s, j in ranked if j in inside and -s > outside], i
+
+
+def random_sets(matrix, nearest, seed=0):
+    """M = CANDIDATES (or n - 1) other cities per row, drawn at random and
+    ascending, whatever `nearest` asks for."""
+    rng = np.random.default_rng(seed)
+    n = matrix.n
+    m = min(construction.CANDIDATES, n - 1)
+    return np.array([sorted(rng.choice(np.delete(np.arange(n), i), m,
+                                       replace=False)) for i in range(n)])
+
+
 class TestCandidateLists:
     """A step takes the first admissible entry of its row's candidate list
     and scans the whole row only when every candidate is closed. With one
-    or two candidates per row most steps scan, and on weights 1-3 ties sit
-    on the cut."""
+    or two cities per neighbour set most steps scan, and on weights 1-3
+    ties sit at the set's edge; 8 cities is a set smaller than the default
+    CANDIDATES."""
 
-    @pytest.fixture(params=[1, 2, construction.CANDIDATES])
+    @pytest.fixture(params=sorted({1, 2, 8, construction.CANDIDATES}))
     def k(self, request, monkeypatch):
         monkeypatch.setattr(construction, "CANDIDATES", request.param)
         return request.param
@@ -600,13 +630,11 @@ class TestCandidateLists:
             stats = tc.city_stats(m)
             for gamma, delta in ((1, 0), (-1, 0), (0.5, 1)):
                 scores = construction._score_rows(m, stats, gamma, delta, 0)
-                rows = construction._candidate_rows(scores)
-                for i, row in enumerate(scores.tolist()):
-                    want = sorted((-s, j) for j, s in enumerate(row) if j != i)
-                    if m.n > k + 1:
-                        cut = sorted(row, reverse=True)[k]
-                        want = [(s, j) for s, j in want if -s > cut]
-                    assert rows[i] == [j for _, j in want], (gamma, delta, i)
+                for sets in (construction._neighbour_sets(m, gamma > 0),
+                             construction._neighbour_sets(m, gamma < 0),
+                             random_sets(m, gamma > 0)):
+                    rows = construction._candidate_rows(scores, sets)
+                    assert_rows_are_certified(scores, sets, rows)
 
     def test_construct_tour_against_oracle(self, k):
         for m in self.matrices(k):
@@ -636,12 +664,64 @@ class TestCandidateLists:
                 assert tuple(got) == tuple(order_of(combo)), (m.n, combo)
 
 
+    @pytest.mark.parametrize("sets", ["farthest", "random"])
+    def test_poor_sets_against_oracle(self, sets, monkeypatch):
+        # the lists are exact for any neighbour set: with the farthest cities
+        # for gamma > 0 (nearest for gamma < 0) almost every step scans its
+        # row, and random sets list whatever they happen to certify
+        build = construction._neighbour_sets
+        poor = {"farthest": lambda m, nearest: build(m, not nearest),
+                "random": random_sets}[sets]
+        monkeypatch.setattr(construction, "_neighbour_sets", poor)
+        for m in self.matrices(construction.CANDIDATES):
+            assert_grid_matches_brute_grid(m, CANDIDATE_GRID)
+            stats = tc.city_stats(m)
+            order_of = oracle(m, stats)
+            for combo in CANDIDATE_GRID:
+                if combo.gamma == 0:
+                    continue
+                ranked = construction.RankedScores(
+                    m, stats, (combo.gamma, combo.delta, combo.epsilon))
+                got = construction._construct(
+                    construction._city_order(stats, combo.alpha, combo.beta),
+                    ranked)
+                assert tuple(got) == tuple(order_of(combo)), (m.n, combo)
+
+
+def test_ranking_leaves_scores_bit_identical():
+    m = tie_heavy_matrix(40, 3)
+    stats = tc.city_stats(m)
+    for gamma in (1, -0.5):
+        scores = construction._score_rows(m, stats, gamma, 1, 0)
+        before = scores.copy()
+        for nearest in (True, False):
+            construction._candidate_rows(
+                scores, construction._neighbour_sets(m, nearest))
+            assert scores.tobytes() == before.tobytes(), (gamma, nearest)
+
+
+@pytest.mark.parametrize("n", range(3, construction.CANDIDATES + 2))
+def test_small_instances_list_every_other_city(n):
+    # with n <= M + 1 a set holds every other city, nothing lies outside it,
+    # and each row lists all n - 1 others by (-score, index)
+    for m in (random_matrix(n, n), tie_heavy_matrix(n, n)):
+        stats = tc.city_stats(m)
+        for gamma in (1, -1):
+            scores = construction._score_rows(m, stats, gamma, 1, 1)
+            rows = construction.RankedScores(m, stats, (gamma, 1, 1)).rows
+            for i, row in enumerate(scores.tolist()):
+                assert rows[i] == [j for _, j in sorted(
+                    (-s, j) for j, s in enumerate(row) if j != i)], (n, i)
+
+
 def test_one_off_scores_are_not_ranked(monkeypatch):
-    # a score matrix that only one construction reads is scanned row by row,
-    # never ranked: construct_tour without `scores`, and a grid of one point
-    def never(scores):
+    # a score matrix that only one construction reads is scanned row by row:
+    # construct_tour and a grid of one point build no neighbour set and no
+    # candidate list
+    def never(*args, **kwargs):
         raise AssertionError("a one-off score matrix was ranked")
 
+    monkeypatch.setattr(construction, "_neighbour_sets", never)
     monkeypatch.setattr(construction, "_candidate_rows", never)
     for m in (random_matrix(40, 3), tie_heavy_matrix(15, 4),
               coincident_matrix()):
@@ -673,18 +753,31 @@ def test_grid_prices_fractional_weights_exactly(grid):
             (want[0].order, want[1], want[0].length), n
 
 
-@pytest.mark.parametrize("k", [1, 2, construction.CANDIDATES])
+@pytest.mark.parametrize("k", sorted({1, 2, 8, construction.CANDIDATES}))
 def test_rows_list_k_neighbours(k, monkeypatch):
-    # the -inf diagonal never takes one of a row's K+1 ranked slots, and on
-    # a random instance no tie sits at the cut
+    # a set holds the k nearest other cities (the farthest for gamma < 0) in
+    # ascending order; with delta = 0 a score falls as the distance grows
+    # (rises for gamma < 0), and on a random instance no distance ties, so
+    # every row lists its whole set, and with a numerator a certified prefix
     monkeypatch.setattr(construction, "CANDIDATES", k)
     m = random_matrix(50, 9)
     stats = tc.city_stats(m)
-    for gamma in (1, 0.5, -1):
-        scores = construction._score_rows(m, stats, gamma, 1, 0)
-        rows = construction._candidate_rows(scores)
-        assert [len(row) for row in rows] == [k] * 50, gamma
-        assert all(i not in row for i, row in enumerate(rows)), gamma
+    d = m.heuristic
+    for nearest in (True, False):
+        sets = construction._neighbour_sets(m, nearest)
+        assert sets.shape == (50, k)
+        for i, row in enumerate(sets.tolist()):
+            assert row == sorted(row) and i not in row
+            others = np.delete(d[i], row + [i])
+            assert (d[i, row].max() <= others.min() if nearest
+                    else d[i, row].min() >= others.max()), (nearest, i)
+    for gamma, delta in ((1, 0), (0.5, 0), (-1, 0), (1, 1), (0.5, 1), (-1, 1)):
+        scores = construction._score_rows(m, stats, gamma, delta, 0)
+        sets = construction._neighbour_sets(m, gamma > 0)
+        rows = construction._candidate_rows(scores, sets)
+        assert_rows_are_certified(scores, sets, rows)
+        if delta == 0:
+            assert [sorted(row) for row in rows] == sets.tolist(), gamma
 
 
 def test_gamma_zero_walk_skips_the_closed_prefix():

@@ -166,6 +166,26 @@ class TestInputValidation:
         with pytest.raises(ValueError):
             inst.coords[0, 0] = 5.0
 
+    def test_callers_matrix_stays_writable(self):
+        # DistanceMatrix keeps a read-only copy; the caller's arrays stay
+        # writable, and writing to them changes nothing in the matrix
+        d = np.ones((3, 3)) - np.eye(3)
+        h = d * 2
+        for matrix, h01 in ((tc.DistanceMatrix(d), 1.0),
+                            (tc.DistanceMatrix(d, h), 2.0)):
+            d[0, 1] = h[0, 1] = 5.0
+            assert (matrix.d[0, 1], matrix.heuristic[0, 1]) == (1.0, h01)
+            for a in (matrix.d, matrix.heuristic):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0, 1] = 7.0
+            d[0, 1], h[0, 1] = 1.0, 2.0
+
+    def test_read_only_matrix_kept_uncopied(self):
+        # build_distance_matrix freezes its fresh arrays, so none is copied
+        m = random_matrix(5, 1)
+        again = tc.DistanceMatrix(m.d, m.heuristic)
+        assert again.d is m.d and again.heuristic is m.heuristic
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_coordinate_rejected(self, bad):
         with pytest.raises(tc.ValidationError, match="non-finite"):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import tourcraft as tc
-from conftest import load_instance, random_matrix
+from conftest import instance_path, load_instance, random_matrix
 
 HEADER_52 = """NAME: demo52
 TYPE: TSP
@@ -50,6 +50,44 @@ def test_malformed_number_names_line():
             "1 0 0\n2 x 1\n")
     with pytest.raises(tc.ParseError, match="line 5"):
         tc.parse_tsplib(text)
+
+
+COORDS_3 = "DIMENSION: 3\nEDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\n"
+
+
+@pytest.mark.parametrize("body,fragment", [
+    ("3 0 0 7\n3 5 0\n9 0 5\n", "line 4: coordinate line needs 'index x y'"),
+    ("1 0 0\n3 5 0\n3 0 5\n", "line 6: node 3 is repeated"),
+    ("1 0 0\n2 5 0\n9 0 5\n", r"line 6: node 9 is outside 1\.\.3"),
+    ("0 0 0\n2 5 0\n3 0 5\n", r"line 4: node 0 is outside 1\.\.3"),
+    ("1 0 0\n2.0 5 0\n3 0 5\n", "line 5: node number '2.0' is not an integer"),
+    ("1 0 0\nb 5 0\n3 0 5\n", "line 5: node number 'b' is not an integer"),
+    ("1 0 0\n2 5 0 0\n3 0 5\n", "line 5: coordinate line needs"),
+], ids=["three-faults", "repeated", "above-dimension", "zero",
+        "fractional-node", "named-node", "four-fields"])
+def test_node_numbers_checked(body, fragment):
+    with pytest.raises(tc.ParseError, match=fragment):
+        tc.parse_tsplib(COORDS_3 + body + "EOF\n")
+
+
+def test_cities_placed_by_node_number():
+    shuffled = tc.parse_tsplib(COORDS_3 + "2 5 0\n3 0 5\n1 0 0\nEOF\n")
+    in_order = tc.parse_tsplib(COORDS_3 + "1 0 0\n2 5 0\n3 0 5\nEOF\n")
+    assert shuffled.coords.tolist() == in_order.coords.tolist() == \
+        [[0, 0], [5, 0], [0, 5]]
+
+
+@pytest.mark.parametrize("name", ["att48", "berlin52", "eil51", "eil76",
+                                  "kroA100"])
+def test_bundled_files_list_nodes_in_order(name):
+    # each bundled file lists nodes 1..n in order, so placing a city by its
+    # node number gives the positional reading of the section
+    text = instance_path(name).read_text()
+    section = text.split("NODE_COORD_SECTION")[1].split("EOF")[0]
+    rows = [line.split() for line in section.splitlines() if line.strip()]
+    inst = load_instance(name)
+    assert [int(r[0]) for r in rows] == list(range(1, inst.n + 1))
+    assert inst.coords.tolist() == [[float(x), float(y)] for _, x, y in rows]
 
 
 def test_att48_header():
