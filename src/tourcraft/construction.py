@@ -227,28 +227,23 @@ class RankedScores:
     a gamma = 0 rule, every row is mu^delta * sigma^epsilon, so `ranking`
     is that eq. 1 order, used as given, and `scores` and `rows` are None.
     For (gamma, delta, epsilon), `scores` is the score matrix (filled into
-    `out` if given) and `rows` its `_candidate_rows` from `sets` (the
-    rule's `_neighbour_sets`, built here if not given) when `shared`, that
-    is when more than one construction reads it; for a single construction
-    ranking costs more than it saves, so no set is built, every row lists
-    no candidate and each step scans its whole row."""
+    `out` if given) and `rows` its `_candidate_rows` from `sets`, the
+    rule's `_neighbour_sets`. With `sets=None` the matrix is not ranked:
+    every row lists no candidate and each step scans its whole row, which
+    for a single construction costs less than ranking."""
 
     __slots__ = ("scores", "rows", "ranking")
 
     def __init__(self, matrix: DistanceMatrix, stats: CityStats, rule: tuple,
-                 out: Optional[np.ndarray] = None, shared: bool = True,
+                 out: Optional[np.ndarray] = None,
                  sets: Optional[np.ndarray] = None):
         self.scores = self.rows = self.ranking = None
         if rule[0] == 0.0:
             self.ranking = rule[1]
             return
         self.scores = _score_rows(matrix, stats, *rule, out)
-        if not shared:
-            self.rows = [()] * matrix.n
-            return
-        if sets is None:
-            sets = _neighbour_sets(matrix, nearest=rule[0] > 0)
-        self.rows = _candidate_rows(self.scores, sets)
+        self.rows = ([()] * matrix.n if sets is None
+                     else _candidate_rows(self.scores, sets))
 
 
 def _neighbour_sets(matrix: DistanceMatrix, nearest: bool) -> np.ndarray:
@@ -400,7 +395,7 @@ def grid_search(matrix: DistanceMatrix,
     best, best_loop = (math.inf, -1), None
     for rule, runs in first.items():
         ranked = RankedScores(matrix, stats, rule, buffer,
-                              shared=len(runs) > 1, sets=sets.get(rule[0] > 0))
+                              sets.get(rule[0] > 0) if len(runs) > 1 else None)
         loops = [_construct(order, ranked) for order in runs]
         del ranked  # its lists go before the next matrix is ranked
         prices = _loop_lengths(loops, matrix).tolist()

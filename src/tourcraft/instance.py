@@ -19,6 +19,10 @@ Euclidean distances for the coordinate kinds, and the weights themselves
 for ``EXPLICIT`` instances or a matrix built from an array. Per-city means
 use the n-1 distances to the other cities and the standard deviation is the
 population form over those n-1 values.
+
+``_table`` is the one intake of an n x n table (``EXPLICIT`` weights, ``d``
+and ``heuristic``): square, non-empty, finite, >= 0, symmetric, zero on the
+diagonal, and stored read-only as floats like the coordinates (`_floats`).
 """
 
 from __future__ import annotations
@@ -40,34 +44,44 @@ SUPPORTED_KINDS = ("EUC_2D", "ATT", "CEIL_2D", "EXPLICIT")
 MATRIX_MAX_N = 10_000
 
 
-def _table(a, what: str) -> np.ndarray:
-    """`a` as a float array: a ValidationError unless it is a square table
-    of finite entries >= 0 (two reductions, which NaN fails, allocate no
-    temporary), and a DegenerateInstanceError if it is empty."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"{what} shape {a.shape} is not square")
-    if not len(a):
-        raise DegenerateInstanceError(f"{what} need n >= 1, got 0")
-    if not (a.min() >= 0 and a.max() < np.inf):
-        raise ValidationError(f"{what} must be finite and >= 0")
+def _floats(a, what: str) -> np.ndarray:
+    """`a` as a read-only float array: one is kept as it is, anything else is
+    copied once, and input that does not convert is a ValidationError."""
+    if not isinstance(a, np.ndarray) or a.dtype != float or a.flags.writeable:
+        try:
+            a = np.array(a, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(
+                f"{what}: not an array of numbers ({exc})") from None
+        a.setflags(write=False)
     return a
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """`a` if it is read-only, else a read-only copy: nothing can write to
-    the array returned, the caller's own array stays writable."""
-    if a.flags.writeable:
-        a = a.copy()
-        a.setflags(write=False)
+def _table(a, what: str) -> np.ndarray:
+    """`_floats(a)`, a ValidationError unless it is a square, finite, >= 0,
+    symmetric table with zero diagonal, a DegenerateInstanceError if empty.
+    No n x n temporary: two reductions, which NaN fails, check the values,
+    and the triangles are compared 256 rows at a time."""
+    a = _floats(a, what)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValidationError(f"{what} shape {a.shape} is not square")
+    if not len(a):
+        raise DegenerateInstanceError(f"{what} needs n >= 1, got 0")
+    if not (a.min() >= 0 and a.max() < np.inf):
+        raise ValidationError(f"{what} must be finite and >= 0")
+    if a.diagonal().any():
+        raise ValidationError(f"{what} has a nonzero diagonal")
+    for lo in range(0, len(a), 256):
+        if not np.array_equal(a[lo:lo + 256, lo:], a[lo:, lo:lo + 256].T):
+            raise ValidationError(f"{what} is not symmetric")
     return a
 
 
 @dataclass(frozen=True, eq=False)
 class Instance:
     """Immutable problem statement: coordinates (or explicit weights) plus a
-    distance-function tag. ``coords`` is stored as a read-only (n, 2) float
-    array; ``n`` is its row count, or the weight table's."""
+    distance-function tag: read-only, finite (n, 2) ``coords`` or a `_table`
+    of ``explicit_weights``; ``n`` is the row count of either."""
 
     name: str
     kind: str
@@ -82,14 +96,11 @@ class Instance:
         if self.kind == "EXPLICIT":
             if self.explicit_weights is None:
                 raise ValidationError("EXPLICIT instance requires a weight table")
-            w = _table(self.explicit_weights, "EXPLICIT weights")
-            if not np.array_equal(w, w.T):
-                raise ValidationError("EXPLICIT weight table is not symmetric")
-            if np.any(np.diag(w) != 0):
-                raise ValidationError("EXPLICIT weight table has nonzero diagonal")
+            w = _table(self.explicit_weights, "EXPLICIT weight table")
             object.__setattr__(self, "explicit_weights", w)
         if self.kind != "EXPLICIT" or self.coords is not None:
-            pts = np.array(() if self.coords is None else self.coords, float)
+            pts = _floats(() if self.coords is None else self.coords,
+                          f"instance {self.name!r}: coordinates")
             if not pts.size:
                 raise DegenerateInstanceError("instance needs n >= 1, got 0")
             if pts.ndim != 2 or pts.shape[1] != 2:
@@ -100,7 +111,6 @@ class Instance:
                                       f"{len(w)} coordinate pairs, got {len(pts)}")
             if not np.all(np.isfinite(pts)):
                 raise ValidationError(f"{self.name}: non-finite coordinate")
-            pts.setflags(write=False)
             object.__setattr__(self, "coords", pts)
         rows = self.explicit_weights if self.kind == "EXPLICIT" else self.coords
         object.__setattr__(self, "n", len(rows))
@@ -112,23 +122,19 @@ class DistanceMatrix:
     consumers see.
 
     ``d``, an n x n table, is the objective that tour lengths are measured
-    on. ``heuristic`` is the geometry the construction scores on, of d's
-    shape; it defaults to ``d`` itself (the same array, not a copy). Both
-    are stored read-only: an array the caller can still write to is
-    copied, and a read-only one is kept as it is.
-    """
+    on. ``heuristic`` (default: ``d`` itself, the same array) is the geometry
+    the construction scores on, of d's shape. Each is a `_table`."""
 
     d: np.ndarray
     heuristic: Optional[np.ndarray] = None
     n: int = field(init=False)
 
     def __post_init__(self) -> None:
-        d = h = _frozen(_table(self.d, "distances"))
+        d = h = _table(self.d, "distance table")
         if self.heuristic is not None:
-            h = np.asarray(self.heuristic, dtype=float)
+            h = _table(self.heuristic, "heuristic")
             if h.shape != d.shape:
                 raise ValidationError(f"heuristic shape {h.shape} != {d.shape}")
-            h = _frozen(_table(h, "heuristic distances"))
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "heuristic", h)
         object.__setattr__(self, "n", len(d))
@@ -152,19 +158,17 @@ class Tour:
 
 
 def build_distance_matrix(instance: Instance) -> DistanceMatrix:
-    """Full n x n matrix; EXPLICIT copies the weights, the coordinate kinds
-    apply the TSPLIB rounding rules pairwise (vectorized) and keep the exact
-    Euclidean distances as the heuristic geometry. ATT needs no other: its
-    unrounded distance is the Euclidean one scaled by 1/sqrt(10), and a
-    common scale changes no ranking of cities or neighbours."""
+    """Full n x n matrix; EXPLICIT shares the instance's weight table, the
+    coordinate kinds apply the TSPLIB rounding rules pairwise (vectorized)
+    and keep the exact Euclidean distances as the heuristic geometry. ATT
+    needs no other: its unrounded distance is the Euclidean one scaled by
+    1/sqrt(10), and a common scale changes no ranking."""
     n = instance.n
     if n > MATRIX_MAX_N:
         raise SizeLimitError(
             f"distance matrix is limited to n <= {MATRIX_MAX_N}, got {n}")
     if instance.kind == "EXPLICIT":
-        w = np.array(instance.explicit_weights, dtype=float)
-        w.setflags(write=False)  # fresh, so DistanceMatrix need not copy it
-        return DistanceMatrix(w)
+        return DistanceMatrix(instance.explicit_weights)
 
     # Each step writes into an array it no longer needs, so the build holds
     # two n x n arrays at its peak (three for ATT), with the same operations
@@ -191,7 +195,6 @@ def build_distance_matrix(instance: Instance) -> DistanceMatrix:
             np.floor(d, out=d)
         else:  # CEIL_2D
             np.ceil(exact, out=d)
-    np.fill_diagonal(d, 0.0)
     d.setflags(write=False)  # both fresh, so DistanceMatrix copies neither
     exact.setflags(write=False)
     return DistanceMatrix(d, heuristic=exact)

@@ -136,7 +136,7 @@ def _node_coords(lines: List[Tuple[int, str]], n: int) -> List[tuple]:
 
 
 def _assemble_weights(values: List[float], n: int, fmt: str) -> np.ndarray:
-    """Full table from a section's values; Instance checks its symmetry."""
+    """Full table from a section's values; `instance._table` checks it."""
     expected = _WEIGHT_COUNTS[fmt](n)
     if len(values) != expected:
         raise ParseError(f"{fmt} needs {expected} values, got {len(values)}")
@@ -154,9 +154,10 @@ def _assemble_weights(values: List[float], n: int, fmt: str) -> np.ndarray:
 
 def write_tsplib(instance: Instance) -> str:
     """Serialize a coordinate instance as a TSPLIB .tsp file (1-based node
-    numbers, coordinates with 6 decimals)."""
-    if instance.coords is None:
-        raise ValidationError(f"{instance.name} has no coordinates to write")
+    numbers, coordinates with 6 decimals). EXPLICIT, with or without display
+    coordinates, is a ValidationError: no weight section is written."""
+    if instance.kind == "EXPLICIT":
+        raise ValidationError(f"{instance.name}: EXPLICIT is not written")
     lines = [f"NAME: {instance.name}",
              "TYPE: TSP",
              f"DIMENSION: {instance.n}",

@@ -658,9 +658,10 @@ class TestCandidateLists:
                 g, d, e = combo.gamma, combo.delta, combo.epsilon
                 rule = ((0.0, construction._city_order(stats, d, e))
                         if g == 0 else (g, d, e))
+                sets = construction._neighbour_sets(m, g > 0)
                 got = construction._construct(
                     construction._city_order(stats, combo.alpha, combo.beta),
-                    construction.RankedScores(m, stats, rule))
+                    construction.RankedScores(m, stats, rule, sets=sets))
                 assert tuple(got) == tuple(order_of(combo)), (m.n, combo)
 
 
@@ -681,7 +682,8 @@ class TestCandidateLists:
                 if combo.gamma == 0:
                     continue
                 ranked = construction.RankedScores(
-                    m, stats, (combo.gamma, combo.delta, combo.epsilon))
+                    m, stats, (combo.gamma, combo.delta, combo.epsilon),
+                    sets=construction._neighbour_sets(m, combo.gamma > 0))
                 got = construction._construct(
                     construction._city_order(stats, combo.alpha, combo.beta),
                     ranked)
@@ -708,7 +710,9 @@ def test_small_instances_list_every_other_city(n):
         stats = tc.city_stats(m)
         for gamma in (1, -1):
             scores = construction._score_rows(m, stats, gamma, 1, 1)
-            rows = construction.RankedScores(m, stats, (gamma, 1, 1)).rows
+            rows = construction.RankedScores(
+                m, stats, (gamma, 1, 1),
+                sets=construction._neighbour_sets(m, gamma > 0)).rows
             for i, row in enumerate(scores.tolist()):
                 assert rows[i] == [j for _, j in sorted(
                     (-s, j) for j, s in enumerate(row) if j != i)], (n, i)

@@ -1,4 +1,5 @@
 import math
+import types
 import warnings
 
 import numpy as np
@@ -76,6 +77,7 @@ class TestDistanceMatrix:
         inst = tc.Instance("e", "EXPLICIT", explicit_weights=w)
         m = tc.build_distance_matrix(inst)
         assert np.array_equal(m.d, w)
+        assert m.d is inst.explicit_weights
         assert m.heuristic is m.d
 
     def test_asymmetric_explicit_rejected(self):
@@ -86,6 +88,33 @@ class TestDistanceMatrix:
         for w in (np.array([[0, 2], [3, 0]], dtype=float), near):
             with pytest.raises(tc.ValidationError, match="not symmetric"):
                 tc.Instance("bad", "EXPLICIT", explicit_weights=w)
+
+    @pytest.mark.parametrize("table,fragment", [
+        (np.array([[0, 1, 9, 9], [9, 0, 1, 9], [9, 9, 0, 1], [1, 9, 9, 0]]),
+         "not symmetric"),
+        (np.ones((4, 4)), "nonzero diagonal"),
+    ], ids=["one-way-cycle", "ones"])
+    def test_every_table_is_symmetric_with_zero_diagonal(self, table,
+                                                         fragment):
+        # the one-way cycle measured one loop as 4 one way round and 36 the
+        # other, and held_karp_bound gave 12, above the optimum of 4
+        zero = np.zeros(table.shape)
+        for make in (lambda: tc.Instance("bad", "EXPLICIT",
+                                         explicit_weights=table),
+                     lambda: tc.DistanceMatrix(table),
+                     lambda: tc.DistanceMatrix(zero, heuristic=table)):
+            with pytest.raises(tc.ValidationError, match=fragment):
+                make()
+
+    @pytest.mark.parametrize("i,j", [(0, 1), (10, 500), (255, 256),
+                                     (300, 550), (512, 599), (598, 599)])
+    def test_symmetry_is_checked_in_every_block(self, i, j):
+        # the triangles are compared 256 rows at a time
+        w = np.ones((600, 600)) - np.eye(600)
+        tc.DistanceMatrix(w)
+        w[i, j] = 2.0
+        with pytest.raises(tc.ValidationError, match="not symmetric"):
+            tc.DistanceMatrix(w)
 
     def test_size_guard_before_allocation(self, monkeypatch):
         assert tc.instance.MATRIX_MAX_N >= 1000
@@ -179,6 +208,30 @@ class TestInputValidation:
                 with pytest.raises(ValueError, match="read-only"):
                     a[0, 1] = 7.0
             d[0, 1], h[0, 1] = 1.0, 2.0
+
+    def test_callers_weight_table_stays_writable(self):
+        # the instance kept the caller's own writable table, so writing to
+        # it changed the instance and every matrix built from it later
+        w = np.ones((3, 3)) - np.eye(3)
+        inst = tc.Instance("t", "EXPLICIT", explicit_weights=w)
+        w[0, 1] = 9.0
+        for a in (inst.explicit_weights, tc.build_distance_matrix(inst).d):
+            assert a[0, 1] == 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 1] = 7.0
+
+    @pytest.mark.parametrize("bad", [[["a", "b"], ["c", "d"]], [[0, 1], [1]]],
+                             ids=["non-numeric", "ragged"])
+    def test_arrays_that_are_not_numbers_rejected(self, bad):
+        # each was a bare ValueError from numpy
+        ok = np.ones((2, 2)) - np.eye(2)
+        for make in (lambda: tc.Instance("t", "EUC_2D", coords=bad),
+                     lambda: tc.Instance("t", "EXPLICIT", explicit_weights=bad),
+                     lambda: tc.DistanceMatrix(bad),
+                     lambda: tc.DistanceMatrix(ok, heuristic=bad)):
+            with pytest.raises(tc.ValidationError,
+                               match="not an array of numbers"):
+                make()
 
     def test_read_only_matrix_kept_uncopied(self):
         # build_distance_matrix freezes its fresh arrays, so none is copied
@@ -340,8 +393,9 @@ class TestLoopLengths:
 
     @staticmethod
     def assert_rows_sum_alone(m, rows=5):
-        rng = np.random.default_rng(m.n)
-        orders = np.array([rng.permutation(m.n) for _ in range(rows)])
+        n = len(m.d)
+        rng = np.random.default_rng(n)
+        orders = np.array([rng.permutation(n) for _ in range(rows)])
         lengths = instance._loop_lengths(orders, m).tolist()
         for order, length in zip(orders, lengths):
             alone = float(m.d[order, np.roll(order, -1)].sum())
@@ -354,10 +408,11 @@ class TestLoopLengths:
 
     @pytest.mark.parametrize("n", [8191, 8192, 8193, 9000])
     def test_past_the_buffer_size(self, n):
-        # d[i, j] = w[j], a read-only view: no n x n array is held
+        # d[i, j] = w[j], a read-only view: no n x n array is held. It is
+        # not symmetric, so it is no DistanceMatrix; _loop_lengths reads d
         w = np.random.default_rng(n).random(n) * 10
         self.assert_rows_sum_alone(
-            tc.DistanceMatrix(np.broadcast_to(w, (n, n))), rows=3)
+            types.SimpleNamespace(d=np.broadcast_to(w, (n, n))), rows=3)
 
 
 class TestFloatRange:

@@ -15,3 +15,12 @@ def test_only_errors_module_names_floating_point_error():
     owners = [p.name for p in modules
               if "FloatingPointError" in p.read_text()]
     assert owners == ["errors.py"]
+
+
+def test_only_instance_module_calls_setflags():
+    # every array an Instance or DistanceMatrix keeps is frozen by the one
+    # intake in instance.py; another module that freezes arrays has its own
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert PACKAGE / "instance.py" in modules
+    owners = [p.name for p in modules if "setflags" in p.read_text()]
+    assert owners == ["instance.py"]

@@ -185,9 +185,16 @@ def test_instance_file_round_trip():
         back = tc.parse_tsplib(tc.write_tsplib(inst))
         assert (back.name, back.n, back.kind) == ("r20", 20, kind)
         assert np.array_equal(back.coords, inst.coords)
-    weights = tc.Instance("w3", "EXPLICIT",
+
+
+@pytest.mark.parametrize("coords", [None, ((0, 0), (1, 0), (0, 1))],
+                         ids=["weights-only", "display-coordinates"])
+def test_explicit_instance_is_not_written(coords):
+    # with display coordinates it was written as EDGE_WEIGHT_TYPE: EXPLICIT
+    # with no weight section, which parse_tsplib rejected
+    weights = tc.Instance("w3", "EXPLICIT", coords=coords,
                           explicit_weights=np.ones((3, 3)) - np.eye(3))
-    with pytest.raises(tc.ValidationError, match="no coordinates"):
+    with pytest.raises(tc.ValidationError, match="EXPLICIT is not written"):
         tc.write_tsplib(weights)
 
 
