@@ -77,40 +77,28 @@ def _solve(method: str, matrix: DistanceMatrix,
 
 
 def _reference(instance: Instance, matrix: DistanceMatrix,
-               optima: OptimaTable, bound_iters: int,
-               upper_hint: float) -> Tuple[float, str]:
+               optima: OptimaTable, bound_iters: int) -> Tuple[float, str]:
     known = optima.lookup(instance.name)
     if known is not None:
         return float(known), "known-optimum"
     if instance.n <= 12:
         return exact_optimum(matrix).length, "exact"
-    lb = held_karp_bound(matrix, max_iters=bound_iters,
-                         upper_bound_hint=upper_hint)
-    return lb.bound, "hk-bound"
+    return held_karp_bound(matrix, max_iters=bound_iters).bound, "hk-bound"
 
 
 def run_benchmark(config: RunConfig) -> List[BenchRecord]:
-    """One record per (instance, method), sorted by (instance, method).
-
-    Methods run in `METHODS` order, whatever the order of `config.methods`:
-    the first one's tour length is the upper-bound hint of the Held-Karp
-    ascent, so an `hk-bound` reference does not depend on how the methods
-    were listed.
-    """
+    """One record per (instance, method), sorted by (instance, method)."""
     config.validate()
     optima = config.optima if config.optima is not None else default_optima()
     records: List[BenchRecord] = []
     for instance in config.instances:
         matrix = build_distance_matrix(instance)
-        reference: Optional[Tuple[float, str]] = None
-        for method in sorted(config.methods, key=METHODS.index):
+        ref_value, ref_kind = _reference(instance, matrix, optima,
+                                         config.bound_iters)
+        for method in config.methods:
             t0 = time.perf_counter()
             length, combo = _solve(method, matrix, config.grid)
             millis = (time.perf_counter() - t0) * 1000.0
-            if reference is None:
-                reference = _reference(instance, matrix, optima,
-                                       config.bound_iters, length)
-            ref_value, ref_kind = reference
             records.append(BenchRecord(
                 instance_name=instance.name, n=instance.n, method=method,
                 combo=combo, tour_length=length, reference=ref_value,

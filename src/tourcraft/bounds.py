@@ -162,9 +162,10 @@ def held_karp_bound(matrix: DistanceMatrix, max_iters: int = ASCENT_ITERS,
     """Subgradient ascent on the 1-tree bound.
 
     Step schedule: t_k = lambda_k * (UB - L(pi_k)) / sum((deg_i - 2)^2) with
-    lambda_0 = 2, halved after 10 consecutive non-improving iterations. The
-    returned bound is the best 1-tree value seen, so it never exceeds the
-    optimum regardless of the schedule.
+    lambda_0 = 2, halved after 10 consecutive non-improving iterations. UB
+    is `upper_bound_hint`, or without one the nearest-neighbour tour length.
+    The returned bound is the best 1-tree value seen, so it never exceeds
+    the optimum regardless of the schedule.
 
     The ascent stops before `max_iters` when the 1-tree is a tour, or when a
     step, a zero one included, no longer moves any potential (a fixed

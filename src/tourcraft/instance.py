@@ -81,7 +81,8 @@ def _table(a, what: str) -> np.ndarray:
 class Instance:
     """Immutable problem statement: coordinates (or explicit weights) plus a
     distance-function tag: read-only, finite (n, 2) ``coords`` or a `_table`
-    of ``explicit_weights``; ``n`` is the row count of either."""
+    of ``explicit_weights`` (EXPLICIT only); ``n`` is the row count of
+    either."""
 
     name: str
     kind: str
@@ -98,6 +99,9 @@ class Instance:
                 raise ValidationError("EXPLICIT instance requires a weight table")
             w = _table(self.explicit_weights, "EXPLICIT weight table")
             object.__setattr__(self, "explicit_weights", w)
+        elif self.explicit_weights is not None:
+            raise ValidationError(f"instance {self.name!r}: a weight table "
+                                  f"needs kind EXPLICIT, got {self.kind}")
         if self.kind != "EXPLICIT" or self.coords is not None:
             pts = _floats(() if self.coords is None else self.coords,
                           f"instance {self.name!r}: coordinates")

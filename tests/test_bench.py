@@ -82,18 +82,21 @@ class TestRunBenchmark:
         with pytest.raises(tc.ConfigError, match="duplicate"):
             tc.run_benchmark(config)
 
-    def test_reference_independent_of_method_order(self):
-        # the Held-Karp ascent takes the first method's length as its upper
-        # bound hint; methods run in METHODS order however they are listed
-        instance = tc.generate_random_euclidean(100, 2, 1e6)
-
-        def references(methods):
-            config = tc.RunConfig(instances=[instance], methods=methods)
-            return [(r.method, r.reference, r.reference_kind)
-                    for r in tc.run_benchmark(config)]
-
-        assert references(("nn", "proposed")) == \
-            references(("proposed", "nn"))
+    def test_reference_independent_of_methods_and_grid(self):
+        # the reference is the instance's own bound: the ascent once took
+        # the first method's length as its upper bound hint, so the bound
+        # moved with --methods and --grid
+        instance = tc.generate_random_euclidean(40, 3, 1e6)
+        bound = tc.held_karp_bound(tc.build_distance_matrix(instance),
+                                   200).bound
+        for grid in (None, [tc.ExponentCombo(0, 0, 1, 0, 0)]):
+            for methods in (("nn", "proposed"), ("proposed", "nn"), ("cw",)):
+                config = tc.RunConfig(instances=[instance], methods=methods,
+                                      grid=grid, bound_iters=200)
+                records = tc.run_benchmark(config)
+                assert [r.method for r in records] == sorted(methods)
+                assert {(r.reference, r.reference_kind)
+                        for r in records} == {(bound, "hk-bound")}
 
     @pytest.mark.parametrize("iters", [0, -1, 2.5, True, "3"])
     def test_nonpositive_bound_iters_rejected(self, iters):
@@ -107,7 +110,7 @@ class TestRunBenchmark:
 
 @pytest.mark.parametrize("spec,digest", [
     ("100,3,1",
-     "930a4ee790e8bfc85fe5c584572f48de474f31ae0f9a45c0366d13241e793e6d"),
+     "9dd7e060a44b58c83c4fc7067e689c664c411d432273eac7f3be9a0306b2e05c"),
     ("12,10,1",
      "c1b7656e1e90cd5cd0681ddc38835fca0ce14516e138b85a02cbc9d2394caf20"),
     ("tsplib",

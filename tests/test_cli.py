@@ -61,6 +61,22 @@ def test_bound_subcommand(tmp_path, capsys):
     assert "held-karp" in capsys.readouterr().out
 
 
+def test_bench_reference_is_the_bound_command_value(tmp_path, capsys):
+    # the hk-bound reference hinted its ascent with the first method's
+    # length, so bench printed 5065488.46 where bound printed 5065488.38
+    tsp, optima = tmp_path / "g.tsp", tmp_path / "none.txt"
+    assert main(["gen", "--n", "40", "--seed", "3", "--out", str(tsp)]) == 0
+    optima.write_text("# no known optima\n")
+    capsys.readouterr()
+    assert main(["bound", str(tsp), "--iters", "300"]) == 0
+    bound = capsys.readouterr().out.split(" bound ")[1].split()[0]
+    assert main(["bench", "--tsplib", str(tmp_path), "--optima", str(optima),
+                 "--methods", "proposed,nn", "--iters", "300"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:3]
+    assert [row.split(",")[9:11] for row in rows] == \
+        [[bound, "hk-bound"]] * 2
+
+
 def test_bench_random_csv(tmp_path):
     out = tmp_path / "report.csv"
     assert main(["bench", "--random", "12,2,1", "--methods", "nn,greedy",

@@ -278,11 +278,15 @@ class TestInputValidation:
         (dict(kind="EXPLICIT", explicit_weights=np.zeros((3, 3)),
               coords=((0, 0), (1, 1))),
          tc.ValidationError, "expected 3 coordinate pairs, got 2"),
+        (dict(kind="EUC_2D", coords=((0, 0), (1, 1)),
+              explicit_weights=[[0, 1], [5, "x"]]),
+         tc.ValidationError, "weight table needs kind EXPLICIT, got EUC_2D"),
     ], ids=["n-below-1", "explicit-without-table", "table-shape",
-            "nonzero-diagonal", "coordinate-count"])
+            "nonzero-diagonal", "coordinate-count", "table-beside-coords"])
     def test_bad_instance_rejected(self, kwargs, error, fragment):
         # n is read from the arrays: no coordinates is no city, and display
-        # coordinates must number the table's rows
+        # coordinates must number the table's rows; a coordinate instance
+        # kept a weight table unconverted and unchecked
         with pytest.raises(error, match=fragment):
             tc.Instance("t", **kwargs)
 

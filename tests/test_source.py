@@ -24,3 +24,12 @@ def test_only_instance_module_calls_setflags():
     assert PACKAGE / "instance.py" in modules
     owners = [p.name for p in modules if "setflags" in p.read_text()]
     assert owners == ["instance.py"]
+
+
+def test_only_bounds_module_names_upper_bound_hint():
+    # a reference is computed from the instance alone; another module that
+    # passes a hint can feed a method's tour back into the bound
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert PACKAGE / "bounds.py" in modules
+    owners = [p.name for p in modules if "upper_bound_hint" in p.read_text()]
+    assert owners == ["bounds.py"]
