@@ -25,7 +25,8 @@ class ParseError(TourcraftError):
 
 
 class SizeLimitError(TourcraftError):
-    """Instance exceeds a hard size limit (exact solver)."""
+    """Instance exceeds a hard size limit (exact solver, distance matrix) or
+    is too large to allocate."""
 
 
 class _FloatErrors(np.errstate):

@@ -288,5 +288,9 @@ def generate_random_euclidean(n: int, seed: int, box_side: float) -> Instance:
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    pts = rng.random((n, 2)) * float(box_side)
+    try:
+        pts = rng.random((n, 2)) * float(box_side)
+    except (MemoryError, ValueError):  # numpy's refusals of a huge array
+        raise SizeLimitError(f"random instance of n={n} cities is too large "
+                             f"to allocate") from None
     return Instance(name=f"rand-n{n}-s{seed}", kind="EUC_2D", coords=pts)

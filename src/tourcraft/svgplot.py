@@ -40,12 +40,15 @@ def plot_tour_svg(instance: Instance, order: Sequence[int],
     def path_d(seq) -> str:
         return "M " + " L ".join(" ".join(cells[i]) for i in seq) + " Z"
 
+    # str.replace, not xml.sax.saxutils, which imports urllib and ssl
+    title = (instance.name.replace("&", "&amp;").replace("<", "&lt;")
+             .replace(">", "&gt;"))
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_fmt(_WIDTH)}" height="{_fmt(height)}" '
         f'viewBox="0 0 {_fmt(_WIDTH)} {_fmt(height)}">',
-        f'<title>{instance.name}</title>',
+        f'<title>{title}</title>',
     ]
     if reference_order is not None:
         lines.append(f'<path d="{path_d(reference_order)}" fill="none" '

@@ -31,7 +31,7 @@ class OptimaTable:
         return self.entries.get(name)
 
 
-def _split_sections(text: str):
+def _lines(text: str):
     """Yield (line_number, stripped_line) skipping blanks."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -39,48 +39,38 @@ def _split_sections(text: str):
             yield lineno, line
 
 
+def _sections(text: str):
+    """The header's 'KEY: value' pairs (keys upper-cased), and the
+    (line_number, line) pairs under each '*_SECTION' keyword, up to EOF."""
+    header: Dict[str, str] = {}
+    sections: Dict[str, List[Tuple[int, str]]] = {}
+    body = None
+    for lineno, line in _lines(text):
+        key, colon, value = line.partition(":")
+        key = key.strip().upper()
+        if key == "EOF":
+            break
+        if key.endswith("_SECTION"):
+            body = sections.setdefault(key, [])
+        elif body is not None:
+            body.append((lineno, line))
+        elif colon:
+            header[key] = value.strip()
+    return header, sections
+
+
 def parse_tsplib(text: str) -> Instance:
     """Parse a TSPLIB instance (keyword header + coordinate or weight section).
 
-    Unknown keywords are ignored; unsupported EDGE_WEIGHT_TYPE values and
-    malformed numbers raise ParseError naming the line. City i is the
-    NODE_COORD_SECTION line of node number i + 1; a line other than
-    'node x y', or a node number that is not an integer, lies outside
-    1..DIMENSION or repeats, is a ParseError naming the line.
+    Only NODE_COORD_SECTION, or EDGE_WEIGHT_SECTION for EXPLICIT, is read;
+    unknown keywords and other sections are skipped. Unsupported
+    EDGE_WEIGHT_TYPE values and malformed numbers raise ParseError naming
+    the line. DIMENSION must match the count of coordinate lines before
+    any city is placed: city i is the line of node number i + 1, and a line
+    other than 'node x y', or a node number that is not an integer, lies
+    outside 1..DIMENSION or repeats, is a ParseError naming the line.
     """
-    header: Dict[str, str] = {}
-    coord_lines: List[Tuple[int, str]] = []
-    weight_values: List[float] = []
-    section = None
-
-    for lineno, line in _split_sections(text):
-        if line == "EOF":
-            break
-        upper = line.upper()
-        if upper.startswith("NODE_COORD_SECTION"):
-            section = "coords"
-            continue
-        if upper.startswith("EDGE_WEIGHT_SECTION"):
-            section = "weights"
-            continue
-        if upper.startswith("DISPLAY_DATA_SECTION"):
-            section = "ignored"
-            continue
-        if section == "coords":
-            coord_lines.append((lineno, line))
-            continue
-        if section == "weights":
-            try:
-                weight_values.extend(float(tok) for tok in line.split())
-            except ValueError:
-                raise ParseError(f"line {lineno}: malformed number in {line!r}")
-            continue
-        if section == "ignored":
-            continue
-        if ":" in line:
-            key, value = line.split(":", 1)
-            header[key.strip().upper()] = value.strip()
-
+    header, sections = _sections(text)
     if "DIMENSION" not in header:
         raise ParseError("missing DIMENSION keyword")
     try:
@@ -100,15 +90,19 @@ def parse_tsplib(text: str) -> Instance:
         fmt = header.get("EDGE_WEIGHT_FORMAT", "FULL_MATRIX").upper()
         if fmt not in _WEIGHT_COUNTS:
             raise ParseError(f"unsupported EDGE_WEIGHT_FORMAT {fmt!r}")
-        w = _assemble_weights(weight_values, n, fmt)
+        w = _assemble_weights(sections.get("EDGE_WEIGHT_SECTION", []), n, fmt)
         return Instance(name=name, kind="EXPLICIT", explicit_weights=w)
 
-    return Instance(name=name, kind=kind, coords=_node_coords(coord_lines, n))
+    coords = _node_coords(sections.get("NODE_COORD_SECTION", []), n)
+    return Instance(name=name, kind=kind, coords=coords)
 
 
 def _node_coords(lines: List[Tuple[int, str]], n: int) -> List[tuple]:
     """The (x, y) of nodes 1..n from their NODE_COORD_SECTION lines
     'node x y', each placed by its node number, whatever the line order."""
+    if len(lines) != n:
+        raise ParseError(f"DIMENSION is {n} but found {len(lines)} "
+                         f"coordinate lines")
     coords: List[Optional[tuple]] = [None] * n
     for lineno, line in lines:
         parts = line.split()
@@ -129,14 +123,17 @@ def _node_coords(lines: List[Tuple[int, str]], n: int) -> List[tuple]:
             coords[node - 1] = (float(parts[1]), float(parts[2]))
         except ValueError:
             raise ParseError(f"line {lineno}: malformed number in {line!r}")
-    if len(lines) != n:
-        raise ParseError(f"DIMENSION is {n} but found {len(lines)} "
-                         f"coordinate lines")
     return coords
 
 
-def _assemble_weights(values: List[float], n: int, fmt: str) -> np.ndarray:
-    """Full table from a section's values; `instance._table` checks it."""
+def _assemble_weights(lines: list, n: int, fmt: str) -> np.ndarray:
+    """Full table from EDGE_WEIGHT_SECTION lines; instance._table checks it."""
+    values: List[float] = []
+    for lineno, line in lines:
+        try:
+            values.extend(float(tok) for tok in line.split())
+        except ValueError:
+            raise ParseError(f"line {lineno}: malformed number in {line!r}")
     expected = _WEIGHT_COUNTS[fmt](n)
     if len(values) != expected:
         raise ParseError(f"{fmt} needs {expected} values, got {len(values)}")
@@ -182,16 +179,9 @@ def write_tour(tour: Tour, name: str) -> str:
 
 
 def parse_tour(text: str) -> List[int]:
-    """Read a TSPLIB .tour file back into a 0-based visiting order."""
+    """Read a TSPLIB .tour file's TOUR_SECTION back as a 0-based order."""
     order: List[int] = []
-    in_section = False
-    for lineno, line in _split_sections(text):
-        upper = line.upper()
-        if upper.startswith("TOUR_SECTION"):
-            in_section = True
-            continue
-        if not in_section or upper == "EOF":
-            continue
+    for lineno, line in _sections(text)[1].get("TOUR_SECTION", []):
         for tok in line.split():
             if tok == "-1":
                 return order
@@ -205,7 +195,7 @@ def parse_tour(text: str) -> List[int]:
 def load_optima(text: str) -> OptimaTable:
     """Parse a two-column name/length fixture; '#' starts a comment."""
     entries: Dict[str, int] = {}
-    for lineno, line in _split_sections(text):
+    for lineno, line in _lines(text):
         if line.startswith("#"):
             continue
         parts = line.split()

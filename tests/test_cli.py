@@ -175,6 +175,9 @@ EXPLICIT_HEAD = ("NAME: ex\nTYPE: TSP\nEDGE_WEIGHT_TYPE: EXPLICIT\n"
      None),
     (["gen", "--n", "5", "--seed", "1", "--box", "inf", "--out", "{d}/g.tsp"],
      None),
+    (["gen", "--n", "100000000000000000", "--seed", "1", "--out",
+      "{d}/g.tsp"], None),
+    (["bench", "--random", "1000000000000000000,1,1"], None),
     (["solve", "{f}"], "DIMENSION: 3\nEDGE_WEIGHT_TYPE: EUC_2D\n"
                        "NODE_COORD_SECTION\n1 0 0\n2 nan 1\n3 2 2\nEOF\n"),
     (["solve", "{f}"], "DIMENSION: 3\nEDGE_WEIGHT_TYPE: EUC_2D\n"
@@ -185,15 +188,17 @@ EXPLICIT_HEAD = ("NAME: ex\nTYPE: TSP\nEDGE_WEIGHT_TYPE: EXPLICIT\n"
                        "EDGE_WEIGHT_SECTION\n1 inf 1\nEOF\n"),
     (["solve", "{f}"], EXPLICIT_HEAD + "DIMENSION: -3\n"
                        "EDGE_WEIGHT_SECTION\nEOF\n"),
+    (["solve", "{f}"], f"DIMENSION: {10**18}\nEDGE_WEIGHT_TYPE: EUC_2D\n"
+                       "NODE_COORD_SECTION\n1 0 0\n2 5 0\n3 0 5\nEOF\n"),
 ], ids=["grid-set", "grid-combo", "grid-nan", "grid-inf", "grid-combo-length",
          "grid-gamma-overflow", "grid-alpha-overflow",
          "grid-delta-epsilon-overflow", "grid-gamma-underflow",
          "grid-delta-underflow",
          "random-count", "random-zero-count", "random-negative-seed",
          "random-zero-iters", "tsplib-zero-iters", "gen-negative-seed",
-         "gen-nan-box", "gen-inf-box",
+         "gen-nan-box", "gen-inf-box", "gen-huge-n", "random-huge-n",
         "nan-coordinate", "overflowing-coordinate", "negative-weight",
-        "inf-weight", "negative-dimension"])
+        "inf-weight", "negative-dimension", "dimension-beyond-file"])
 def test_bad_input_is_an_error_line(tmp_path, capsys, argv, tsp):
     f = tmp_path / "in.tsp"
     if tsp is None:

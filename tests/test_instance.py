@@ -507,6 +507,13 @@ class TestRandomGenerator:
         with pytest.raises(tc.ConfigError, match=f"{what} must be an integer"):
             tc.generate_random_euclidean(n, seed, 1.0)
 
+    @pytest.mark.parametrize("n", [10**17, 10**18], ids=["1e17", "1e18"])
+    def test_too_large_to_allocate(self, n):
+        # numpy's MemoryError (1.39 EiB) or ValueError (array is too big)
+        # escaped; both are raised before anything is allocated
+        with pytest.raises(tc.SizeLimitError, match=f"n={n} cities"):
+            tc.generate_random_euclidean(n, 1, 1.0)
+
     def test_numpy_integer_n_and_seed_accepted(self):
         a = tc.generate_random_euclidean(np.int64(10), np.int32(3), 1.0)
         b = tc.generate_random_euclidean(10, 3, 1.0)

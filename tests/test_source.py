@@ -1,5 +1,8 @@
 """Rules about the package source that keep each rule in one place."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import tourcraft as tc
@@ -33,3 +36,16 @@ def test_only_bounds_module_names_upper_bound_hint():
     assert PACKAGE / "bounds.py" in modules
     owners = [p.name for p in modules if "upper_bound_hint" in p.read_text()]
     assert owners == ["bounds.py"]
+
+
+def test_cli_import_leaves_out_network_modules():
+    # xml.sax.saxutils, say for escaping, imports urllib.request and with it
+    # http.client, ssl and email: about 3 MB more resident at every start
+    heavy = ["xml.sax", "urllib.request", "http.client", "ssl", "email"]
+    code = ("import sys, tourcraft.cli; "
+            f"print(sorted(m for m in {heavy!r} if m in sys.modules))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -1,3 +1,5 @@
+import xml.etree.ElementTree as ET
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,14 @@ def test_reference_tour_dashed():
     svg = tc.plot_tour_svg(square_instance(), [0, 1, 2, 3], [0, 2, 1, 3])
     assert svg.count("<path") == 2
     assert svg.count("stroke-dasharray") == 1
+
+
+def test_title_escaped():
+    # the name was written as is, so the document was not well-formed XML
+    inst = tc.Instance("a<b & c", "EUC_2D",
+                       coords=((0, 0), (10, 0), (10, 10), (0, 10)))
+    root = ET.fromstring(tc.plot_tour_svg(inst, [0, 1, 2, 3]))
+    assert root.find("{http://www.w3.org/2000/svg}title").text == "a<b & c"
 
 
 def test_deterministic():

@@ -140,21 +140,42 @@ EXPLICIT_3 = "DIMENSION: 3\nEDGE_WEIGHT_TYPE: EXPLICIT\n"
      "1 2 3\n", "unsupported EDGE_WEIGHT_FORMAT 'LOWER_ROW'"),
     (EXPLICIT_3 + "EDGE_WEIGHT_FORMAT: UPPER_ROW\nEDGE_WEIGHT_SECTION\n"
      "1 2 3 4\n", "UPPER_ROW needs 3 values, got 4"),
+    # a list of DIMENSION cities was built first: MemoryError, OverflowError
+    (COORDS_3.replace("3", str(10**18)) + "1 0 0\n2 5 0\n3 0 5\n",
+     f"DIMENSION is {10**18} but found 3 coordinate lines"),
+    (COORDS_3.replace("3", str(2**70)) + "1 0 0\n2 5 0\n3 0 5\n",
+     f"DIMENSION is {2**70} but found 3 coordinate lines"),
 ], ids=["short-coordinate-line", "malformed-weight", "non-integer-dimension",
-        "unsupported-weight-format", "wrong-weight-count"])
+        "unsupported-weight-format", "wrong-weight-count",
+        "dimension-1e18-over-3-lines", "dimension-2^70-over-3-lines"])
 def test_malformed_instance_rejected(text, fragment):
     with pytest.raises(tc.ParseError, match=fragment):
         tc.parse_tsplib(text)
 
 
-def test_display_data_section_skipped():
+UNREAD_SECTIONS = ["DISPLAY_DATA_SECTION", "FIXED_EDGES_SECTION",
+                   "DEPOT_SECTION", "TOUR_SECTION"]
+
+
+@pytest.mark.parametrize("section", UNREAD_SECTIONS)
+def test_unread_section_skipped(section):
+    # a section other than DISPLAY_DATA_SECTION was read as more weights
     text = ("DIMENSION: 3\nEDGE_WEIGHT_TYPE: EXPLICIT\n"
             "EDGE_WEIGHT_FORMAT: UPPER_ROW\nEDGE_WEIGHT_SECTION\n1 2 3\n"
-            "DISPLAY_DATA_SECTION\n1 x y\n2 0\n3 0 0\nEOF\n")
+            f"{section}\n1 x y\n2 0\n3 0 0\nEOF\n")
     inst = tc.parse_tsplib(text)
     assert inst.coords is None
     assert np.array_equal(inst.explicit_weights,
                           [[0, 1, 2], [1, 0, 3], [2, 3, 0]])
+
+
+def test_fixed_edges_after_coordinates_skipped():
+    # its keyword was read as a coordinate line needing 'index x y'
+    cities = COORDS_3 + "1 0 0\n2 5 0\n3 0 5\n"
+    edges = tc.parse_tsplib(cities + "FIXED_EDGES_SECTION\n1 2\n-1\nEOF\n")
+    plain = tc.parse_tsplib(cities + "EOF\n")
+    assert edges.coords.tolist() == plain.coords.tolist() == \
+        [[0, 0], [5, 0], [0, 5]]
 
 
 class TestTourFiles:
@@ -180,7 +201,7 @@ class TestTourFiles:
 
 def test_instance_file_round_trip():
     pts = np.round(np.random.default_rng(4).uniform(0, 1e3, (20, 2)), 6)
-    for kind in ("EUC_2D", "CEIL_2D"):
+    for kind in ("EUC_2D", "CEIL_2D", "ATT"):
         inst = tc.Instance("r20", kind, coords=pts)
         back = tc.parse_tsplib(tc.write_tsplib(inst))
         assert (back.name, back.n, back.kind) == ("r20", 20, kind)
