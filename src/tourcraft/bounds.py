@@ -5,9 +5,10 @@
   start city and one column per subset, so for every subset size and
   every city j one `take` gathers the columns of the subsets without j
   and one numpy min runs down them. Each candidate is the same single
-  float addition as in a scalar loop and the min is exact, so the table,
-  and the lexicographically smallest optimal order read back from it, do
-  not depend on the evaluation order or the layout.
+  float addition as in a scalar loop and the min is exact, so the table
+  does not depend on the evaluation order or the layout. The tour is read
+  back by one argmin per step over the same sums, operands swapped, so the
+  first minimum is the lowest city that reaches the optimum.
 * one_tree_value / held_karp_bound: minimum 1-trees with node potentials,
   improved by subgradient ascent. One function builds a 1-tree: Prim's
   step over cities 1..n-1 records the join order and each city's key, the
@@ -30,7 +31,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError, SizeLimitError, _FloatErrors, _integer
-from .instance import DistanceMatrix, Tour, _require_n, make_tour
+from .instance import DistanceMatrix, Tour, _ranked, _require_n, make_tour
 
 EXACT_MAX_N = 15
 ASCENT_ITERS = 1000  # the Held-Karp ascent's default iteration budget
@@ -47,8 +48,8 @@ class LowerBoundResult:
 
 
 def exact_optimum(matrix: DistanceMatrix) -> Tour:
-    """Provably optimal tour by subset DP; returns the lexicographically
-    smallest optimal order starting at city 0."""
+    """Provably optimal tour by subset DP: the lexicographically smallest
+    optimal order from city 0, each step the first argmin of the DP's sums."""
     n = _require_n(matrix)
     if n > EXACT_MAX_N:
         raise SizeLimitError(
@@ -78,23 +79,14 @@ def exact_optimum(matrix: DistanceMatrix) -> Tour:
                 w += inner_t[:, j:j + 1]
                 ht[j, has] = w.min(axis=0)
 
-        # h is inf outside each mask, so only cities still to visit can
-        # match
+        # h is inf outside each mask, so only cities still to visit compete
         h = ht.T
         order = [0]
-        mask_cur = full
-        cur = 0
-        remaining = (d[0, 1:] + h[full]).min()
-        while mask_cur:
-            left = d[cur, 1:] + h[mask_cur]
-            match = np.flatnonzero(left == remaining)
-            if not match.size:  # pragma: no cover - float safety net
-                raise AssertionError("exact DP reconstruction failed")
-            j = int(match[0])
+        mask = full
+        while mask:
+            j = int((d[order[-1], 1:] + h[mask]).argmin())
             order.append(j + 1)
-            remaining = h[mask_cur, j]
-            mask_cur ^= 1 << j
-            cur = j + 1
+            mask ^= 1 << j
     return make_tour(order, matrix)
 
 
@@ -135,7 +127,7 @@ def _one_tree(d: np.ndarray, pi: np.ndarray,
         np.minimum(best, cand, out=best)
     # a bool gather: buf[order] would copy n x n floats
     parent = order[(buf[:, 2:] == key[2:])[order].argmax(axis=0)]
-    two = np.argsort(buf[0, 1:], kind="stable")[:2] + 1
+    two = _ranked(buf[0, 1:])[:2] + 1
     total += buf[0, two[0]] + buf[0, two[1]]
     # the edge ends: (j, parent[j]) for j = 2..n-1, and city 0's two edges
     ends = np.concatenate((np.arange(2, n), parent, (0, 0), two))

@@ -10,7 +10,7 @@ from typing import List, Optional
 from .bench import METHODS, RunConfig, render_report, run_benchmark
 from .bounds import ASCENT_ITERS, held_karp_bound
 from .construction import ExponentCombo, default_grid, grid_search
-from .errors import ConfigError, ParseError, TourcraftError
+from .errors import ConfigError, ParseError, SizeLimitError, TourcraftError
 from .instance import (Instance, build_distance_matrix,
                        generate_random_euclidean)
 from .svgplot import plot_tour_svg
@@ -84,7 +84,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         n, count, seed0 = parts
         if count < 1:
             raise ConfigError(f"--random count must be >= 1, got {count}")
-        seeds = list(range(seed0, seed0 + count))
+        try:
+            seeds = list(range(seed0, seed0 + count))
+        except (MemoryError, OverflowError):  # a seed list too long to build
+            raise SizeLimitError(f"--random count too large: {count}") from None
         instances += [generate_random_euclidean(n, seed, RANDOM_BOX)
                       for seed in seeds]
     config = RunConfig(

@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import ConfigError, _FloatErrors
 from .instance import (CityStats, DistanceMatrix, Tour, _loop_lengths,
-                       _require_n, city_stats, make_tour)
+                       _ranked, _require_n, city_stats, make_tour)
 
 DEFAULT_EXPONENT_VALUES = (0.0, 0.5, 1.0)
 CANDIDATES = 16  # M: cities in each row's neighbour set
@@ -184,11 +184,6 @@ def _numerator_vector(stats: CityStats, exp_mu: float, exp_sigma: float,
     return out
 
 
-def _ranked(key: np.ndarray) -> np.ndarray:
-    """Indices by ascending `key`, ties toward the lower index."""
-    return np.argsort(key, kind="stable")
-
-
 def _city_order(stats: CityStats, alpha: float, beta: float,
                 ) -> Tuple[int, ...]:
     """Cities by descending eq. 1 priority, ties toward the lower index."""
@@ -283,7 +278,8 @@ def _candidate_rows(scores: np.ndarray, sets: np.ndarray) -> List[List[int]]:
     outside = scores.max(axis=1)
     scores[rows, sets] = inside
     listed = (inside > outside[:, None]).sum(axis=1).tolist()
-    ranked = np.take_along_axis(sets, np.lexsort((sets, -inside)), axis=1)
+    # each row of sets ascends, so a stable ranking breaks ties by index
+    ranked = np.take_along_axis(sets, _ranked(-inside), axis=1)
     return [row[:k] for row, k in zip(ranked.tolist(), listed)]
 
 

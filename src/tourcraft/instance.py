@@ -271,6 +271,12 @@ def _require_n(matrix: DistanceMatrix) -> int:
     return matrix.n
 
 
+def _ranked(key: np.ndarray) -> np.ndarray:
+    """Indices by ascending `key` along its last axis, ties toward the lower
+    index: the package's one (value, index) ranking."""
+    return np.argsort(key, kind="stable")
+
+
 def generate_random_euclidean(n: int, seed: int, box_side: float) -> Instance:
     """Uniform random points in [0, box_side]^2 with kind EUC_2D.
 

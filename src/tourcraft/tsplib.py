@@ -189,6 +189,8 @@ def parse_tour(text: str) -> List[int]:
                 order.append(int(tok) - 1)
             except ValueError:
                 raise ParseError(f"line {lineno}: malformed tour index {tok!r}")
+            if order[-1] < 0:
+                raise ParseError(f"line {lineno}: tour node {tok} is below 1")
     return order
 
 

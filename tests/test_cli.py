@@ -107,7 +107,12 @@ def test_negative_grid_value_after_equals(tmp_path, capsys, argv, shown):
 @pytest.mark.parametrize("argv,fragment", [
     (["bench", "--random", "5,1"], "--random expects n,count,first-seed"),
     (["bench", "--tsplib", "{d}"], "no .tsp files under"),
-], ids=["random-two-fields", "tsplib-empty-dir"])
+    # the seed list was a MemoryError or an OverflowError traceback; both
+    # fail before a seed is stored
+    (["bench", "--random", f"3,{10**18},1"], "--random count too large"),
+    (["bench", "--random", f"3,{10**19},1"], "--random count too large"),
+], ids=["random-two-fields", "tsplib-empty-dir", "random-count-1e18",
+        "random-count-1e19"])
 def test_bench_source_errors(tmp_path, capsys, argv, fragment):
     assert main([a.format(d=tmp_path) for a in argv]) == 1
     err = capsys.readouterr().err

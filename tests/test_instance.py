@@ -419,6 +419,25 @@ class TestLoopLengths:
             types.SimpleNamespace(d=np.broadcast_to(w, (n, n))), rows=3)
 
 
+class TestRanked:
+    """`_ranked` is the (value, index) order of a plain `sorted`, on 1-D
+    keys and on each row of 2-D keys."""
+
+    @pytest.mark.parametrize("levels", [
+        (0.0, 1.0, 2.5),
+        (-0.0, 0.0, 1.0),
+        (-np.inf, 0.0, 3.0, np.inf),
+    ], ids=["few-levels", "signed-zeros", "infinities"])
+    @pytest.mark.parametrize("shape", [(1,), (9,), (500,), (6, 40), (3, 300)])
+    def test_matches_plain_sort(self, levels, shape):
+        keys = np.random.default_rng(shape[-1]).choice(levels, size=shape)
+        ranked = instance._ranked(keys)
+        assert ranked.shape == keys.shape
+        for key, got in zip(np.atleast_2d(keys).tolist(),
+                            np.atleast_2d(ranked).tolist()):
+            assert got == sorted(range(len(key)), key=lambda i: (key[i], i))
+
+
 class TestFloatRange:
     """Distances whose statistics or tour lengths overflow a float are a
     ValidationError, raised without a warning; tiny ones, whose squares

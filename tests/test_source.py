@@ -29,6 +29,16 @@ def test_only_instance_module_calls_setflags():
     assert owners == ["instance.py"]
 
 
+def test_only_instance_module_sorts():
+    # every (value, index) ranking is instance._ranked, one stable argsort;
+    # another module that sorts can break its ties its own way
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert PACKAGE / "instance.py" in modules
+    owners = [p.name for p in modules
+              if "argsort" in p.read_text() or "lexsort" in p.read_text()]
+    assert owners == ["instance.py"]
+
+
 def test_only_bounds_module_names_upper_bound_hint():
     # a reference is computed from the instance alone; another module that
     # passes a hint can feed a method's tour back into the bound

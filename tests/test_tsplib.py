@@ -191,6 +191,17 @@ class TestTourFiles:
                                                 "index '2a'"):
             tc.parse_tour("TOUR_SECTION\n1 2a\n-1\n")
 
+    @pytest.mark.parametrize("node", ["0", "-5"])
+    def test_node_below_one_rejected(self, node):
+        # parse_tour("TOUR_SECTION\n0\n2\n-5\n-1\n") returned [-1, 1, -6],
+        # indices that Python indexing silently wraps
+        with pytest.raises(tc.ParseError,
+                           match=f"line 3: tour node {node} is below 1"):
+            tc.parse_tour(f"TOUR_SECTION\n2\n{node}\n-1\n")
+
+    def test_minus_one_ends_the_section(self):
+        assert tc.parse_tour("TOUR_SECTION\n2 1\n-1\n0\nEOF\n") == [1, 0]
+
     def test_round_trip(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
