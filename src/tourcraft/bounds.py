@@ -6,17 +6,22 @@
   every city j one `take` gathers the columns of the subsets without j
   and one numpy min runs down them. Each candidate is the same single
   float addition as in a scalar loop and the min is exact, so the table
-  does not depend on the evaluation order or the layout. The tour is read
-  back by one argmin per step over the same sums, operands swapped, so the
-  first minimum is the lowest city that reaches the optimum.
+  does not depend on the evaluation order or the layout. The subset index
+  arrays depend on n alone: they are built on the first call for each n
+  and kept read-only, so a call's steps are gathers, adds and mins only.
+  The tour is read back by one argmin per step over the same sums,
+  operands swapped, so the first minimum is the lowest city that reaches
+  the optimum.
 * one_tree_value / held_karp_bound: minimum 1-trees with node potentials,
   improved by subgradient ascent. One function builds a 1-tree: Prim's
   step over cities 1..n-1 records the join order and each city's key, the
   weight it joined with; after the loop each city's parent is read back
   from them, and the degrees the ascent needs are counted from those
-  parents and city 0's two edges. Any potential vector gives a valid lower
-  bound on the optimal tour length; the ascent only tightens it, and stops
-  early once its potentials no longer move.
+  parents and city 0's two edges. An ascent builds one workspace (the n x n
+  buffer of modified weights, its row views and Prim's vectors) and every
+  1-tree reuses it. Any potential vector gives a valid lower bound on the
+  optimal tour length; the ascent only tightens it, and stops early once
+  its potentials no longer move.
 
 All three run under the one float guard, errors._FloatErrors: an overflow
 or invalid operation, from weights whose path sums overflow or from
@@ -25,13 +30,15 @@ potentials or a hint too large for the modified weights, is a ConfigError.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ConfigError, SizeLimitError, _FloatErrors, _integer
-from .instance import DistanceMatrix, Tour, _ranked, _require_n, make_tour
+from .instance import (DistanceMatrix, Tour, _ranked, _read_only, _require_n,
+                       make_tour)
 
 EXACT_MAX_N = 15
 ASCENT_ITERS = 1000  # the Held-Karp ascent's default iteration budget
@@ -47,6 +54,32 @@ class LowerBoundResult:
     iterations_used: int
 
 
+_Step = Tuple[int, np.ndarray, np.ndarray]  # (j, has, without)
+
+
+@functools.cache
+def _layers(m: int) -> Tuple[np.ndarray, Tuple[_Step, ...]]:
+    """The DP's index arrays for m = n - 1 cities, which depend on m alone:
+    `bits` (city j is bit j) and one step (j, has, without) per subset size
+    2..m and city j, in the order the DP fills them, where `has` lists the
+    subsets of that size that hold j and `without` the same subsets less j.
+    Built on first use for each m (m <= EXACT_MAX_N - 1: 3.4 MB if every
+    size is used) and kept read-only, so every caller can share them."""
+    bits = 1 << np.arange(m)
+    masks = np.arange(1 << m)
+    popcount = np.zeros(1 << m, dtype=int)
+    for bit in bits:
+        popcount += (masks & bit) != 0
+    steps = []
+    for size in range(2, m + 1):
+        layer = masks[popcount == size]
+        for j in range(m):
+            has = layer[(layer & bits[j]) != 0]
+            steps.append((j, has, has ^ bits[j]))
+    _read_only(bits, *(a for _, has, without in steps for a in (has, without)))
+    return bits, tuple(steps)
+
+
 def exact_optimum(matrix: DistanceMatrix) -> Tour:
     """Provably optimal tour by subset DP: the lexicographically smallest
     optimal order from city 0, each step the first argmin of the DP's sums."""
@@ -57,27 +90,21 @@ def exact_optimum(matrix: DistanceMatrix) -> Tour:
     d = matrix.d
     m = n - 1  # cities 1..n-1 mapped to bits 0..m-1
     full = (1 << m) - 1
+    bits, steps = _layers(m)
     # ht[k, mask] = shortest path that starts at city k+1, visits exactly
     # the cities in mask (which contains k), and ends at city 0; inf
     # elsewhere, so a min over a whole column only sees the cities in its
     # mask. Stored k-major, so one step gathers its columns with one take.
-    bits = 1 << np.arange(m)
-    masks = np.arange(full + 1)
-    popcount = np.zeros(full + 1, dtype=int)
-    for bit in bits:
-        popcount += (masks & bit) != 0
     ht = np.full((m, full + 1), np.inf)
     inner_t = d[1:, 1:].T  # inner_t[k, j] = d[j+1, k+1]
+    cols = [inner_t[:, j:j + 1] for j in range(m)]
     with _FloatErrors(ConfigError, "distances too large: the exact DP's path "
                       "lengths overflow the float range", **_OVERFLOW):
         ht[np.arange(m), bits] = d[1:, 0]
-        for size in range(2, m + 1):
-            layer = masks[popcount == size]
-            for j in range(m):
-                has = layer[(layer & bits[j]) != 0]
-                w = ht.take(has ^ bits[j], axis=1)
-                w += inner_t[:, j:j + 1]
-                ht[j, has] = w.min(axis=0)
+        for j, has, without in steps:
+            w = ht.take(without, axis=1)
+            w += cols[j]
+            ht[j, has] = w.min(axis=0)
 
         # h is inf outside each mask, so only cities still to visit compete
         h = ht.T
@@ -90,13 +117,30 @@ def exact_optimum(matrix: DistanceMatrix) -> Tour:
     return make_tour(order, matrix)
 
 
+class _Workspace:
+    """What every 1-tree of one ascent reuses, for n cities: the n x n
+    buffer of modified weights and the list of its row views, Prim's n-vectors
+    and the edge ends 2..n-1."""
+
+    __slots__ = ("buf", "rows", "shut", "best", "key", "order", "tail")
+
+    def __init__(self, n: int):
+        self.buf = np.empty((n, n))
+        self.rows = list(self.buf)
+        self.shut = np.empty(n)
+        self.best = np.empty(n)
+        self.key = np.empty(n)
+        self.order = np.ones(n - 1, dtype=np.intp)  # join order, city 1 first
+        self.tail = np.arange(2, n)
+
+
 def _one_tree(d: np.ndarray, pi: np.ndarray,
-              buf: np.ndarray) -> Tuple[float, np.ndarray]:
+              ws: _Workspace) -> Tuple[float, np.ndarray]:
     """1-tree bound and node degrees for potentials pi: the minimum 1-tree
-    on the modified weights d[i][j] + pi[i] + pi[j], built in `buf`, minus
-    2 * sum(pi). The 1-tree is a dense Prim MST over cities 1..n-1 plus the
-    two cheapest edges at city 0; ties go to the lowest index, in the MST
-    and at city 0. Call it under the ascent's `_FloatErrors` guard.
+    on the modified weights d[i][j] + pi[i] + pi[j], built in `ws.buf`,
+    minus 2 * sum(pi). The 1-tree is a dense Prim MST over cities 1..n-1
+    plus the two cheapest edges at city 0; ties go to the lowest index, in
+    the MST and at city 0. Call it under the ascent's `_FloatErrors` guard.
 
     The loop records only the join order and each city's key, the weight
     it joined with; the parents are read back after it. A city's key is
@@ -106,31 +150,35 @@ def _one_tree(d: np.ndarray, pi: np.ndarray,
     later offers the same weight.
     """
     n = d.shape[0]
+    buf, rows, shut, best, key, order = (
+        ws.buf, ws.rows, ws.shut, ws.best, ws.key, ws.order)
     np.add(d, pi[:, None], out=buf)
     buf += pi[None, :]
-    # shut[k]: 0.0 while k is outside the tree, inf once it is in; added to
-    # a row, it leaves the weights to outside cities and makes the rest inf
-    shut = np.zeros(n)
+    # shut[k]: 0.0 while k is outside the tree, inf once it is in. Each step
+    # takes the least of the offers and the joining city's row, then adds
+    # shut: the offers to outside cities stay and the tree's cities, the new
+    # one included, go back to inf. Adding shut after the minimum gives the
+    # bits that adding it to the row first would: x + 0.0 is x for every x
+    # but -0.0, which it makes 0.0 either way, and x + inf is inf.
+    shut.fill(0.0)
     shut[:2] = np.inf  # city 0 stays out of the MST, city 1 is its root
-    best = buf[1] + shut  # cheapest offer from the tree, inf once joined
-    cand = np.empty(n)
-    order = np.ones(n - 1, dtype=np.intp)  # join order, city 1 first
-    key = np.empty(n)
+    np.add(rows[1], shut, out=best)  # cheapest offer, inf once joined
+    argmin, minimum, inf = best.argmin, np.minimum, np.inf
     total = 0.0
     for i in range(1, n - 1):
-        j = int(best.argmin())
+        j = argmin()
         order[i] = j
         key[j] = w = best[j]
         total += w
-        shut[j] = best[j] = np.inf
-        np.add(buf[j], shut, out=cand)
-        np.minimum(best, cand, out=best)
+        shut[j] = inf
+        minimum(best, rows[j], out=best)
+        best += shut
     # a bool gather: buf[order] would copy n x n floats
     parent = order[(buf[:, 2:] == key[2:])[order].argmax(axis=0)]
     two = _ranked(buf[0, 1:])[:2] + 1
     total += buf[0, two[0]] + buf[0, two[1]]
     # the edge ends: (j, parent[j]) for j = 2..n-1, and city 0's two edges
-    ends = np.concatenate((np.arange(2, n), parent, (0, 0), two))
+    ends = np.concatenate((ws.tail, parent, (0, 0), two))
     deg = np.bincount(ends, minlength=n)
     return float(total - 2.0 * pi.sum()), deg
 
@@ -145,7 +193,7 @@ def one_tree_value(matrix: DistanceMatrix,
     if not np.isfinite(pi).all():
         raise ConfigError("potentials must be finite")
     with _FloatErrors(ConfigError, _HINT_OVERFLOW, **_OVERFLOW):
-        return _one_tree(matrix.d, pi, np.empty_like(matrix.d))[0]
+        return _one_tree(matrix.d, pi, _Workspace(matrix.n))[0]
 
 
 def held_karp_bound(matrix: DistanceMatrix, max_iters: int = ASCENT_ITERS,
@@ -178,7 +226,7 @@ def held_karp_bound(matrix: DistanceMatrix, max_iters: int = ASCENT_ITERS,
         raise ConfigError(f"upper_bound_hint must be finite, got {ub}")
 
     d = matrix.d
-    buf = np.empty_like(d)
+    ws = _Workspace(n)
     pi = np.zeros(n)
     best = -np.inf
     lam = 2.0
@@ -186,7 +234,7 @@ def held_karp_bound(matrix: DistanceMatrix, max_iters: int = ASCENT_ITERS,
     iterations = 0
     with _FloatErrors(ConfigError, _HINT_OVERFLOW, **_OVERFLOW):
         for iterations in range(1, max_iters + 1):
-            value, deg = _one_tree(d, pi, buf)
+            value, deg = _one_tree(d, pi, ws)
             if value > best:
                 best = value
                 stale = 0

@@ -73,7 +73,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     instances: List[Instance] = []
     if args.tsplib:
-        files = sorted(Path(args.tsplib).glob("*.tsp"))
+        folder = Path(args.tsplib)
+        if not folder.is_dir():
+            raise TourcraftError(f"{args.tsplib} is not a directory")
+        files = sorted(folder.glob("*.tsp"))
         if not files:
             raise TourcraftError(f"no .tsp files under {args.tsplib}")
         instances = [_read(f) for f in files]

@@ -44,6 +44,13 @@ SUPPORTED_KINDS = ("EUC_2D", "ATT", "CEIL_2D", "EXPLICIT")
 MATRIX_MAX_N = 10_000
 
 
+def _read_only(*arrays: np.ndarray) -> None:
+    """Mark arrays that are kept and shared as read-only: the package's one
+    way to freeze an array."""
+    for a in arrays:
+        a.setflags(write=False)
+
+
 def _floats(a, what: str) -> np.ndarray:
     """`a` as a read-only float array: one is kept as it is, anything else is
     copied once, and input that does not convert is a ValidationError."""
@@ -53,7 +60,7 @@ def _floats(a, what: str) -> np.ndarray:
         except (TypeError, ValueError) as exc:
             raise ValidationError(
                 f"{what}: not an array of numbers ({exc})") from None
-        a.setflags(write=False)
+        _read_only(a)
     return a
 
 
@@ -199,8 +206,7 @@ def build_distance_matrix(instance: Instance) -> DistanceMatrix:
             np.floor(d, out=d)
         else:  # CEIL_2D
             np.ceil(exact, out=d)
-    d.setflags(write=False)  # both fresh, so DistanceMatrix copies neither
-    exact.setflags(write=False)
+    _read_only(d, exact)  # both fresh, so DistanceMatrix copies neither
     return DistanceMatrix(d, heuristic=exact)
 
 
@@ -221,8 +227,7 @@ def city_stats(matrix: DistanceMatrix) -> CityStats:
         dev *= dev
         var = np.sum(dev, axis=1) / (n - 1)
     sigma = np.sqrt(var)
-    mu.setflags(write=False)
-    sigma.setflags(write=False)
+    _read_only(mu, sigma)
     return CityStats(mu=mu, sigma=sigma)
 
 

@@ -231,8 +231,8 @@ class TestMatchesOracle:
              "ties": lambda: tie_heavy_matrix(n, 6000 + n)}[kind]()
         seen = []
 
-        def recorded(d, pi, buf):
-            value, deg = one_tree(d, pi, buf)
+        def recorded(d, pi, ws):
+            value, deg = one_tree(d, pi, ws)
             seen.append((pi.copy(), value, deg))
             return value, deg
 
@@ -255,9 +255,25 @@ class TestMatchesOracle:
                           (1, 5): 20, (2, 3): 2, (2, 4): 10, (2, 5): 20,
                           (3, 4): 5, (3, 5): 20, (4, 5): 5}.items():
             d[i, j] = d[j, i] = w
-        value, deg = bounds._one_tree(d, np.zeros(6), np.empty_like(d))
+        value, deg = bounds._one_tree(d, np.zeros(6), bounds._Workspace(6))
         assert value == 26.0
         assert deg.tolist() == [2, 3, 2, 1, 3, 1]
+
+    def test_one_tree_signed_zeros(self):
+        # Prim's step adds the shut vector after its minimum, not to the
+        # row before it: the same bits, -0.0 weights and potentials included
+        rng = np.random.default_rng(24)
+        for _ in range(50):
+            n = int(rng.integers(3, 9))
+            w = np.triu(rng.integers(0, 3, (n, n)).astype(float), 1)
+            w += w.T
+            w[w == 0] = -0.0
+            pi = rng.choice([-0.0, 0.0, 1.0, -1.0], n)
+            value, deg = bounds._one_tree(w, pi, bounds._Workspace(n))
+            total, want = bounds_oracle.min_one_tree(
+                w + pi[:, None] + pi[None, :])
+            assert value.hex() == (total - 2.0 * float(pi.sum())).hex()
+            assert np.array_equal(deg, want)
 
     @pytest.mark.parametrize("n", range(3, EXACT_MAX_N + 1))
     def test_exact_orders(self, n):
@@ -265,6 +281,22 @@ class TestMatchesOracle:
                   fractional_matrix(n, 7000 + n)):
             assert list(tc.exact_optimum(m).order) == \
                 bounds_oracle.exact_optimum(m)
+
+    def test_exact_orders_with_cached_layers(self):
+        # the per-size layers are built once and shared: sizes out of order
+        # and repeated, starting from an empty cache, read the right ones
+        bounds._layers.cache_clear()
+        for n in (15, 5, 12, 5, 15, 3):
+            m = tie_heavy_matrix(n, 9000 + n)
+            assert list(tc.exact_optimum(m).order) == \
+                bounds_oracle.exact_optimum(m)
+
+    def test_cached_layers_are_read_only(self):
+        bits, steps = bounds._layers(4)
+        j, has, without = steps[0]
+        for a in (bits, has, without):
+            with pytest.raises(ValueError):
+                a[0] = 0
 
 
 class TestReferenceMemory:

@@ -119,6 +119,17 @@ def test_bench_source_errors(tmp_path, capsys, argv, fragment):
     assert err.startswith("error:") and fragment in err
 
 
+@pytest.mark.parametrize("target", ["in.tsp", "nowhere"],
+                         ids=["tsp-file", "missing-path"])
+def test_bench_tsplib_not_a_directory(tmp_path, capsys, target):
+    # a file or a missing path is named as such, not as a directory that
+    # holds no .tsp files
+    write_small_instance(tmp_path / "in.tsp")
+    path = tmp_path / target
+    assert main(["bench", "--tsplib", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path} is not a directory\n"
+
+
 def test_bench_tsplib_dir(tmp_path, capsys):
     write_small_instance(tmp_path / "small15.tsp")
     assert main(["bench", "--tsplib", str(tmp_path), "--methods", "nn",
