@@ -10,12 +10,12 @@ from .bench import (BenchRecord, RunConfig, percent_error, render_report,
                     run_benchmark)
 from .bounds import (LowerBoundResult, exact_optimum, held_karp_bound,
                      one_tree_value)
-from .construction import (ConstructionResult, ExponentCombo, PathEndTracker,
-                           construct_tour, default_grid, grid_search)
+from .construction import (ConstructionResult, ExponentCombo, construct_tour,
+                           default_grid, grid_search)
 from .errors import (ConfigError, DegenerateInstanceError, ParseError,
                      SizeLimitError, TourcraftError, ValidationError)
-from .instance import (CityStats, DistanceMatrix, Instance, Tour,
-                       build_distance_matrix, city_stats,
+from .instance import (CityStats, DistanceMatrix, Instance, PathEndTracker,
+                       Tour, build_distance_matrix, city_stats,
                        generate_random_euclidean, make_tour, tour_length,
                        validate_tour)
 from .svgplot import plot_tour_svg

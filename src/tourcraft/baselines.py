@@ -11,10 +11,9 @@ from typing import Optional
 
 import numpy as np
 
-from .construction import PathEndTracker
 from .errors import ConfigError, _integer
-from .instance import (DistanceMatrix, Tour, _ranked, _require_n,
-                       city_stats, make_tour)
+from .instance import (DistanceMatrix, PathEndTracker, Tour, _ranked,
+                       _require_n, city_stats, make_tour)
 
 MERGE_CHUNK = 512  # ranked pairs filtered at a time
 

@@ -3,6 +3,8 @@ known optima or computed lower bounds, render CSV/markdown reports."""
 
 from __future__ import annotations
 
+import csv
+import io
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -131,15 +133,19 @@ def _mean_rows(records: Sequence[BenchRecord]) -> List[List[str]]:
 
 
 def render_report(records: Sequence[BenchRecord], fmt: str = "csv") -> str:
-    """CSV or aligned-markdown table with per-method mean-error footer rows."""
+    """CSV or aligned-markdown table with per-method mean-error footer rows.
+    CSV cells are quoted only where they hold a comma, a quote or a line
+    break; a `|` in a markdown cell is escaped as `\\|`."""
     if not records:
         raise ConfigError("no records to render")
     rows = [_record_cells(r) for r in records] + _mean_rows(records)
     header = CSV_HEADER.split(",")
     if fmt == "csv":
-        return "\n".join([",".join(header)] +
-                         [",".join(row) for row in rows]) + "\n"
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows([header] + rows)
+        return out.getvalue()
     if fmt == "md":
+        rows = [[c.replace("|", "\\|") for c in row] for row in rows]
         widths = [max(len(h), *(len(row[i]) for row in rows))
                   for i, h in enumerate(header)]
         def line(cells):

@@ -36,6 +36,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from .baselines import nearest_neighbor
 from .errors import ConfigError, SizeLimitError, _FloatErrors, _integer
 from .instance import (DistanceMatrix, Tour, _ranked, _read_only, _require_n,
                        make_tour)
@@ -217,8 +218,6 @@ def held_karp_bound(matrix: DistanceMatrix, max_iters: int = ASCENT_ITERS,
     if max_iters <= 0:
         raise ConfigError(f"max_iters must be positive, got {max_iters}")
     if upper_bound_hint is None:
-        # cheap valid upper bound: nearest-neighbor-style greedy walk
-        from .baselines import nearest_neighbor
         upper_bound_hint = nearest_neighbor(matrix).length
     # a numpy scalar, so that an overflow in the step raises
     ub = np.float64(float(upper_bound_hint))

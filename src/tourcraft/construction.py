@@ -3,12 +3,12 @@
 Each city gets a static priority mu^alpha * sigma^beta from its distance
 statistics; cities are processed in descending priority, and each one is
 connected to the neighbor maximizing (mu^delta * sigma^epsilon) / d^gamma
-among neighbors that keep the partial tour a disjoint set of paths. Step 1
+among those that the partial tour, `instance.PathEndTracker`, admits. Step 1
 gives every city at least one edge, step 2 raises every degree to exactly 2,
 closing a single loop. The whole construction is repeated over a grid of
-exponent combinations and the shortest tour wins. The grid prices the
-closed loops of each neighbour rule together, with the summation
-`tour_length` uses, and only the winner's loop becomes a validated Tour.
+exponent combinations and the shortest tour wins. The grid prices the closed
+loops of each neighbour rule together, with the summation `tour_length`
+uses, and only the winner's loop becomes a validated Tour.
 
 Each step reads a short candidate list instead of the whole row of
 neighbour scores, with the same result. A score matrix, whose -inf diagonal
@@ -43,14 +43,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ConfigError, _FloatErrors
-from .instance import (CityStats, DistanceMatrix, Tour, _loop_lengths,
-                       _ranked, _require_n, city_stats, make_tour)
+from .instance import (CityStats, DistanceMatrix, PathEndTracker, Tour,
+                       _loop_lengths, _ranked, _require_n, city_stats,
+                       make_tour)
 
 DEFAULT_EXPONENT_VALUES = (0.0, 0.5, 1.0)
 CANDIDATES = 16  # M: cities in each row's neighbour set
@@ -68,11 +70,20 @@ class ExponentCombo:
     epsilon: float
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in self.as_tuple()):
-            raise ConfigError(f"exponents must be finite, got {self.as_tuple()}")
+        _exponents(self.as_tuple())
 
     def as_tuple(self) -> Tuple[float, float, float, float, float]:
         return (self.alpha, self.beta, self.gamma, self.delta, self.epsilon)
+
+
+def _exponents(values: Sequence) -> List[float]:
+    """`values` as floats; a ConfigError unless each is a finite real
+    number."""
+    if not all(isinstance(v, numbers.Real) and math.isfinite(v)
+               for v in values):
+        raise ConfigError(
+            f"exponents must be finite real numbers, got {tuple(values)}")
+    return [float(v) for v in values]
 
 
 def default_grid(values: Sequence[float] = DEFAULT_EXPONENT_VALUES,
@@ -80,80 +91,11 @@ def default_grid(values: Sequence[float] = DEFAULT_EXPONENT_VALUES,
     """Full Cartesian grid in lexicographic (alpha..epsilon) order."""
     if not values:
         raise ConfigError("exponent value set must be non-empty")
-    vals = sorted(float(v) for v in values)
+    vals = sorted(_exponents(values))
     return [ExponentCombo(*combo) for combo in itertools.product(vals, repeat=5)]
 
 
 DEFAULT_GRID = tuple(default_grid())
-
-
-class PathEndTracker:
-    """The partial tour: a disjoint union of paths, grown one edge at a time
-    and closed into one loop by its final edge.
-
-    While the partial tour is a disjoint union of paths, other_end[x]
-    holds the opposite endpoint of x's path for every endpoint x (and x itself
-    for singletons). Connecting the two ends of the same path is allowed only
-    for the final, loop-closing edge (E == n - 1). `degree`, `other_end` and
-    `adjacent` (city x's neighbours in slots 2x and 2x + 1, in connect order)
-    are lists, read one city at a time; `open` is the boolean array of the
-    cities with degree < 2, which the construction's full-row fallback
-    masks a score row with and the baselines' merge filters pairs with.
-    """
-
-    __slots__ = ("n", "other_end", "degree", "adjacent", "open", "edge_count")
-
-    def __init__(self, n: int):
-        self.n = n
-        self.other_end = list(range(n))
-        self.degree = [0] * n
-        self.adjacent = [-1] * (2 * n)
-        self.open = np.ones(n, dtype=bool)
-        self.edge_count = 0
-
-    def can_connect(self, a: int, b: int) -> bool:
-        """Whether edge a-b keeps the partial tour a set of paths, or is the
-        edge that closes them into one loop."""
-        if a == b or self.degree[a] >= 2 or self.degree[b] >= 2:
-            return False
-        return self.other_end[a] != b or self.edge_count == self.n - 1
-
-    def connect(self, a: int, b: int) -> None:
-        """Add edge a-b, which the caller has checked with `can_connect` or
-        an equivalent filter; `cycle` catches edges that close more than
-        one loop."""
-        other_end, degree, adjacent = self.other_end, self.degree, self.adjacent
-        end_a = other_end[a]
-        end_b = other_end[b]
-        other_end[end_a] = end_b
-        other_end[end_b] = end_a
-        deg = degree[a]
-        adjacent[2 * a + deg] = b
-        degree[a] = deg + 1
-        if deg:
-            self.open[a] = False
-        deg = degree[b]
-        adjacent[2 * b + deg] = a
-        degree[b] = deg + 1
-        if deg:
-            self.open[b] = False
-        self.edge_count += 1
-
-    def cycle(self, start: int = 0) -> List[int]:
-        """The closed loop's cities from `start`, first along its first
-        edge. A walk back to `start` before it has visited all n cities
-        (the edges close more than one loop) fails an assert."""
-        assert self.edge_count == self.n, "the tour is not closed"
-        adjacent = self.adjacent
-        order = [start]
-        prev, cur = start, adjacent[2 * start]
-        for _ in range(self.n - 1):
-            assert cur != start, \
-                f"the edges close a loop of {len(order)} of {self.n} cities"
-            order.append(cur)
-            nxt = adjacent[2 * cur]
-            prev, cur = cur, (nxt if nxt != prev else adjacent[2 * cur + 1])
-        return order
 
 
 @dataclass
@@ -293,13 +235,11 @@ def _connect_pass(step: int, order: Sequence[int], ranked: RankedScores,
     reopen)."""
     degree, other_end, is_open = tracker.degree, tracker.other_end, tracker.open
     scores, rows, ranking = ranked.scores, ranked.rows, ranked.ranking
-    last = tracker.n - 1
     head = 0
     for city in order:
         if degree[city] >= step:
             continue
-        # the far end of city's path may close the loop only on the last edge
-        end = other_end[city] if tracker.edge_count != last else city
+        end = other_end[city]  # the one city it may not join besides itself
         if rows is None:
             while degree[ranking[head]] == 2:
                 head += 1
@@ -366,6 +306,11 @@ def grid_search(matrix: DistanceMatrix,
     combos = DEFAULT_GRID if grid is None else tuple(grid)
     if not combos:
         raise ConfigError("exponent grid must be non-empty")
+    if grid is not None:  # DEFAULT_GRID holds only ExponentCombos
+        for c in combos:
+            if not isinstance(c, ExponentCombo):
+                raise ConfigError(
+                    f"grid points must be ExponentCombo, got {c!r}")
     orders = {}  # exponent pair -> its eq. 1 order
 
     def order_of(a: float, b: float) -> Tuple[int, ...]:

@@ -1,4 +1,5 @@
-"""Problem representation: instances, distance matrices, per-city statistics, tours.
+"""Problem representation: instances, distance matrices, per-city statistics,
+tours, and ``PathEndTracker``, the partial tour every construction grows.
 
 Distance conventions follow the TSPLIB definitions so results are comparable
 with published best-known tour lengths:
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -280,6 +281,77 @@ def _ranked(key: np.ndarray) -> np.ndarray:
     """Indices by ascending `key` along its last axis, ties toward the lower
     index: the package's one (value, index) ranking."""
     return np.argsort(key, kind="stable")
+
+
+class PathEndTracker:
+    """The partial tour: a disjoint union of paths, grown one edge at a time
+    and closed into one loop by its final edge.
+
+    For every endpoint x, other_end[x] is the one city besides x that x may
+    not join: the far end of x's path, or x itself for a singleton and, once
+    one path holds every city (E == n - 1), for both of that path's ends,
+    which the final edge joins into the loop. `degree`, `other_end` and
+    `adjacent` (city x's neighbours in slots 2x and 2x + 1, in connect order)
+    are lists, read one city at a time; `open` is the boolean array of the
+    cities with degree < 2, which the construction's full-row fallback
+    masks a score row with and the baselines' merge filters pairs with.
+    """
+
+    __slots__ = ("n", "other_end", "degree", "adjacent", "open", "edge_count")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.other_end = list(range(n))
+        self.degree = [0] * n
+        self.adjacent = [-1] * (2 * n)
+        self.open = np.ones(n, dtype=bool)
+        self.edge_count = 0
+
+    def can_connect(self, a: int, b: int) -> bool:
+        """Whether edge a-b keeps the partial tour a set of paths or closes
+        it into one loop: both below degree 2, b not a and not other_end[a]."""
+        if a == b or self.degree[a] >= 2 or self.degree[b] >= 2:
+            return False
+        return self.other_end[a] != b
+
+    def connect(self, a: int, b: int) -> None:
+        """Add edge a-b, which the caller has checked with `can_connect` or
+        an equivalent filter; `cycle` catches edges that close more than
+        one loop."""
+        other_end, degree, adjacent = self.other_end, self.degree, self.adjacent
+        end_a = other_end[a]
+        end_b = other_end[b]
+        other_end[end_a] = end_b
+        other_end[end_b] = end_a
+        deg = degree[a]
+        adjacent[2 * a + deg] = b
+        degree[a] = deg + 1
+        if deg:
+            self.open[a] = False
+        deg = degree[b]
+        adjacent[2 * b + deg] = a
+        degree[b] = deg + 1
+        if deg:
+            self.open[b] = False
+        self.edge_count += 1
+        if self.edge_count == self.n - 1:  # all on one path: ends may join
+            other_end[end_a], other_end[end_b] = end_a, end_b
+
+    def cycle(self, start: int = 0) -> List[int]:
+        """The closed loop's cities from `start`, first along its first
+        edge. A walk back to `start` before it has visited all n cities
+        (the edges close more than one loop) fails an assert."""
+        assert self.edge_count == self.n, "the tour is not closed"
+        adjacent = self.adjacent
+        order = [start]
+        prev, cur = start, adjacent[2 * start]
+        for _ in range(self.n - 1):
+            assert cur != start, \
+                f"the edges close a loop of {len(order)} of {self.n} cities"
+            order.append(cur)
+            nxt = adjacent[2 * cur]
+            prev, cur = cur, (nxt if nxt != prev else adjacent[2 * cur + 1])
+        return order
 
 
 def generate_random_euclidean(n: int, seed: int, box_side: float) -> Instance:

@@ -1,4 +1,7 @@
+import csv
 import hashlib
+import io
+import re
 
 import numpy as np
 import pytest
@@ -171,6 +174,22 @@ class TestRenderReport:
         for csv_row, md_row in zip(csv_rows, md_rows):
             md_cells = [c.strip() for c in md_row.strip("|").split("|")]
             assert md_cells == csv_row.split(",")
+
+    @pytest.mark.parametrize("name", ["a,b", 'say "hi"', "a|b"])
+    def test_cells_are_escaped(self, name):
+        square = tc.Instance(name, "EUC_2D",
+                             coords=((0, 0), (3, 0), (3, 4), (0, 4)))
+        records = tc.run_benchmark(tc.RunConfig(instances=[square],
+                                                methods=("nn", "greedy")))
+        rows = list(csv.reader(io.StringIO(tc.render_report(records, "csv"))))
+        assert [len(row) for row in rows] == [13] * 5
+        assert [row[0] for row in rows[1:3]] == [name, name]
+        md_rows = tc.render_report(records, "md").splitlines()
+        assert len(md_rows) == 6
+        # cells are split at every | that is not escaped
+        cells = [re.split(r"(?<!\\)\|", md_row)[1:-1] for md_row in md_rows]
+        assert [len(row) for row in cells] == [13] * 6
+        assert cells[2][0].strip() == name.replace("|", "\\|")
 
     def test_unknown_format(self):
         with pytest.raises(tc.ConfigError):

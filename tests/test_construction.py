@@ -110,7 +110,8 @@ class TestTracker:
         assert t.other_end[0] == 1 and t.other_end[1] == 0
 
     def test_endpoint_relinking(self):
-        t = tc.PathEndTracker(4)
+        # n = 5, so the joined path 0-2-3-1 leaves city 4 out
+        t = tc.PathEndTracker(5)
         t.connect(0, 2)  # path 0-2
         t.connect(1, 3)  # path 1-3
         t.connect(2, 3)  # join at the x/y ends
@@ -139,6 +140,11 @@ class TestTracker:
                     ends = oracle.endpoints(comp)
                     if len(ends) == 1:          # singleton
                         assert t.other_end[ends[0]] == ends[0]
+                    elif len(ends) == 2 and len(comp) == n:
+                        # one path through every city (E = n - 1): its ends
+                        # point at themselves, so the final edge may join them
+                        assert t.other_end[ends[0]] == ends[0]
+                        assert t.other_end[ends[1]] == ends[1]
                     elif len(ends) == 2:        # path: ends point at each other
                         assert t.other_end[ends[0]] == ends[1]
                         assert t.other_end[ends[1]] == ends[0]
@@ -151,6 +157,30 @@ class TestTracker:
                 walked = {frozenset(p) for p in zip(order, order[1:] +
                                                     order[:1])}
                 assert walked == connected
+
+    def test_can_connect_against_component_rule(self):
+        # the rule as it read before connect kept the final-edge exception
+        # as state: a != b, both below degree 2, and either two components
+        # or the final edge (E = n - 1)
+        rng = np.random.default_rng(29)
+        for _ in range(30):
+            for n in range(3, 13):
+                t = tc.PathEndTracker(n)
+                oracle = PathOracle(n)
+                while t.edge_count < n:
+                    pairs = [(a, b) for a in range(n) for b in range(n)
+                             if t.can_connect(a, b)]
+                    a, b = pairs[rng.integers(len(pairs))]
+                    t.connect(a, b)
+                    oracle.connect(a, b)
+                    for a, b in itertools.product(range(n), repeat=2):
+                        admitted = (
+                            a != b and oracle.degree[a] < 2
+                            and oracle.degree[b] < 2
+                            and (oracle.find(a) is not oracle.find(b)
+                                 or t.edge_count == n - 1))
+                        assert t.can_connect(a, b) == admitted, \
+                            (n, t.edge_count, a, b)
 
     def test_cycle_refuses_two_loops(self):
         # connect trusts its caller to pass only what can_connect admits;
@@ -371,6 +401,19 @@ class TestGridSearch:
             tc.ExponentCombo(0, 0, bad, 0, 0)
         with pytest.raises(tc.ConfigError, match="finite"):
             tc.default_grid([0, bad])
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda m: tc.construct_tour(m, (0.5, 1, 1, 0.5, 0)), "ExponentCombo"),
+        (lambda m: tc.grid_search(m, [(0, 0, 1, 0, 0)]), "ExponentCombo"),
+        (lambda m: tc.ExponentCombo("1", 0, 0, 0, 0), "real numbers"),
+        (lambda m: tc.default_grid(["x"]), "real numbers"),
+    ], ids=["construct_tour-tuple", "grid_search-tuple", "combo-string",
+            "value-set-string"])
+    def test_misuse_is_config_error(self, call, message):
+        # a tuple for a combo, or a string for an exponent, is a typed error
+        # and not an AttributeError, TypeError or ValueError
+        with pytest.raises(tc.ConfigError, match=message):
+            call(random_matrix(5, 1))
 
     @pytest.mark.parametrize("values", [[], ()])
     def test_empty_value_set_rejected(self, values):

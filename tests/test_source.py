@@ -1,6 +1,8 @@
 """Rules about the package source that keep each rule in one place."""
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -46,6 +48,30 @@ def test_only_bounds_module_names_upper_bound_hint():
     assert PACKAGE / "bounds.py" in modules
     owners = [p.name for p in modules if "upper_bound_hint" in p.read_text()]
     assert owners == ["bounds.py"]
+
+
+def test_imports_are_module_level_and_skip_the_construction():
+    # the baselines and the bounds read the partial tour and the tie rule
+    # from instance.py, not from the construction above them, and every
+    # import is at module level, where an import cycle fails at once
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert {PACKAGE / "baselines.py", PACKAGE / "bounds.py"} <= set(modules)
+    problems = set()
+    for path in modules:
+        tree = ast.parse(path.read_text(), str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                problems.update(
+                    f"{path.name}:{node.lineno} imports inside a function"
+                    for node in ast.walk(func)
+                    if isinstance(node, (ast.Import, ast.ImportFrom)))
+        if path.name in ("baselines.py", "bounds.py"):
+            problems.update(
+                f"{path.name}:{node.lineno} imports the construction"
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and re.search(r"\bconstruction\b", ast.unparse(node)))
+    assert sorted(problems) == []
 
 
 def test_cli_import_leaves_out_network_modules():
