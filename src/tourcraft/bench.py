@@ -11,7 +11,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .baselines import clarke_wright, greedy_edge, nearest_neighbor
 from .bounds import ASCENT_ITERS, exact_optimum, held_karp_bound
-from .construction import ExponentCombo, grid_search
+from .construction import ExponentCombo, _grid_points, grid_search
 from .errors import ConfigError, _integer
 from .instance import DistanceMatrix, Instance, build_distance_matrix
 from .tsplib import OptimaTable, default_optima
@@ -66,6 +66,7 @@ class RunConfig:
         if self.bound_iters < 1:
             raise ConfigError(
                 f"bound_iters must be >= 1, got {self.bound_iters}")
+        _grid_points(self.grid)
 
 
 def _solve(method: str, matrix: DistanceMatrix,
@@ -135,7 +136,8 @@ def _mean_rows(records: Sequence[BenchRecord]) -> List[List[str]]:
 def render_report(records: Sequence[BenchRecord], fmt: str = "csv") -> str:
     """CSV or aligned-markdown table with per-method mean-error footer rows.
     CSV cells are quoted only where they hold a comma, a quote or a line
-    break; a `|` in a markdown cell is escaped as `\\|`."""
+    break; in a markdown cell a `|` is escaped as `\\|` and a line break
+    is written as `<br>`, so each row stays on one line."""
     if not records:
         raise ConfigError("no records to render")
     rows = [_record_cells(r) for r in records] + _mean_rows(records)
@@ -145,7 +147,9 @@ def render_report(records: Sequence[BenchRecord], fmt: str = "csv") -> str:
         csv.writer(out, lineterminator="\n").writerows([header] + rows)
         return out.getvalue()
     if fmt == "md":
-        rows = [[c.replace("|", "\\|") for c in row] for row in rows]
+        rows = [[c.replace("|", "\\|").replace("\r\n", "<br>")
+                 .replace("\r", "<br>").replace("\n", "<br>") for c in row]
+                for row in rows]
         widths = [max(len(h), *(len(row[i]) for row in rows))
                   for i, h in enumerate(header)]
         def line(cells):

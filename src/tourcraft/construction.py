@@ -15,17 +15,19 @@ neighbour scores, with the same result. A score matrix, whose -inf diagonal
 keeps a city from being its own neighbour, is ranked once per grid when
 more than one construction reads it. Every such matrix draws its lists
 from one neighbour set per row, built once per grid: the M = CANDIDATES
-(or n - 1 if smaller) nearest other cities by the heuristic geometry, or
-the farthest for gamma < 0. Row i lists the cities of its set that score
-strictly above every city outside it, by (-score, index), so every city
-left out scores strictly below every listed one, whichever set was chosen,
-and the first admissible listed neighbour is the first maximum of the
-masked row; when every listed one is closed, and in a matrix read once,
-which lists none, the step scans the whole row. With gamma = 0 every row
-is the numerator, ranked as the eq. 1 order of (delta, epsilon), so such
-a neighbour rule is keyed by that ranking, (0.0, ranking), and any other
-by its exponents, (gamma, delta, epsilon). `construct_tour` is the grid of
-one point.
+nearest other cities by the heuristic geometry, or the farthest for
+gamma < 0. Row i lists the cities of its set that score strictly above
+every city outside it, by (-score, index), so every city left out scores
+strictly below every listed one, whichever set was chosen, and the first
+admissible listed neighbour is the first maximum of the masked row; when
+every listed one is closed, and in a matrix read once, which lists none,
+the step scans the whole row. With n - 1 <= CANDIDATES a set would hold
+every other city, so every matrix, read once or not, is ranked whole
+instead and no step scans a row. With gamma = 0 every row is the
+numerator, ranked as the eq. 1 order of (delta, epsilon), so such a
+neighbour rule is keyed by that ranking, (0.0, ranking); any other is
+keyed by its exponents, (gamma, delta, epsilon), or, where it is ranked
+whole, by its rows. `construct_tour` is the grid of one point.
 
 Conventions (fixed for determinism):
 
@@ -164,10 +166,13 @@ class RankedScores:
     a gamma = 0 rule, every row is mu^delta * sigma^epsilon, so `ranking`
     is that eq. 1 order, used as given, and `scores` and `rows` are None.
     For (gamma, delta, epsilon), `scores` is the score matrix (filled into
-    `out` if given) and `rows` its `_candidate_rows` from `sets`, the
-    rule's `_neighbour_sets`. With `sets=None` the matrix is not ranked:
-    every row lists no candidate and each step scans its whole row, which
-    for a single construction costs less than ranking."""
+    `out` if given) and `rows` its candidate lists. When n - 1 <= CANDIDATES
+    a neighbour set would hold every other city, so each row lists them all
+    by (-score, index) and `sets` is not read. Otherwise `rows` are the
+    `_candidate_rows` from `sets`, the rule's `_neighbour_sets`; with
+    `sets=None` the matrix is not ranked: every row lists no candidate and
+    each step scans its whole row, which for a single construction costs
+    less than ranking."""
 
     __slots__ = ("scores", "rows", "ranking")
 
@@ -179,8 +184,12 @@ class RankedScores:
             self.ranking = rule[1]
             return
         self.scores = _score_rows(matrix, stats, *rule, out)
-        self.rows = ([()] * matrix.n if sets is None
-                     else _candidate_rows(self.scores, sets))
+        if matrix.n - 1 <= CANDIDATES:
+            # the -inf diagonal, a row's only minimum, sorts last
+            self.rows = _ranked(-self.scores)[:, :-1].tolist()
+        else:
+            self.rows = ([()] * matrix.n if sets is None
+                         else _candidate_rows(self.scores, sets))
 
 
 def _neighbour_sets(matrix: DistanceMatrix, nearest: bool) -> np.ndarray:
@@ -272,10 +281,26 @@ def _construct(order: Sequence[int], ranked: RankedScores) -> List[int]:
     return tracker.cycle()
 
 
+def _grid_points(grid: Optional[Iterable[ExponentCombo]],
+                 ) -> Tuple[ExponentCombo, ...]:
+    """`grid` as a tuple, `DEFAULT_GRID` if None; a ConfigError unless it is
+    non-empty and every point is an ExponentCombo."""
+    combos = DEFAULT_GRID if grid is None else tuple(grid)
+    if not combos:
+        raise ConfigError("exponent grid must be non-empty")
+    if grid is not None:  # DEFAULT_GRID holds only ExponentCombos
+        for c in combos:
+            if not isinstance(c, ExponentCombo):
+                raise ConfigError(
+                    f"grid points must be ExponentCombo, got {c!r}")
+    return combos
+
+
 def construct_tour(matrix: DistanceMatrix,
                    combo: ExponentCombo) -> ConstructionResult:
     """The tour of both main passes for one combo: the grid of that one
-    point, whose score matrix, read by one construction, is not ranked."""
+    point, whose score matrix, read by one construction, is ranked only
+    when n - 1 <= CANDIDATES."""
     return grid_search(matrix, [combo])
 
 
@@ -290,27 +315,22 @@ def grid_search(matrix: DistanceMatrix,
     (alpha, beta) and its neighbour rule, the ranking of (gamma, delta,
     epsilon). Orders are compared as exact index sequences. A gamma = 0
     rule reads nothing but its ranking, which is the eq. 1 order of
-    (delta, epsilon), so it is keyed by that index sequence too; any other
-    rule is keyed by its exponents. Each distinct pair of order and rule
-    is constructed once, for the first grid point that has it, and every
-    later grid point with the same pair has the same tour. Score matrices
-    are filled one at a time into one buffer and ranked once for all the
-    orders run against them, or not at all when only one order is. The
-    closed loops of one rule are priced together with the summation
-    `tour_length` uses, and only the winner's loop becomes a validated
-    `Tour`. `neighbor_evaluations` is n(n - 1) per construction actually
-    run.
+    (delta, epsilon), so it is keyed by that index sequence too. With
+    n - 1 <= CANDIDATES any other rule reads nothing but its whole rows by
+    (-score, index), so it is keyed by them, and rules of equal rows, such
+    as (0.5, 0.5, 0.5) and (1, 1, 1), are one rule; otherwise it is keyed
+    by its exponents. Each distinct pair of order and rule is constructed
+    once, for the first grid point that has it, and every later grid point
+    with the same pair has the same tour. Larger score matrices are filled
+    one at a time into one buffer and ranked once for all the orders run
+    against them, or not at all when only one order is. The closed loops
+    of one rule are priced together with the summation `tour_length`
+    uses, and only the winner's loop becomes a validated `Tour`.
+    `neighbor_evaluations` is n(n - 1) per construction actually run.
     """
     n = _require_n(matrix)
     stats = city_stats(matrix)
-    combos = DEFAULT_GRID if grid is None else tuple(grid)
-    if not combos:
-        raise ConfigError("exponent grid must be non-empty")
-    if grid is not None:  # DEFAULT_GRID holds only ExponentCombos
-        for c in combos:
-            if not isinstance(c, ExponentCombo):
-                raise ConfigError(
-                    f"grid points must be ExponentCombo, got {c!r}")
+    combos = _grid_points(grid)
     orders = {}  # exponent pair -> its eq. 1 order
 
     def order_of(a: float, b: float) -> Tuple[int, ...]:
@@ -326,19 +346,13 @@ def grid_search(matrix: DistanceMatrix,
         rule = ((0.0, order_of(c.delta, c.epsilon)) if c.gamma == 0.0
                 else (c.gamma, c.delta, c.epsilon))
         first.setdefault(rule, {}).setdefault(city_orders[i], i)
-    # the neighbour sets of the shared gamma != 0 matrices, nearest for
-    # gamma > 0 and farthest for gamma < 0, built before the buffer so that
-    # their temporaries never coexist with it
-    nearest = {rule[0] > 0 for rule, runs in first.items()
-               if rule[0] != 0.0 and len(runs) > 1}
-    sets = {near: _neighbour_sets(matrix, near) for near in nearest}
-    buffer = np.empty_like(matrix.heuristic)
-    best, best_loop = (math.inf, -1), None
-    for rule, runs in first.items():
-        ranked = RankedScores(matrix, stats, rule, buffer,
-                              sets.get(rule[0] > 0) if len(runs) > 1 else None)
+    rules = (_whole_rankings if n - 1 <= CANDIDATES
+             else _candidate_lists)(matrix, stats, first)
+    best, best_loop, constructions = (math.inf, -1), None, 0
+    for ranked, runs in rules:
         loops = [_construct(order, ranked) for order in runs]
         del ranked  # its lists go before the next matrix is ranked
+        constructions += len(loops)
         prices = _loop_lengths(loops, matrix).tolist()
         for price, i, loop in zip(prices, runs.values(), loops):
             # shortest tour, earliest grid point on ties: what a scan in
@@ -348,7 +362,41 @@ def grid_search(matrix: DistanceMatrix,
     length, i = best
     tour = make_tour(best_loop, matrix)
     assert tour.length == length, "the winner's length is not its price"
-    constructions = sum(len(runs) for runs in first.values())
     return ConstructionResult(
         tour=tour, combo=combos[i],
         neighbor_evaluations=constructions * n * (n - 1))
+
+
+def _whole_rankings(matrix: DistanceMatrix, stats: CityStats, first: dict,
+                    ) -> Iterable[Tuple[RankedScores, dict]]:
+    """Each neighbour rule of `first` as (its RankedScores, its runs), for
+    n - 1 <= CANDIDATES, where every row of a gamma != 0 rule lists all the
+    other cities. Such a rule reads nothing but those rows, so it is keyed
+    by them, as a gamma = 0 rule is by its ranking, and rules with equal
+    keys merge their runs, each city order under its earliest grid index.
+    Every matrix is scored in `first` order before any construction."""
+    merged = {}  # rule key -> (its RankedScores, {city order: grid index})
+    for rule, runs in first.items():
+        ranked = RankedScores(matrix, stats, rule)
+        key = rule if rule[0] == 0.0 else tuple(map(tuple, ranked.rows))
+        into = merged.setdefault(key, (ranked, {}))[1]
+        for order, i in runs.items():
+            into[order] = min(i, into.get(order, i))
+    return merged.values()
+
+
+def _candidate_lists(matrix: DistanceMatrix, stats: CityStats, first: dict,
+                     ) -> Iterable[Tuple[RankedScores, dict]]:
+    """Each neighbour rule of `first` as (its RankedScores, its runs), one
+    at a time, for n - 1 > CANDIDATES. The score matrices are filled into
+    one buffer, and one read by a single city order is not ranked."""
+    # the neighbour sets of the shared gamma != 0 matrices, nearest for
+    # gamma > 0 and farthest for gamma < 0, built before the buffer so that
+    # their temporaries never coexist with it
+    nearest = {rule[0] > 0 for rule, runs in first.items()
+               if rule[0] != 0.0 and len(runs) > 1}
+    sets = {near: _neighbour_sets(matrix, near) for near in nearest}
+    buffer = np.empty_like(matrix.heuristic)
+    for rule, runs in first.items():
+        shared = sets.get(rule[0] > 0) if len(runs) > 1 else None
+        yield RankedScores(matrix, stats, rule, buffer, shared), runs

@@ -1,12 +1,12 @@
 """Static SVG rendering of a tour over a coordinate instance.
 
-Cities are dots, the heuristic tour a solid closed polyline, an optional
-reference tour a dashed one. Output is deterministic text.
+Cities are dots and the heuristic tour a solid closed polyline. Output is
+deterministic text.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import ConfigError, ValidationError
 from .instance import Instance, validate_tour
@@ -19,15 +19,12 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def plot_tour_svg(instance: Instance, order: Sequence[int],
-                  reference_order: Optional[Sequence[int]] = None) -> str:
-    """Render the tour(s) as an SVG 1.1 document string."""
+def plot_tour_svg(instance: Instance, order: Sequence[int]) -> str:
+    """Render the tour as an SVG 1.1 document string."""
     if instance.coords is None:
         raise ConfigError("cannot plot an EXPLICIT (coordinate-free) instance")
-    for what, seq in (("order", order), ("reference_order", reference_order)):
-        if seq is not None and not validate_tour(seq, instance.n):
-            raise ValidationError(
-                f"{what} is not a tour of {instance.n} cities")
+    if not validate_tour(order, instance.n):
+        raise ValidationError(f"order is not a tour of {instance.n} cities")
     pts = instance.coords
     lo = pts.min(axis=0)
     span_x, span_y = (float(v) or 1.0 for v in pts.max(axis=0) - lo)
@@ -49,13 +46,9 @@ def plot_tour_svg(instance: Instance, order: Sequence[int],
         f'width="{_fmt(_WIDTH)}" height="{_fmt(height)}" '
         f'viewBox="0 0 {_fmt(_WIDTH)} {_fmt(height)}">',
         f'<title>{title}</title>',
+        f'<path d="{path_d(order)}" fill="none" stroke="#1f4e9c" '
+        'stroke-width="1.5"/>',
     ]
-    if reference_order is not None:
-        lines.append(f'<path d="{path_d(reference_order)}" fill="none" '
-                     'stroke="#888888" stroke-width="1" '
-                     'stroke-dasharray="4 3"/>')
-    lines.append(f'<path d="{path_d(order)}" fill="none" '
-                 'stroke="#1f4e9c" stroke-width="1.5"/>')
     for x, y in cells:
         lines.append(f'<circle cx="{x}" cy="{y}" r="2.5" '
                      'fill="#c03020"/>')

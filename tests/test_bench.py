@@ -110,12 +110,27 @@ class TestRunBenchmark:
         with pytest.raises(tc.ConfigError, match="bound_iters"):
             tc.run_benchmark(config)
 
+    def test_bad_grid_rejected_before_the_reference(self, monkeypatch):
+        # the grid is checked up front: a tuple grid point was rejected only
+        # by grid_search, after the n = 200 ascent had run
+        def never(*args, **kwargs):
+            raise AssertionError("the reference was computed")
+
+        monkeypatch.setattr("tourcraft.bench.held_karp_bound", never)
+        config = tc.RunConfig(
+            instances=[tc.generate_random_euclidean(200, 1, 1e6)],
+            grid=[(0, 0, 1, 0, 0)])
+        with pytest.raises(tc.ConfigError, match="grid points must be"):
+            tc.run_benchmark(config)
+
 
 @pytest.mark.parametrize("spec,digest", [
     ("100,3,1",
      "9dd7e060a44b58c83c4fc7067e689c664c411d432273eac7f3be9a0306b2e05c"),
     ("12,10,1",
      "c1b7656e1e90cd5cd0681ddc38835fca0ce14516e138b85a02cbc9d2394caf20"),
+    ("17,10,1",
+     "9c3535f702bbd2cc9ec9ba85cfb819f2631deb22ff024da1684369436c693bb7"),
     ("tsplib",
      "2b7dc33e7164099e5c88bbb752f7399781218bb3ff493c449ff96c283bc31429"),
 ])
@@ -190,6 +205,19 @@ class TestRenderReport:
         cells = [re.split(r"(?<!\\)\|", md_row)[1:-1] for md_row in md_rows]
         assert [len(row) for row in cells] == [13] * 6
         assert cells[2][0].strip() == name.replace("|", "\\|")
+
+    @pytest.mark.parametrize("name", ["a\nb", "a\r\nb", "a\rb"],
+                             ids=["lf", "crlf", "cr"])
+    def test_line_breaks_in_markdown_cells(self, name):
+        # a line break in a cell split its markdown row in two
+        square = tc.Instance(name, "EUC_2D",
+                             coords=((0, 0), (3, 0), (3, 4), (0, 4)))
+        records = tc.run_benchmark(tc.RunConfig(instances=[square],
+                                                methods=("nn", "greedy")))
+        md = tc.render_report(records, "md")
+        assert md.count("\n") == len(md.splitlines()) == 6
+        assert [row.split("|")[1].strip() for row in md.splitlines()[2:4]] \
+            == ["a<br>b"] * 2
 
     def test_unknown_format(self):
         with pytest.raises(tc.ConfigError):

@@ -593,6 +593,51 @@ class TestGridMatchesBruteGrid:
         assert result.neighbor_evaluations == len(grid) * 20 * 19
         assert_grid_matches_brute_grid(m, grid)
 
+    def test_equal_whole_rankings_construct_once(self, monkeypatch):
+        # at n = 12 every gamma != 0 row lists all the other cities, so a
+        # rule is its whole (-score, index) ranking; squared scores rank
+        # alike, so (0.5, 0.5, 0.5) and (1, 1, 1) are one rule, and so on
+        n = 12
+        m = random_matrix(n, 13)
+        stats = tc.city_stats(m)
+        values = (0, 0.5, 1)
+        orders = {construction._city_order(stats, a, b)
+                  for a in values for b in values}
+        whole = set()
+        for gamma in (0.5, 1):
+            for delta in values:
+                for epsilon in values:
+                    scores = construction._score_rows(m, stats, gamma, delta,
+                                                      epsilon).tolist()
+                    whole.add(tuple(tuple(j for _, j in sorted(
+                        (-s, j) for j, s in enumerate(row) if j != i))
+                        for i, row in enumerate(scores)))
+        assert len(whole) == 18 - 4
+        calls = self.counted_constructions(monkeypatch)
+        result = tc.grid_search(m)
+        assert len(calls) == len(set(calls)) == \
+            (len(whole) + len(orders)) * len(orders)
+        assert result.neighbor_evaluations == len(calls) * n * (n - 1)
+        assert_grid_matches_brute_grid(m)
+
+    def test_merged_rules_keep_each_earliest_grid_point(self):
+        # (1, 1, 1) and (0.5, 0.5, 0.5) are one rule at n = 12; a city order
+        # run against both keeps the earlier of its two grid points, also
+        # where the rule met first in the grid has the later one
+        m = random_matrix(12, 13)
+        whole, half = (1, 1, 1), (0.5, 0.5, 0.5)
+        longer, shorter = sorted(((0, 0), (1, 0)), reverse=True,
+                                 key=lambda pair: tc.construct_tour(
+                                     m, tc.ExponentCombo(*pair, *whole)
+                                 ).tour.length)
+        grid = [tc.ExponentCombo(*longer, *whole),
+                tc.ExponentCombo(*shorter, *half),
+                tc.ExponentCombo(*shorter, *whole)]
+        lengths = [tc.construct_tour(m, c).tour.length for c in grid]
+        assert lengths[0] > lengths[1] == lengths[2]
+        assert tc.grid_search(m, grid).combo == grid[1]
+        assert_grid_matches_brute_grid(m, grid)
+
     def test_sigma_zero_raises_no_warning(self):
         m = equidistant_matrix()
         with warnings.catch_warnings():
@@ -762,9 +807,9 @@ def test_small_instances_list_every_other_city(n):
 
 
 def test_one_off_scores_are_not_ranked(monkeypatch):
-    # a score matrix that only one construction reads is scanned row by row:
     # construct_tour and a grid of one point build no neighbour set and no
-    # candidate list
+    # candidate list: at n = 40 the one score matrix is scanned row by row,
+    # and at n <= CANDIDATES + 1 its rows are ranked whole
     def never(*args, **kwargs):
         raise AssertionError("a one-off score matrix was ranked")
 
@@ -778,6 +823,56 @@ def test_one_off_scores_are_not_ranked(monkeypatch):
             want = tuple(order_of(combo))
             assert tc.construct_tour(m, combo).tour.order == want
             assert tc.grid_search(m, [combo]).tour.order == want
+
+
+def small_matrices(n):
+    """Random, tie-heavy, coincident, zero-row and fractional matrices of n
+    cities."""
+    yield random_matrix(n, 60 + n)
+    yield tie_heavy_matrix(n, 70 + n)
+    coords = np.random.default_rng(n).integers(0, 3, (n, 2)).tolist()
+    yield tc.build_distance_matrix(tc.Instance("dup", "EUC_2D",
+                                               coords=coords))
+    w = tie_heavy_matrix(n, 80 + n).d.copy()
+    w[1, :] = w[:, 1] = 0.0  # city 1: mu = sigma = 0
+    yield tc.build_distance_matrix(tc.Instance("zrow", "EXPLICIT",
+                                               explicit_weights=w))
+    yield fractional_matrix(n, n)
+
+
+@pytest.mark.parametrize("n", range(3, construction.CANDIDATES + 3))
+def test_whole_rankings_against_oracle(n):
+    # n <= CANDIDATES + 1 ranks every gamma != 0 matrix whole and merges the
+    # rules of equal rankings, n = CANDIDATES + 2 draws candidate lists from
+    # neighbour sets; on both sides the grid picks the brute grid's tour and
+    # combo, and every one-point construction is the oracle's
+    for m in small_matrices(n):
+        order_of = oracle(m, tc.city_stats(m))
+        for grid in (None, CANDIDATE_GRID):
+            assert_grid_matches_brute_grid(m, grid)
+        for combo in CANDIDATE_GRID:
+            assert tc.construct_tour(m, combo).tour.order == \
+                tuple(order_of(combo)), (m.n, combo)
+
+
+def test_whole_rankings_switch_at_candidates(monkeypatch):
+    # with n <= CANDIDATES + 1 a neighbour set would hold every other city,
+    # so the grid builds no set and no candidate list; one city more, it does
+    calls = []
+    for name in ("_neighbour_sets", "_candidate_rows"):
+        def counted(*args, build=getattr(construction, name), name=name):
+            calls.append(name)
+            return build(*args)
+
+        monkeypatch.setattr(construction, name, counted)
+    k = construction.CANDIDATES
+    for n in (3, k, k + 1):
+        for m in (random_matrix(n, n), tie_heavy_matrix(n, n)):
+            tc.grid_search(m)
+            tc.grid_search(m, CANDIDATE_GRID)
+    assert calls == []
+    tc.grid_search(random_matrix(k + 2, 1))
+    assert set(calls) == {"_neighbour_sets", "_candidate_rows"}
 
 
 @pytest.mark.parametrize("grid", [None, CANDIDATE_GRID],
