@@ -3,8 +3,6 @@ known optima or computed lower bounds, render CSV/markdown reports."""
 
 from __future__ import annotations
 
-import csv
-import io
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -133,19 +131,28 @@ def _mean_rows(records: Sequence[BenchRecord]) -> List[List[str]]:
     return rows
 
 
+def _csv_cell(cell: str) -> str:
+    """`cell` quoted, its quotes doubled, where it holds a comma, a quote or
+    a line break (`\\r` too, which `csv.reader` also splits a row at), and
+    as it is elsewhere."""
+    if any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
 def render_report(records: Sequence[BenchRecord], fmt: str = "csv") -> str:
     """CSV or aligned-markdown table with per-method mean-error footer rows.
     CSV cells are quoted only where they hold a comma, a quote or a line
-    break; in a markdown cell a `|` is escaped as `\\|` and a line break
-    is written as `<br>`, so each row stays on one line."""
+    break (`_csv_cell`), and each row ends in `\\n`; in a markdown cell a
+    `|` is escaped as `\\|` and a line break is written as `<br>`, so each
+    row stays on one line."""
     if not records:
         raise ConfigError("no records to render")
     rows = [_record_cells(r) for r in records] + _mean_rows(records)
     header = CSV_HEADER.split(",")
     if fmt == "csv":
-        out = io.StringIO()
-        csv.writer(out, lineterminator="\n").writerows([header] + rows)
-        return out.getvalue()
+        return "".join(",".join(map(_csv_cell, row)) + "\n"
+                       for row in [header] + rows)
     if fmt == "md":
         rows = [[c.replace("|", "\\|").replace("\r\n", "<br>")
                  .replace("\r", "<br>").replace("\n", "<br>") for c in row]

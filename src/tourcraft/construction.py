@@ -29,6 +29,15 @@ neighbour rule is keyed by that ranking, (0.0, ranking); any other is
 keyed by its exponents, (gamma, delta, epsilon), or, where it is ranked
 whole, by its rows. `construct_tour` is the grid of one point.
 
+With n - 1 > CANDIDATES a score matrix that several constructions read
+is never held: the consecutive such rules of one gamma are scored together
+one row block of `instance.BLOCK_BYTES` at a time, d^gamma once per
+block, and each keeps only its compact candidate lists until its
+constructions run. When one block holds every row, each rule's rows are
+divided again into that block for its constructions; past one block, a
+step whose listed neighbours are all closed recomputes its one row. So
+the default grid holds no n x n array beyond the two distance tables.
+
 Conventions (fixed for determinism):
 
 * 0^0 = 1, so a zero exponent always neutralizes its factor.
@@ -51,14 +60,14 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, _FloatErrors
+from .errors import ConfigError
 from .instance import (CityStats, DistanceMatrix, PathEndTracker, Tour,
-                       _loop_lengths, _ranked, _require_n, city_stats,
-                       make_tour)
+                       _block_rows, _loop_lengths, _ranked, _require_n,
+                       city_stats, make_tour)
+from .scores import _numerator_vector, _ranked_run, _score_rows
 
 DEFAULT_EXPONENT_VALUES = (0.0, 0.5, 1.0)
 CANDIDATES = 16  # M: cities in each row's neighbour set
-CANDIDATE_BLOCK = 64  # rows partitioned at a time into neighbour sets
 
 
 @dataclass(frozen=True, order=True)
@@ -109,76 +118,31 @@ class ConstructionResult:
     neighbor_evaluations: int = 0
 
 
-def _numerator_vector(stats: CityStats, exp_mu: float, exp_sigma: float,
-                      ) -> np.ndarray:
-    """mu^exp_mu * sigma^exp_sigma per city, with 0^0 = 1; a negative
-    exponent on a zero statistic, or an over- or underflow, is a
-    ConfigError."""
-    out = np.ones(len(stats.mu))
-    with _FloatErrors(ConfigError, "exponents overflow or underflow a float: "
-                      "mu^{} * sigma^{}", exp_mu, exp_sigma,
-                      over="raise", under="raise"):
-        for base, exp in ((stats.mu, exp_mu), (stats.sigma, exp_sigma)):
-            if exp != 0.0:
-                if exp < 0 and np.any(base == 0.0):
-                    raise ConfigError(
-                        f"negative exponent {exp} with a zero statistic "
-                        f"would divide by zero")
-                out = out * base ** exp
-    return out
-
-
 def _city_order(stats: CityStats, alpha: float, beta: float,
                 ) -> Tuple[int, ...]:
     """Cities by descending eq. 1 priority, ties toward the lower index."""
     return tuple(_ranked(-_numerator_vector(stats, alpha, beta)).tolist())
 
 
-def _score_rows(matrix: DistanceMatrix, stats: CityStats, gamma: float,
-                delta: float, epsilon: float,
-                out: Optional[np.ndarray] = None) -> np.ndarray:
-    """eq. 2 scores for gamma != 0: row i holds mu_j^delta * sigma_j^epsilon
-    / d_ij^gamma over j, -inf at j = i (a city is never its own neighbour),
-    filled into `out` (allocated if not given).
-
-    Powers that over- or underflow are a ConfigError, so d_ij^gamma is 0 or
-    inf only where d_ij = 0, and the division itself scores such a cell +inf
-    for gamma > 0 and 0 for gamma < 0; only a zero numerator over a zero
-    distance, 0/0, needs setting to +inf.
-    """
-    num = _numerator_vector(stats, delta, epsilon)
-    if out is None:
-        out = np.empty_like(matrix.heuristic)
-    with _FloatErrors(ConfigError, "exponents overflow or underflow a float: "
-                      "mu^{} * sigma^{} / d^{}", delta, epsilon, gamma,
-                      divide="ignore", invalid="ignore", over="raise",
-                      under="raise"):
-        np.power(matrix.heuristic, gamma, out=out)
-        np.divide(num, out, out=out)
-    if gamma > 0.0 and not num.all():
-        out[np.isnan(out)] = np.inf
-    np.fill_diagonal(out, -np.inf)
-    return out
-
-
 class RankedScores:
     """The eq. 2 neighbour ranking of one grid rule key. For (0.0, ranking),
     a gamma = 0 rule, every row is mu^delta * sigma^epsilon, so `ranking`
     is that eq. 1 order, used as given, and `scores` and `rows` are None.
-    For (gamma, delta, epsilon), `scores` is the score matrix (filled into
-    `out` if given) and `rows` its candidate lists. When n - 1 <= CANDIDATES
-    a neighbour set would hold every other city, so each row lists them all
-    by (-score, index) and `sets` is not read. Otherwise `rows` are the
-    `_candidate_rows` from `sets`, the rule's `_neighbour_sets`; with
-    `sets=None` the matrix is not ranked: every row lists no candidate and
-    each step scans its whole row, which for a single construction costs
-    less than ranking."""
+    For (gamma, delta, epsilon), `rows` are its candidate lists and
+    `scores[city]` is that city's row of scores, which a step reads when
+    every candidate is closed. Built from a rule, `scores` is the score
+    matrix (filled into `out` if given). When n - 1 <= CANDIDATES a
+    neighbour set would hold every other city, so each row lists them all
+    by (-score, index). Otherwise the matrix is not ranked: every row lists
+    no candidate and each step scans its whole row, which for a single
+    construction costs less than ranking. `listed` makes one from the
+    lists and rows of scores that `_ranked_run` makes one row block at a
+    time."""
 
     __slots__ = ("scores", "rows", "ranking")
 
     def __init__(self, matrix: DistanceMatrix, stats: CityStats, rule: tuple,
-                 out: Optional[np.ndarray] = None,
-                 sets: Optional[np.ndarray] = None):
+                 out: Optional[np.ndarray] = None):
         self.scores = self.rows = self.ranking = None
         if rule[0] == 0.0:
             self.ranking = rule[1]
@@ -188,50 +152,35 @@ class RankedScores:
             # the -inf diagonal, a row's only minimum, sorts last
             self.rows = _ranked(-self.scores)[:, :-1].tolist()
         else:
-            self.rows = ([()] * matrix.n if sets is None
-                         else _candidate_rows(self.scores, sets))
+            self.rows = [()] * matrix.n
+
+    @classmethod
+    def listed(cls, rows: List[List[int]], scores: Sequence,
+               ) -> "RankedScores":
+        """A gamma != 0 rule of candidate lists `rows` and row scores
+        `scores`."""
+        ranked = cls.__new__(cls)
+        ranked.scores, ranked.rows, ranked.ranking = scores, rows, None
+        return ranked
 
 
 def _neighbour_sets(matrix: DistanceMatrix, nearest: bool) -> np.ndarray:
     """Each row's M = CANDIDATES (or n - 1 if smaller) nearest other cities
     by `matrix.heuristic`, or farthest if not `nearest`, as an n x M array
     whose rows are ascending indices. A tie at the M-th distance goes either
-    way: `_candidate_rows` is exact for any set. Rows are partitioned
-    CANDIDATE_BLOCK at a time, so no n x n array is held."""
+    way: `_ranked_run` lists exactly for any set. Rows are partitioned one
+    row block at a time, so no n x n array is held."""
     n = matrix.n
     m = min(CANDIDATES, n - 1)
     sets = np.empty((n, m), dtype=np.intp)
-    for lo in range(0, n, CANDIDATE_BLOCK):
+    step = _block_rows(n)
+    for lo in range(0, n, step):
         # a copy, the farthest first when negated, and the city itself last
-        block = matrix.heuristic[lo:lo + CANDIDATE_BLOCK] * (
-            1.0 if nearest else -1.0)
-        own = np.arange(len(block))
-        block[own, own + lo] = np.inf
+        block = matrix.heuristic[lo:lo + step] * (1.0 if nearest else -1.0)
+        block.flat[lo::n + 1] = np.inf  # cell (i, lo + i) of row i
         sets[lo:lo + len(block)] = np.argpartition(block, m - 1, axis=1)[:, :m]
     sets.sort(axis=1)
     return sets
-
-
-def _candidate_rows(scores: np.ndarray, sets: np.ndarray) -> List[List[int]]:
-    """Row i lists the cities of sets[i] that score strictly above every
-    city outside the set, by (-score, index); the -inf diagonal, a row's
-    only minimum, is never listed.
-
-    Every unlisted city scores strictly below every listed one, so the
-    first admissible neighbour in list order, if any, is the first maximum
-    of the masked row, whatever the sets hold. The best score outside a
-    set is one row-wise max with the set's entries at -inf, which are then
-    restored: `scores` ends bit-identical.
-    """
-    rows = np.arange(len(scores))[:, None]
-    inside = scores[rows, sets]
-    scores[rows, sets] = -np.inf
-    outside = scores.max(axis=1)
-    scores[rows, sets] = inside
-    listed = (inside > outside[:, None]).sum(axis=1).tolist()
-    # each row of sets ascends, so a stable ranking breaks ties by index
-    ranked = np.take_along_axis(sets, _ranked(-inside), axis=1)
-    return [row[:k] for row, k in zip(ranked.tolist(), listed)]
 
 
 def _connect_pass(step: int, order: Sequence[int], ranked: RankedScores,
@@ -321,9 +270,10 @@ def grid_search(matrix: DistanceMatrix,
     as (0.5, 0.5, 0.5) and (1, 1, 1), are one rule; otherwise it is keyed
     by its exponents. Each distinct pair of order and rule is constructed
     once, for the first grid point that has it, and every later grid point
-    with the same pair has the same tour. Larger score matrices are filled
-    one at a time into one buffer and ranked once for all the orders run
-    against them, or not at all when only one order is. The closed loops
+    with the same pair has the same tour. A larger score matrix is ranked
+    once for all the orders run against it, a row block at a time and
+    never held whole, or, when only one order is, filled whole and not
+    ranked (see `_candidate_lists`). The closed loops
     of one rule are priced together with the summation `tour_length`
     uses, and only the winner's loop becomes a validated `Tour`.
     `neighbor_evaluations` is n(n - 1) per construction actually run.
@@ -351,7 +301,7 @@ def grid_search(matrix: DistanceMatrix,
     best, best_loop, constructions = (math.inf, -1), None, 0
     for ranked, runs in rules:
         loops = [_construct(order, ranked) for order in runs]
-        del ranked  # its lists go before the next matrix is ranked
+        del ranked  # its lists go before the next rule's are made
         constructions += len(loops)
         prices = _loop_lengths(loops, matrix).tolist()
         for price, i, loop in zip(prices, runs.values(), loops):
@@ -387,16 +337,33 @@ def _whole_rankings(matrix: DistanceMatrix, stats: CityStats, first: dict,
 
 def _candidate_lists(matrix: DistanceMatrix, stats: CityStats, first: dict,
                      ) -> Iterable[Tuple[RankedScores, dict]]:
-    """Each neighbour rule of `first` as (its RankedScores, its runs), one
-    at a time, for n - 1 > CANDIDATES. The score matrices are filled into
-    one buffer, and one read by a single city order is not ranked."""
-    # the neighbour sets of the shared gamma != 0 matrices, nearest for
-    # gamma > 0 and farthest for gamma < 0, built before the buffer so that
-    # their temporaries never coexist with it
-    nearest = {rule[0] > 0 for rule, runs in first.items()
-               if rule[0] != 0.0 and len(runs) > 1}
+    """Each neighbour rule of `first` as (its RankedScores, its runs), in
+    `first` order, for n - 1 > CANDIDATES. A shared rule, one of gamma != 0
+    that several city orders read, lists candidates from its neighbour set:
+    each run of consecutive shared rules of one gamma is ranked by
+    `_ranked_run`, one row block at a time, and holds no score matrix
+    beyond its blocks. A
+    gamma != 0 rule that a single city order reads is never ranked: it is
+    filled into one n x n buffer, and each of its steps scans its row."""
+    def shared(item):
+        rule, orders = item
+        return rule[0] != 0.0 and len(orders) > 1
+
+    # the neighbour sets of the shared rules, nearest for gamma > 0 and
+    # farthest for gamma < 0, built before any buffer so that their
+    # temporaries never coexist with it
+    nearest = {item[0][0] > 0 for item in first.items() if shared(item)}
     sets = {near: _neighbour_sets(matrix, near) for near in nearest}
-    buffer = np.empty_like(matrix.heuristic)
-    for rule, runs in first.items():
-        shared = sets.get(rule[0] > 0) if len(runs) > 1 else None
-        yield RankedScores(matrix, stats, rule, buffer, shared), runs
+    buffer = None
+    for gamma, run in itertools.groupby(
+            first.items(), lambda item: item[0][0] if shared(item) else None):
+        if gamma is not None:
+            for rows, scores, orders in _ranked_run(
+                    matrix, stats, list(run), sets[gamma > 0]):
+                yield RankedScores.listed(rows, scores), orders
+            del rows, scores  # they go before the next run's blocks are made
+            continue
+        for rule, orders in run:
+            if rule[0] != 0.0 and buffer is None:
+                buffer = np.empty((matrix.n, matrix.n))
+            yield RankedScores(matrix, stats, rule, buffer), orders

@@ -24,6 +24,9 @@ population form over those n-1 values.
 ``_table`` is the one intake of an n x n table (``EXPLICIT`` weights, ``d``
 and ``heuristic``): square, non-empty, finite, >= 0, symmetric, zero on the
 diagonal, and stored read-only as floats like the coordinates (`_floats`).
+Work that would make another n x n array (`city_stats`, and the
+construction's neighbour sets and scores) goes one row block at a time
+instead, `_block_rows(n)` rows of BLOCK_BYTES.
 """
 
 from __future__ import annotations
@@ -41,8 +44,20 @@ SUPPORTED_KINDS = ("EUC_2D", "ATT", "CEIL_2D", "EXPLICIT")
 
 # Largest n whose distance matrix is built. One n x n float64 array takes
 # 8 n^2 bytes (800 MB at the limit). Building the matrix holds two of them
-# at its peak (three for ATT) and the result keeps both.
+# at its peak (three for ATT) and the result keeps both. Nothing after the
+# build holds a third: `city_stats` peaks at the two tables plus one row
+# block of BLOCK_BYTES, and the default grid at the two tables plus two
+# (d^gamma and one rule's scores) and its O(n M) candidate lists.
 MATRIX_MAX_N = 10_000
+
+# Bytes of float64 rows in one row block: the one budget that sizes every
+# blockwise pass over an n x n table.
+BLOCK_BYTES = 1 << 18
+
+
+def _block_rows(n: int) -> int:
+    """Rows of n floats in one row block of BLOCK_BYTES, at least one."""
+    return max(1, BLOCK_BYTES // (8 * n))
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -215,18 +230,26 @@ def city_stats(matrix: DistanceMatrix) -> CityStats:
     """Mean and population standard deviation of each city's n-1 distances
     in the heuristic geometry. Distances whose row sum, or the row sum of
     whose squared deviations from the mean, overflows a float are a
-    ValidationError; an underflow is not."""
+    ValidationError; an underflow is not. The squared deviations are summed
+    one row block at a time, each row as the whole table would sum it."""
     n = matrix.n
     if n < 2:
         raise DegenerateInstanceError("city statistics need at least 2 cities")
     d = matrix.heuristic
+    step = _block_rows(n)
+    dev = np.empty((min(step, n), n))
+    var = np.empty(n)
     with _FloatErrors(ValidationError, "distances too large: the city "
                       "statistics overflow the float range", over="raise"):
         mu = d.sum(axis=1) / (n - 1)
-        dev = d - mu[:, None]
-        np.fill_diagonal(dev, 0.0)
-        dev *= dev
-        var = np.sum(dev, axis=1) / (n - 1)
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            block = dev[:hi - lo]
+            np.subtract(d[lo:hi], mu[lo:hi, None], out=block)
+            block.flat[lo::n + 1] = 0.0  # cell (i, lo + i) of each row i
+            block *= block
+            np.sum(block, axis=1, out=var[lo:hi])
+        var /= n - 1
     sigma = np.sqrt(var)
     _read_only(mu, sigma)
     return CityStats(mu=mu, sigma=sigma)

@@ -190,7 +190,7 @@ class TestRenderReport:
             md_cells = [c.strip() for c in md_row.strip("|").split("|")]
             assert md_cells == csv_row.split(",")
 
-    @pytest.mark.parametrize("name", ["a,b", 'say "hi"', "a|b"])
+    @pytest.mark.parametrize("name", ["a,b", 'say "hi"', "a|b", "a\rb"])
     def test_cells_are_escaped(self, name):
         square = tc.Instance(name, "EUC_2D",
                              coords=((0, 0), (3, 0), (3, 4), (0, 4)))
@@ -204,7 +204,8 @@ class TestRenderReport:
         # cells are split at every | that is not escaped
         cells = [re.split(r"(?<!\\)\|", md_row)[1:-1] for md_row in md_rows]
         assert [len(row) for row in cells] == [13] * 6
-        assert cells[2][0].strip() == name.replace("|", "\\|")
+        assert cells[2][0].strip() == \
+            name.replace("|", "\\|").replace("\r", "<br>")
 
     @pytest.mark.parametrize("name", ["a\nb", "a\r\nb", "a\rb"],
                              ids=["lf", "crlf", "cr"])

@@ -682,6 +682,17 @@ def assert_rows_are_certified(scores, sets, rows):
         assert got == [j for s, j in ranked if j in inside and -s > outside], i
 
 
+def ranked_rule(m, stats, rule, sets):
+    """The RankedScores the grid makes of a rule several city orders read:
+    for gamma != 0, the candidate lists `_ranked_run` ranks from `sets` and
+    its rows of scores."""
+    if rule[0] == 0.0:
+        return construction.RankedScores(m, stats, rule)
+    (rows, scores, _), = construction._ranked_run(m, stats, [(rule, None)],
+                                                  sets)
+    return construction.RankedScores.listed(rows, scores)
+
+
 def random_sets(matrix, nearest, seed=0):
     """M = CANDIDATES (or n - 1) other cities per row, drawn at random and
     ascending, whatever `nearest` asks for."""
@@ -721,7 +732,8 @@ class TestCandidateLists:
                 for sets in (construction._neighbour_sets(m, gamma > 0),
                              construction._neighbour_sets(m, gamma < 0),
                              random_sets(m, gamma > 0)):
-                    rows = construction._candidate_rows(scores, sets)
+                    rows = ranked_rule(m, stats, (gamma, delta, 0),
+                                       sets).rows
                     assert_rows_are_certified(scores, sets, rows)
 
     def test_construct_tour_against_oracle(self, k):
@@ -749,7 +761,7 @@ class TestCandidateLists:
                 sets = construction._neighbour_sets(m, g > 0)
                 got = construction._construct(
                     construction._city_order(stats, combo.alpha, combo.beta),
-                    construction.RankedScores(m, stats, rule, sets=sets))
+                    ranked_rule(m, stats, rule, sets))
                 assert tuple(got) == tuple(order_of(combo)), (m.n, combo)
 
 
@@ -769,9 +781,9 @@ class TestCandidateLists:
             for combo in CANDIDATE_GRID:
                 if combo.gamma == 0:
                     continue
-                ranked = construction.RankedScores(
+                ranked = ranked_rule(
                     m, stats, (combo.gamma, combo.delta, combo.epsilon),
-                    sets=construction._neighbour_sets(m, combo.gamma > 0))
+                    construction._neighbour_sets(m, combo.gamma > 0))
                 got = construction._construct(
                     construction._city_order(stats, combo.alpha, combo.beta),
                     ranked)
@@ -779,15 +791,21 @@ class TestCandidateLists:
 
 
 def test_ranking_leaves_scores_bit_identical():
+    # a ranked rule's steps read rows with the bits of the whole matrix, in
+    # one row block and in several
     m = tie_heavy_matrix(40, 3)
     stats = tc.city_stats(m)
     for gamma in (1, -0.5):
-        scores = construction._score_rows(m, stats, gamma, 1, 0)
-        before = scores.copy()
-        for nearest in (True, False):
-            construction._candidate_rows(
-                scores, construction._neighbour_sets(m, nearest))
-            assert scores.tobytes() == before.tobytes(), (gamma, nearest)
+        before = construction._score_rows(m, stats, gamma, 1, 0)
+        for nearest, budget in itertools.product(
+                (True, False), (tc.instance.BLOCK_BYTES, 8 * 40 * 7)):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(tc.instance, "BLOCK_BYTES", budget)
+                scores = ranked_rule(
+                    m, stats, (gamma, 1, 0),
+                    construction._neighbour_sets(m, nearest)).scores
+                rows = np.array([scores[i] for i in range(m.n)])
+            assert rows.tobytes() == before.tobytes(), (gamma, nearest)
 
 
 @pytest.mark.parametrize("n", range(3, construction.CANDIDATES + 2))
@@ -798,9 +816,7 @@ def test_small_instances_list_every_other_city(n):
         stats = tc.city_stats(m)
         for gamma in (1, -1):
             scores = construction._score_rows(m, stats, gamma, 1, 1)
-            rows = construction.RankedScores(
-                m, stats, (gamma, 1, 1),
-                sets=construction._neighbour_sets(m, gamma > 0)).rows
+            rows = construction.RankedScores(m, stats, (gamma, 1, 1)).rows
             for i, row in enumerate(scores.tolist()):
                 assert rows[i] == [j for _, j in sorted(
                     (-s, j) for j, s in enumerate(row) if j != i)], (n, i)
@@ -814,7 +830,7 @@ def test_one_off_scores_are_not_ranked(monkeypatch):
         raise AssertionError("a one-off score matrix was ranked")
 
     monkeypatch.setattr(construction, "_neighbour_sets", never)
-    monkeypatch.setattr(construction, "_candidate_rows", never)
+    monkeypatch.setattr(construction, "_ranked_run", never)
     for m in (random_matrix(40, 3), tie_heavy_matrix(15, 4),
               coincident_matrix()):
         stats = tc.city_stats(m)
@@ -859,7 +875,7 @@ def test_whole_rankings_switch_at_candidates(monkeypatch):
     # with n <= CANDIDATES + 1 a neighbour set would hold every other city,
     # so the grid builds no set and no candidate list; one city more, it does
     calls = []
-    for name in ("_neighbour_sets", "_candidate_rows"):
+    for name in ("_neighbour_sets", "_ranked_run"):
         def counted(*args, build=getattr(construction, name), name=name):
             calls.append(name)
             return build(*args)
@@ -872,7 +888,7 @@ def test_whole_rankings_switch_at_candidates(monkeypatch):
             tc.grid_search(m, CANDIDATE_GRID)
     assert calls == []
     tc.grid_search(random_matrix(k + 2, 1))
-    assert set(calls) == {"_neighbour_sets", "_candidate_rows"}
+    assert set(calls) == {"_neighbour_sets", "_ranked_run"}
 
 
 @pytest.mark.parametrize("grid", [None, CANDIDATE_GRID],
@@ -916,7 +932,7 @@ def test_rows_list_k_neighbours(k, monkeypatch):
     for gamma, delta in ((1, 0), (0.5, 0), (-1, 0), (1, 1), (0.5, 1), (-1, 1)):
         scores = construction._score_rows(m, stats, gamma, delta, 0)
         sets = construction._neighbour_sets(m, gamma > 0)
-        rows = construction._candidate_rows(scores, sets)
+        rows = ranked_rule(m, stats, (gamma, delta, 0), sets).rows
         assert_rows_are_certified(scores, sets, rows)
         if delta == 0:
             assert [sorted(row) for row in rows] == sets.tolist(), gamma
@@ -950,6 +966,205 @@ def test_grid_search_holds_one_extra_matrix():
     tc.grid_search(m, tc.default_grid([1]))  # warm numpy up
     peak = traced_peak(lambda: tc.grid_search(m))
     assert peak <= 8 * n * n + memory_slack(n)
+
+
+def test_default_grid_holds_no_score_matrix():
+    # past one row block (n = 800 takes several) each shared score matrix
+    # is scored a block at a time: beyond the two distance tables the grid
+    # holds a few blocks and compact lists, under half a matrix
+    n = 800
+    m = random_matrix(n, 4)
+    tc.grid_search(m, tc.default_grid([1]))  # warm numpy up
+    peak = traced_peak(lambda: tc.grid_search(m))
+    assert peak <= 4 * n * n + memory_slack(n)
+
+
+@pytest.fixture
+def block_rows(monkeypatch):
+    """`set(n, rows)` makes a row block hold `rows` rows of n floats, by
+    setting instance.BLOCK_BYTES for this test; a spy counts the row block
+    runs of shared rules the grids ask for."""
+    runs = []
+    ranked_run = construction._ranked_run
+
+    def spy(*args):
+        runs.append(args[2])
+        return ranked_run(*args)
+
+    def set_rows(n, rows):
+        monkeypatch.setattr(tc.instance, "BLOCK_BYTES", 8 * n * rows)
+        assert construction._block_rows(n) == rows
+
+    monkeypatch.setattr(construction, "_ranked_run", spy)
+    set_rows.runs = runs
+    return set_rows
+
+
+def assert_grid_and_lengths_match(m, grid):
+    """grid_search's tour, combo and length equal the brute grid's over the
+    oracle's tours."""
+    combos = tc.default_grid() if grid is None else grid
+    got = tc.grid_search(m, grid)
+    order, combo = brute_grid(m, combos, oracle(m, tc.city_stats(m)))
+    assert (got.tour.order, got.combo, got.tour.length) == \
+        (order, combo, tc.tour_length(order, m))
+
+
+# gamma values of both signs, consecutive in first order and interleaved,
+# with numerators that break the distance order, read by three city orders,
+# and rules that a single city order reads
+GAMMAS = (-1, -0.5, 0.3, 0.5, 1, 1.7)
+NUMERATORS = ((0, 0), (1, 0), (0.5, 1))
+INTERLEAVED = [(0.5, 0, 0), (1, 0, 0), (0.5, 1, 0), (-1, 0, 0), (1, 1, 0),
+               (1.7, 0.5, 1), (-1, 1, 0), (0.3, 1, 0), (-0.5, 0.5, 1),
+               (0.5, 0.5, 1), (0.3, 0, 0), (-0.5, 0, 0)]
+GAMMA_GRIDS = {
+    "consecutive": [tc.ExponentCombo(a, b, g, d, e)
+                    for a, b in ((0, 0), (1, 0), (0, 1)) for g in GAMMAS
+                    for d, e in NUMERATORS],
+    "interleaved": [tc.ExponentCombo(a, b, *rule)
+                    for a, b in ((0, 0), (1, 0), (0, 1))
+                    for rule in INTERLEAVED]
+    + [tc.ExponentCombo(1, 1, 1.7, 1, 0), tc.ExponentCombo(0.5, 0, -1, 0, 1),
+       tc.ExponentCombo(0, 0.5, 0.5, 1, 1)],
+}
+
+
+@pytest.mark.parametrize("n,rows", [(17, 1), (18, 18), (18, 17), (18, 1),
+                                    (24, 24), (25, 24), (26, 13), (40, 7)])
+def test_row_blocks_against_oracle(n, rows, block_rows):
+    # n = 17 ranks whole rankings; from 18 on, shared matrices are scored a
+    # row block at a time: in one block that holds every row when n <= rows,
+    # otherwise in blocks that end at n or short of it. On random,
+    # tie-heavy, coincident, zero-row and fractional matrices the grids pick
+    # the brute grid's tour, combo and length, and construct_tour gives the
+    # oracle's tour
+    block_rows(n, rows)
+    for m in small_matrices(n):
+        order_of = oracle(m, tc.city_stats(m))
+        for grid in (None, *GAMMA_GRIDS.values()):
+            assert_grid_and_lengths_match(m, grid)
+        for combo in GAMMA_GRIDS["interleaved"][:15]:
+            assert tc.construct_tour(m, combo).tour.order == \
+                tuple(order_of(combo)), (m.n, combo)
+    assert bool(block_rows.runs) == (18 <= n)
+
+
+def test_default_budget_row_blocks_against_construct_tour():
+    # the first n whose matrix is past one row block of the default budget:
+    # two blocks, of 180 rows and of 2
+    n = 182
+    assert construction._block_rows(n) == 180
+    m = random_matrix(n, 11)
+    got = tc.grid_search(m)
+    want = None
+    for combo in tc.default_grid():
+        tour = tc.construct_tour(m, combo).tour
+        if want is None or tour.length < want[0].length:
+            want = (tour, combo)
+    assert (got.tour.order, got.combo, got.tour.length) == \
+        (want[0].order, want[1], want[0].length)
+
+
+@pytest.mark.parametrize("k", range(5), ids=["random", "tie-heavy",
+                                             "coincident", "zero-row",
+                                             "fractional"])
+def test_row_blocks_list_and_score_as_the_whole_matrix(k, block_rows):
+    # a rule ranked one row block at a time lists exactly the cities of its
+    # set that its whole matrix scores above every city outside the set,
+    # and each row a step reads, held or recomputed, has the whole matrix's
+    # bits; in a block of 7 rows and in one block of all 40
+    m = list(small_matrices(40))[k]
+    stats = tc.city_stats(m)
+    rules = [(g, d, e) for g in GAMMAS for d, e in NUMERATORS]
+    first = {rule: {(0,): 0, (1,): 1} for rule in rules}
+    for rows in (7, 40):
+        block_rows(m.n, rows)
+        block_rows.runs.clear()
+        seen = []
+        for ranked, runs in construction._candidate_lists(m, stats, first):
+            rule = rules[len(seen)]
+            whole = construction._score_rows(m, stats, *rule)
+            sets = construction._neighbour_sets(m, rule[0] > 0)
+            assert_rows_are_certified(whole, sets, ranked.rows)
+            for city in range(m.n):
+                assert ranked.scores[city].tobytes() == \
+                    whole[city].tobytes(), (rows, rule, city)
+            seen.append(runs)
+        assert seen == list(first.values())
+        assert len(block_rows.runs) == len(GAMMAS)
+
+
+def shared(*rules):
+    """Each rule under two city orders, so that several orders read it."""
+    return [tc.ExponentCombo(a, 0, *rule) for a in (0, 1) for rule in rules]
+
+
+@pytest.mark.parametrize("rules,powers", [
+    ([(1000, 0, 0)], "mu^0 * sigma^0 / d^1000"),
+    ([(1, 0, 0), (1, 1000, 1000)], "mu^1000 * sigma^1000"),
+    ([(-1000, 0, 0), (-1000, 1, 0)], "mu^0 * sigma^0 / d^-1000"),
+    ([(90, 0, 0), (90, -100, 0), (90, 1, 0)], "mu^-100 * sigma^0 / d^90"),
+    ([(1, 0, 0), (1000, 1, 0), (1000, 0.5, 0)], "mu^1 * sigma^0 / d^1000"),
+], ids=["power", "numerator", "negative-power", "ratio", "later-run"])
+def test_row_blocks_raise_the_failing_rules_error(rules, powers, block_rows):
+    # scored a row block at a time, a grid in which one rule's numerator,
+    # power or division leaves the float range raises that rule's error,
+    # word for word; a power out of range fails for the first rule of its
+    # gamma, as it did for the whole matrix
+    m = random_matrix(20, 0)  # distances 15 to 1358, mu 394 to 813
+    block_rows(20, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(tc.ConfigError) as err:
+            tc.grid_search(m, [tc.ExponentCombo(0, 0, 0, 0, 0)]
+                           + shared(*rules))
+    assert str(err.value) == \
+        f"exponents overflow or underflow a float: {powers}"
+    assert block_rows.runs
+
+
+def test_row_blocks_raise_a_later_rules_numerator_first(block_rows):
+    # rule A = (90, -100, 0) underflows in its division and rule B =
+    # (90, 200, 0) overflows in its numerator. Scoring each matrix whole, A
+    # then B, would name A; a run of row blocks computes every numerator
+    # before its first power and names B, in one block or in several. Each
+    # rule alone names itself
+    m = random_matrix(20, 0)
+    first_fails = "exponents overflow or underflow a float: "
+    for rows in (20, 3):
+        block_rows(20, rows)
+        with pytest.raises(tc.ConfigError) as both:
+            tc.grid_search(m, shared((90, -100, 0), (90, 200, 0)))
+        assert str(both.value) == first_fails + "mu^200 * sigma^0"
+        with pytest.raises(tc.ConfigError) as alone:
+            tc.grid_search(m, shared((90, -100, 0)))
+        assert str(alone.value) == first_fails + "mu^-100 * sigma^0 / d^90"
+    assert block_rows.runs
+
+
+def test_row_blocks_leave_the_float_error_state(block_rows, monkeypatch):
+    # a grid that stops between two rules of a run of row blocks, here by
+    # an exception in pricing the run's first rule, leaves numpy's error
+    # state as it found it while its exception, and with it the suspended
+    # ranking, is still held
+    class Stop(Exception):
+        pass
+
+    loop_lengths = construction._loop_lengths
+
+    def stop_in_a_run(loops, matrix):
+        if block_rows.runs:
+            raise Stop
+        return loop_lengths(loops, matrix)
+
+    monkeypatch.setattr(construction, "_loop_lengths", stop_in_a_run)
+    block_rows(20, 3)
+    before = np.geterr()
+    with pytest.raises(Stop) as err:
+        tc.grid_search(random_matrix(20, 0))
+    assert np.geterr() == before
+    assert err.traceback
 
 
 def test_eq1_order_scale_invariance():

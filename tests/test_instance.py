@@ -156,16 +156,23 @@ class TestInPlaceBuilds:
     @pytest.mark.parametrize("kind", ["EUC_2D", "CEIL_2D", "ATT"])
     def test_bit_identical_to_plain_expressions(self, kind):
         rng = np.random.default_rng(8)
-        # real coordinates, and integer ones with exact and repeated distances
+        # real coordinates, and integer ones with exact and repeated
+        # distances; the statistics of n = 300 take three row blocks, the
+        # last one short
+        assert tc.instance._block_rows(150) >= 150
+        assert 300 % tc.instance._block_rows(300) > 0
         for pts in (rng.random((150, 2)) * 10_000,
-                    rng.integers(0, 30, (150, 2)).astype(float)):
+                    rng.integers(0, 30, (150, 2)).astype(float),
+                    rng.random((300, 2)) * 10_000,
+                    rng.integers(0, 30, (300, 2)).astype(float)):
+            n = len(pts)
             m = tc.build_distance_matrix(tc.Instance("r", kind, coords=pts))
             d, exact = plain_matrix(pts, kind)
             assert m.d.tobytes() == d.tobytes()
             assert m.heuristic.tobytes() == exact.tobytes()
-            mu = exact.sum(axis=1) / 149
-            dev = np.where(np.eye(150, dtype=bool), 0.0, exact - mu[:, None])
-            var = np.sum(dev * dev, axis=1) / 149
+            mu = exact.sum(axis=1) / (n - 1)
+            dev = np.where(np.eye(n, dtype=bool), 0.0, exact - mu[:, None])
+            var = np.sum(dev * dev, axis=1) / (n - 1)
             stats = tc.city_stats(m)
             assert stats.mu.tobytes() == mu.tobytes()
             assert stats.sigma.tobytes() == np.sqrt(var).tobytes()
@@ -186,6 +193,15 @@ class TestInPlaceBuilds:
         tc.city_stats(m)
         peak = traced_peak(lambda: tc.city_stats(m))
         assert peak <= 8 * n * n + memory_slack(n)
+
+    def test_city_stats_holds_one_row_block(self):
+        # the squared deviations are summed one row block at a time (n = 800
+        # takes several), so the statistics hold under half a matrix
+        n = 800
+        m = random_matrix(n, 9)
+        tc.city_stats(m)
+        peak = traced_peak(lambda: tc.city_stats(m))
+        assert peak <= 4 * n * n + memory_slack(n)
 
 
 class TestInputValidation:
