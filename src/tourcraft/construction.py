@@ -12,31 +12,30 @@ uses, and only the winner's loop becomes a validated Tour.
 
 Each step reads a short candidate list instead of the whole row of
 neighbour scores, with the same result. A score matrix, whose -inf diagonal
-keeps a city from being its own neighbour, is ranked once per grid when
-more than one construction reads it. Every such matrix draws its lists
-from one neighbour set per row, built once per grid: the M = CANDIDATES
-nearest other cities by the heuristic geometry, or the farthest for
-gamma < 0. Row i lists the cities of its set that score strictly above
-every city outside it, by (-score, index), so every city left out scores
-strictly below every listed one, whichever set was chosen, and the first
-admissible listed neighbour is the first maximum of the masked row; when
-every listed one is closed, and in a matrix read once, which lists none,
-the step scans the whole row. With n - 1 <= CANDIDATES a set would hold
-every other city, so every matrix, read once or not, is ranked whole
-instead and no step scans a row. With gamma = 0 every row is the
-numerator, ranked as the eq. 1 order of (delta, epsilon), so such a
-neighbour rule is keyed by that ranking, (0.0, ranking); any other is
-keyed by its exponents, (gamma, delta, epsilon), or, where it is ranked
-whole, by its rows. `construct_tour` is the grid of one point.
+keeps a city from being its own neighbour, is ranked once per grid, however
+many constructions read it. Every such matrix draws its lists from one
+neighbour set per row, built once per grid: the M = CANDIDATES nearest
+other cities by the heuristic geometry, or the farthest for gamma < 0. Row
+i lists the cities of its set that score strictly above every city outside
+it, by (-score, index), so every city left out scores strictly below every
+listed one, whichever set was chosen, and the first admissible listed
+neighbour is the first maximum of the masked row; when every listed one is
+closed, the step scans the whole row. With n - 1 <= CANDIDATES a set would
+hold every other city, so every matrix is ranked whole instead and no step
+scans a row. With gamma = 0 every row is the numerator, ranked as the eq. 1
+order of (delta, epsilon), so such a neighbour rule is keyed by that
+ranking, (0.0, ranking); any other is keyed by its exponents, (gamma,
+delta, epsilon), or, where it is ranked whole, by its rows.
+`construct_tour` is the grid of one point.
 
-With n - 1 > CANDIDATES a score matrix that several constructions read
-is never held: the consecutive such rules of one gamma are scored together
-one row block of `instance.BLOCK_BYTES` at a time, d^gamma once per
-block, and each keeps only its compact candidate lists until its
-constructions run. When one block holds every row, each rule's rows are
-divided again into that block for its constructions; past one block, a
-step whose listed neighbours are all closed recomputes its one row. So
-the default grid holds no n x n array beyond the two distance tables.
+With n - 1 > CANDIDATES no score matrix is held: the consecutive gamma != 0
+rules of one gamma are scored together one row block of
+`instance.BLOCK_BYTES` at a time, d^gamma once per block, and each keeps
+only its compact candidate lists until its constructions run. When one
+block holds every row, each rule's rows are divided again into that block
+for its constructions; past one block, a step whose listed neighbours are
+all closed recomputes its one row. So beyond the two distance tables no
+grid holds a score matrix larger than one row block.
 
 Conventions (fixed for determinism):
 
@@ -130,29 +129,23 @@ class RankedScores:
     is that eq. 1 order, used as given, and `scores` and `rows` are None.
     For (gamma, delta, epsilon), `rows` are its candidate lists and
     `scores[city]` is that city's row of scores, which a step reads when
-    every candidate is closed. Built from a rule, `scores` is the score
-    matrix (filled into `out` if given). When n - 1 <= CANDIDATES a
-    neighbour set would hold every other city, so each row lists them all
-    by (-score, index). Otherwise the matrix is not ranked: every row lists
-    no candidate and each step scans its whole row, which for a single
-    construction costs less than ranking. `listed` makes one from the
+    every candidate is closed. Built from a rule, as `_whole_rankings`
+    does where n - 1 <= CANDIDATES and a neighbour set would hold every
+    other city, each row lists them all by (-score, index); no step then
+    reads a row of scores, so none is kept. `listed` makes one from the
     lists and rows of scores that `_ranked_run` makes one row block at a
     time."""
 
     __slots__ = ("scores", "rows", "ranking")
 
-    def __init__(self, matrix: DistanceMatrix, stats: CityStats, rule: tuple,
-                 out: Optional[np.ndarray] = None):
+    def __init__(self, matrix: DistanceMatrix, stats: CityStats, rule: tuple):
         self.scores = self.rows = self.ranking = None
         if rule[0] == 0.0:
             self.ranking = rule[1]
             return
-        self.scores = _score_rows(matrix, stats, *rule, out)
-        if matrix.n - 1 <= CANDIDATES:
-            # the -inf diagonal, a row's only minimum, sorts last
-            self.rows = _ranked(-self.scores)[:, :-1].tolist()
-        else:
-            self.rows = [()] * matrix.n
+        scores = _score_rows(matrix, stats, *rule)
+        # the -inf diagonal, a row's only minimum, sorts last
+        self.rows = _ranked(-scores)[:, :-1].tolist()
 
     @classmethod
     def listed(cls, rows: List[List[int]], scores: Sequence,
@@ -188,9 +181,9 @@ def _connect_pass(step: int, order: Sequence[int], ranked: RankedScores,
     """Join each city of `order` still below `step` connections to its best
     admissible neighbour, the first maximum of its row of scores: the first
     admissible one of its candidate list, or, when every candidate is
-    closed, of the masked whole row. With gamma = 0 a step walks the one
-    ranking from `head`, the first city not yet at degree 2 (cities never
-    reopen)."""
+    closed, of the masked whole row, which a list of every other city never
+    reaches. With gamma = 0 a step walks the one ranking from `head`, the
+    first city not yet at degree 2 (cities never reopen)."""
     degree, other_end, is_open = tracker.degree, tracker.other_end, tracker.open
     scores, rows, ranking = ranked.scores, ranked.rows, ranked.ranking
     head = 0
@@ -248,8 +241,7 @@ def _grid_points(grid: Optional[Iterable[ExponentCombo]],
 def construct_tour(matrix: DistanceMatrix,
                    combo: ExponentCombo) -> ConstructionResult:
     """The tour of both main passes for one combo: the grid of that one
-    point, whose score matrix, read by one construction, is ranked only
-    when n - 1 <= CANDIDATES."""
+    point."""
     return grid_search(matrix, [combo])
 
 
@@ -272,10 +264,9 @@ def grid_search(matrix: DistanceMatrix,
     once, for the first grid point that has it, and every later grid point
     with the same pair has the same tour. A larger score matrix is ranked
     once for all the orders run against it, a row block at a time and
-    never held whole, or, when only one order is, filled whole and not
-    ranked (see `_candidate_lists`). The closed loops
-    of one rule are priced together with the summation `tour_length`
-    uses, and only the winner's loop becomes a validated `Tour`.
+    never held whole (see `_candidate_lists`). The closed loops of one
+    rule are priced together with the summation `tour_length` uses, and
+    only the winner's loop becomes a validated `Tour`.
     `neighbor_evaluations` is n(n - 1) per construction actually run.
     """
     n = _require_n(matrix)
@@ -338,32 +329,20 @@ def _whole_rankings(matrix: DistanceMatrix, stats: CityStats, first: dict,
 def _candidate_lists(matrix: DistanceMatrix, stats: CityStats, first: dict,
                      ) -> Iterable[Tuple[RankedScores, dict]]:
     """Each neighbour rule of `first` as (its RankedScores, its runs), in
-    `first` order, for n - 1 > CANDIDATES. A shared rule, one of gamma != 0
-    that several city orders read, lists candidates from its neighbour set:
-    each run of consecutive shared rules of one gamma is ranked by
-    `_ranked_run`, one row block at a time, and holds no score matrix
-    beyond its blocks. A
-    gamma != 0 rule that a single city order reads is never ranked: it is
-    filled into one n x n buffer, and each of its steps scans its row."""
-    def shared(item):
-        rule, orders = item
-        return rule[0] != 0.0 and len(orders) > 1
-
-    # the neighbour sets of the shared rules, nearest for gamma > 0 and
-    # farthest for gamma < 0, built before any buffer so that their
-    # temporaries never coexist with it
-    nearest = {item[0][0] > 0 for item in first.items() if shared(item)}
-    sets = {near: _neighbour_sets(matrix, near) for near in nearest}
-    buffer = None
-    for gamma, run in itertools.groupby(
-            first.items(), lambda item: item[0][0] if shared(item) else None):
-        if gamma is not None:
-            for rows, scores, orders in _ranked_run(
-                    matrix, stats, list(run), sets[gamma > 0]):
-                yield RankedScores.listed(rows, scores), orders
-            del rows, scores  # they go before the next run's blocks are made
+    `first` order, for n - 1 > CANDIDATES. A gamma != 0 rule lists
+    candidates from its neighbour set: each run of consecutive such rules
+    of one gamma is ranked by `_ranked_run`, one row block at a time, and
+    holds no score matrix beyond its blocks."""
+    # the neighbour sets, nearest for gamma > 0 and farthest for gamma < 0
+    sets = {near: _neighbour_sets(matrix, near)
+            for near in {rule[0] > 0 for rule in first if rule[0] != 0.0}}
+    for gamma, run in itertools.groupby(first.items(),
+                                        lambda item: item[0][0]):
+        if gamma == 0.0:
+            for rule, orders in run:
+                yield RankedScores(matrix, stats, rule), orders
             continue
-        for rule, orders in run:
-            if rule[0] != 0.0 and buffer is None:
-                buffer = np.empty((matrix.n, matrix.n))
-            yield RankedScores(matrix, stats, rule, buffer), orders
+        for rows, scores, orders in _ranked_run(matrix, stats, list(run),
+                                                sets[gamma > 0]):
+            yield RankedScores.listed(rows, scores), orders
+        del rows, scores  # they go before the next run's blocks are made

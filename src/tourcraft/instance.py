@@ -46,8 +46,9 @@ SUPPORTED_KINDS = ("EUC_2D", "ATT", "CEIL_2D", "EXPLICIT")
 # 8 n^2 bytes (800 MB at the limit). Building the matrix holds two of them
 # at its peak (three for ATT) and the result keeps both. Nothing after the
 # build holds a third: `city_stats` peaks at the two tables plus one row
-# block of BLOCK_BYTES, and the default grid at the two tables plus two
-# (d^gamma and one rule's scores) and its O(n M) candidate lists.
+# block of BLOCK_BYTES, and every grid, `construct_tour`'s one point
+# included, at the two tables plus two (d^gamma and one rule's scores) and
+# its O(n M) candidate lists.
 MATRIX_MAX_N = 10_000
 
 # Bytes of float64 rows in one row block: the one budget that sizes every

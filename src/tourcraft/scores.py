@@ -11,7 +11,7 @@ best score outside its neighbour set, so a list is exact whichever set
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -42,11 +42,9 @@ def _numerator_vector(stats: CityStats, exp_mu: float, exp_sigma: float,
 
 
 def _score_rows(matrix: DistanceMatrix, stats: CityStats, gamma: float,
-                delta: float, epsilon: float,
-                out: Optional[np.ndarray] = None) -> np.ndarray:
+                delta: float, epsilon: float) -> np.ndarray:
     """eq. 2 scores for gamma != 0: row i holds mu_j^delta * sigma_j^epsilon
-    / d_ij^gamma over j, -inf at j = i (a city is never its own neighbour),
-    filled into `out` (allocated if not given).
+    / d_ij^gamma over j, -inf at j = i (a city is never its own neighbour).
 
     Powers that over- or underflow are a ConfigError, so d_ij^gamma is 0 or
     inf only where d_ij = 0, and the division itself scores such a cell +inf
@@ -54,10 +52,8 @@ def _score_rows(matrix: DistanceMatrix, stats: CityStats, gamma: float,
     distance, 0/0, needs setting to +inf.
     """
     num = _numerator_vector(stats, delta, epsilon)
-    if out is None:
-        out = np.empty((matrix.n, matrix.n))
     with _eq2_range(delta, epsilon, gamma):
-        np.power(matrix.heuristic, gamma, out=out)
+        out = np.power(matrix.heuristic, gamma)
         _divide_powers(num, out, _nan_is_inf(gamma, num), out)
     np.fill_diagonal(out, -np.inf)
     return out

@@ -663,6 +663,11 @@ CANDIDATE_GRID = [tc.ExponentCombo(*combo) for combo in itertools.product(
     (0, 1), (0, 1), (-1, -0.5, 0, 0.5, 1), (0, 1), (0, 1))]
 
 
+# one-point grids of both gamma signs, each with a numerator
+ONE_POINTS = (tc.ExponentCombo(0.5, 1, 1, 0.5, 0),
+              tc.ExponentCombo(1, 0, -0.5, 1, 1))
+
+
 def assert_rows_are_certified(scores, sets, rows):
     """Row i is a prefix of its (-score, index) order of the other cities,
     drawn from sets[i], and every listed score is strictly above every
@@ -749,8 +754,9 @@ class TestCandidateLists:
             assert_grid_matches_brute_grid(m, CANDIDATE_GRID)
 
     def test_ranked_construction_against_oracle(self, k):
-        # a one-off construct_tour scans whole rows; given ranked scores, as
-        # the grid shares them, every combo's tour still matches the oracle
+        # every combo's rule, listed from its neighbour sets as the grid
+        # lists it past CANDIDATES + 1 cities, gives the oracle's tour, also
+        # at the n where the grid ranks the rule whole
         for m in self.matrices(k):
             stats = tc.city_stats(m)
             order_of = oracle(m, stats)
@@ -822,15 +828,10 @@ def test_small_instances_list_every_other_city(n):
                     (-s, j) for j, s in enumerate(row) if j != i)], (n, i)
 
 
-def test_one_off_scores_are_not_ranked(monkeypatch):
-    # construct_tour and a grid of one point build no neighbour set and no
-    # candidate list: at n = 40 the one score matrix is scanned row by row,
-    # and at n <= CANDIDATES + 1 its rows are ranked whole
-    def never(*args, **kwargs):
-        raise AssertionError("a one-off score matrix was ranked")
-
-    monkeypatch.setattr(construction, "_neighbour_sets", never)
-    monkeypatch.setattr(construction, "_ranked_run", never)
+def test_one_point_grids_against_oracle():
+    # construct_tour and a grid of one point rank their one score matrix as
+    # any grid does: from neighbour sets at n = 40, and whole at
+    # n <= CANDIDATES + 1
     for m in (random_matrix(40, 3), tie_heavy_matrix(15, 4),
               coincident_matrix()):
         stats = tc.city_stats(m)
@@ -873,7 +874,8 @@ def test_whole_rankings_against_oracle(n):
 
 def test_whole_rankings_switch_at_candidates(monkeypatch):
     # with n <= CANDIDATES + 1 a neighbour set would hold every other city,
-    # so the grid builds no set and no candidate list; one city more, it does
+    # so the grid builds no set and no candidate list; one city more, it
+    # does, also when it is the grid of one point
     calls = []
     for name in ("_neighbour_sets", "_ranked_run"):
         def counted(*args, build=getattr(construction, name), name=name):
@@ -886,9 +888,16 @@ def test_whole_rankings_switch_at_candidates(monkeypatch):
         for m in (random_matrix(n, n), tie_heavy_matrix(n, n)):
             tc.grid_search(m)
             tc.grid_search(m, CANDIDATE_GRID)
+            for combo in ONE_POINTS:
+                tc.construct_tour(m, combo)
     assert calls == []
-    tc.grid_search(random_matrix(k + 2, 1))
+    m = random_matrix(k + 2, 1)
+    tc.grid_search(m)
     assert set(calls) == {"_neighbour_sets", "_ranked_run"}
+    for combo in ONE_POINTS:
+        calls.clear()
+        tc.construct_tour(m, combo)
+        assert set(calls) == {"_neighbour_sets", "_ranked_run"}, combo
 
 
 @pytest.mark.parametrize("grid", [None, CANDIDATE_GRID],
@@ -969,14 +978,16 @@ def test_grid_search_holds_one_extra_matrix():
 
 
 def test_default_grid_holds_no_score_matrix():
-    # past one row block (n = 800 takes several) each shared score matrix
-    # is scored a block at a time: beyond the two distance tables the grid
-    # holds a few blocks and compact lists, under half a matrix
+    # past one row block (n = 800 takes several) each score matrix is
+    # scored a block at a time, also for a grid of one point: beyond the
+    # two distance tables a grid holds a few blocks and compact lists,
+    # under half a matrix
     n = 800
     m = random_matrix(n, 4)
     tc.grid_search(m, tc.default_grid([1]))  # warm numpy up
-    peak = traced_peak(lambda: tc.grid_search(m))
-    assert peak <= 4 * n * n + memory_slack(n)
+    for grid in (None, *([combo] for combo in ONE_POINTS)):
+        peak = traced_peak(lambda: tc.grid_search(m, grid))
+        assert peak <= 4 * n * n + memory_slack(n), grid
 
 
 @pytest.fixture
