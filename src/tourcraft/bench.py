@@ -3,6 +3,7 @@ known optima or computed lower bounds, render CSV/markdown reports."""
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -21,9 +22,11 @@ CSV_HEADER = ("instance,n,method,alpha,beta,gamma,delta,epsilon,"
 
 
 def percent_error(length: float, reference: float) -> float:
-    """100 * (length - reference) / reference."""
-    if reference <= 0:
-        raise ConfigError(f"reference must be positive, got {reference}")
+    """100 * (length - reference) / reference; a ConfigError unless
+    `reference` is a finite positive number."""
+    if not (math.isfinite(reference) and reference > 0):
+        raise ConfigError(
+            f"reference must be a finite positive number, got {reference}")
     return 100.0 * (length - reference) / reference
 
 

@@ -11,8 +11,9 @@ loops of each neighbour rule together, with the summation `tour_length`
 uses, and only the winner's loop becomes a validated Tour.
 
 Each step reads a short candidate list instead of the whole row of
-neighbour scores, with the same result. A score matrix, whose -inf diagonal
-keeps a city from being its own neighbour, is ranked once per grid, however
+neighbour scores, with the same result. A score matrix, whose -inf own
+cells (written by `scores._divide_powers`) keep a city from being its own
+neighbour, is ranked once per grid into a `RankedScores` record, however
 many constructions read it. Every such matrix draws its lists from one
 neighbour set per row, built once per grid: the M = CANDIDATES nearest
 other cities by the heuristic geometry, or the farthest for gamma < 0. Row
@@ -51,10 +52,11 @@ Conventions (fixed for determinism):
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -80,7 +82,8 @@ class ExponentCombo:
     epsilon: float
 
     def __post_init__(self) -> None:
-        _exponents(self.as_tuple())
+        for f, value in zip(fields(self), _exponents(self.as_tuple())):
+            object.__setattr__(self, f.name, value)  # frozen: set directly
 
     def as_tuple(self) -> Tuple[float, float, float, float, float]:
         return (self.alpha, self.beta, self.gamma, self.delta, self.epsilon)
@@ -123,38 +126,18 @@ def _city_order(stats: CityStats, alpha: float, beta: float,
     return tuple(_ranked(-_numerator_vector(stats, alpha, beta)).tolist())
 
 
+@dataclass(eq=False)
 class RankedScores:
-    """The eq. 2 neighbour ranking of one grid rule key. For (0.0, ranking),
-    a gamma = 0 rule, every row is mu^delta * sigma^epsilon, so `ranking`
-    is that eq. 1 order, used as given, and `scores` and `rows` are None.
-    For (gamma, delta, epsilon), `rows` are its candidate lists and
-    `scores[city]` is that city's row of scores, which a step reads when
-    every candidate is closed. Built from a rule, as `_whole_rankings`
-    does where n - 1 <= CANDIDATES and a neighbour set would hold every
-    other city, each row lists them all by (-score, index); no step then
-    reads a row of scores, so none is kept. `listed` makes one from the
-    lists and rows of scores that `_ranked_run` makes one row block at a
-    time."""
+    """The eq. 2 neighbour ranking of one grid rule, as its steps read it.
+    A gamma != 0 rule has `rows`, its candidate lists, and `scores`, whose
+    `scores[city]` is the row a step reads when every candidate of `city`
+    is closed; where each row lists every other city no step reads one,
+    and `scores` is None. A gamma = 0 rule, whose every row is
+    mu^delta * sigma^epsilon, has only `ranking`, that eq. 1 order."""
 
-    __slots__ = ("scores", "rows", "ranking")
-
-    def __init__(self, matrix: DistanceMatrix, stats: CityStats, rule: tuple):
-        self.scores = self.rows = self.ranking = None
-        if rule[0] == 0.0:
-            self.ranking = rule[1]
-            return
-        scores = _score_rows(matrix, stats, *rule)
-        # the -inf diagonal, a row's only minimum, sorts last
-        self.rows = _ranked(-scores)[:, :-1].tolist()
-
-    @classmethod
-    def listed(cls, rows: List[List[int]], scores: Sequence,
-               ) -> "RankedScores":
-        """A gamma != 0 rule of candidate lists `rows` and row scores
-        `scores`."""
-        ranked = cls.__new__(cls)
-        ranked.scores, ranked.rows, ranked.ranking = scores, rows, None
-        return ranked
+    rows: Optional[List[List[int]]] = None
+    scores: Optional[Sequence] = None
+    ranking: Optional[Sequence[int]] = None
 
 
 def _neighbour_sets(matrix: DistanceMatrix, nearest: bool) -> np.ndarray:
@@ -272,13 +255,7 @@ def grid_search(matrix: DistanceMatrix,
     n = _require_n(matrix)
     stats = city_stats(matrix)
     combos = _grid_points(grid)
-    orders = {}  # exponent pair -> its eq. 1 order
-
-    def order_of(a: float, b: float) -> Tuple[int, ...]:
-        if (a, b) not in orders:
-            orders[a, b] = _city_order(stats, a, b)
-        return orders[a, b]
-
+    order_of = functools.cache(functools.partial(_city_order, stats))
     city_orders = [order_of(c.alpha, c.beta) for c in combos]
     # neighbour rule -> {city order: index of its first grid point}; a rule
     # key starts with gamma, so a ranking never equals a set of exponents
@@ -318,8 +295,12 @@ def _whole_rankings(matrix: DistanceMatrix, stats: CityStats, first: dict,
     Every matrix is scored in `first` order before any construction."""
     merged = {}  # rule key -> (its RankedScores, {city order: grid index})
     for rule, runs in first.items():
-        ranked = RankedScores(matrix, stats, rule)
-        key = rule if rule[0] == 0.0 else tuple(map(tuple, ranked.rows))
+        if rule[0] == 0.0:
+            key, ranked = rule, RankedScores(ranking=rule[1])
+        else:
+            # the -inf own city, a row's only minimum, sorts last
+            rows = _ranked(-_score_rows(matrix, stats, *rule))[:, :-1].tolist()
+            key, ranked = tuple(map(tuple, rows)), RankedScores(rows)
         into = merged.setdefault(key, (ranked, {}))[1]
         for order, i in runs.items():
             into[order] = min(i, into.get(order, i))
@@ -340,9 +321,9 @@ def _candidate_lists(matrix: DistanceMatrix, stats: CityStats, first: dict,
                                         lambda item: item[0][0]):
         if gamma == 0.0:
             for rule, orders in run:
-                yield RankedScores(matrix, stats, rule), orders
+                yield RankedScores(ranking=rule[1]), orders
             continue
         for rows, scores, orders in _ranked_run(matrix, stats, list(run),
                                                 sets[gamma > 0]):
-            yield RankedScores.listed(rows, scores), orders
+            yield RankedScores(rows, scores), orders
         del rows, scores  # they go before the next run's blocks are made

@@ -4,9 +4,10 @@ the eq. 2 neighbour scores, and the candidate lists ranked from them.
 A score matrix is divided by one function, `_divide_powers`, whether it is
 filled whole (`_score_rows`), one row block at a time (`_ranked_run`) or
 one row at a time (`_RecomputedRows`), so a score's bits do not depend on
-how its row was computed. `_ranked_run` certifies each list against the
-best score outside its neighbour set, so a list is exact whichever set
-`construction` chose.
+how its row was computed. It is also the one place that writes eq. 2's
+rule that a city is never its own neighbour: -inf at each row's own city.
+`_ranked_run` certifies each list against the best score outside its
+neighbour set, so a list is exact whichever set `construction` chose.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .errors import ConfigError, _FloatErrors
 from .instance import CityStats, DistanceMatrix, _block_rows, _ranked
 
 _EQ2_RANGE = ("exponents overflow or underflow a float: "
-              "mu^{} * sigma^{} / d^{}")  # of (delta, epsilon, gamma)
+              "mu^{:g} * sigma^{:g} / d^{:g}")  # of (delta, epsilon, gamma)
 
 
 def _numerator_vector(stats: CityStats, exp_mu: float, exp_sigma: float,
@@ -29,13 +30,13 @@ def _numerator_vector(stats: CityStats, exp_mu: float, exp_sigma: float,
     ConfigError."""
     out = np.ones(len(stats.mu))
     with _FloatErrors(ConfigError, "exponents overflow or underflow a float: "
-                      "mu^{} * sigma^{}", exp_mu, exp_sigma,
+                      "mu^{:g} * sigma^{:g}", exp_mu, exp_sigma,
                       over="raise", under="raise"):
         for base, exp in ((stats.mu, exp_mu), (stats.sigma, exp_sigma)):
             if exp != 0.0:
                 if exp < 0 and np.any(base == 0.0):
                     raise ConfigError(
-                        f"negative exponent {exp} with a zero statistic "
+                        f"negative exponent {exp:g} with a zero statistic "
                         f"would divide by zero")
                 out = out * base ** exp
     return out
@@ -54,8 +55,7 @@ def _score_rows(matrix: DistanceMatrix, stats: CityStats, gamma: float,
     num = _numerator_vector(stats, delta, epsilon)
     with _eq2_range(delta, epsilon, gamma):
         out = np.power(matrix.heuristic, gamma)
-        _divide_powers(num, out, _nan_is_inf(gamma, num), out)
-    np.fill_diagonal(out, -np.inf)
+        _divide_powers(num, out, _nan_is_inf(gamma, num), out, 0)
     return out
 
 
@@ -76,15 +76,17 @@ def _nan_is_inf(gamma: float, num: np.ndarray) -> bool:
 
 
 def _divide_powers(num: np.ndarray, powers: np.ndarray, nan_is_inf: bool,
-                   out: np.ndarray) -> None:
-    """num / powers into `out`, where `powers` are rows of d^gamma, with
-    each 0/0 set to +inf if `nan_is_inf`: the eq. 2 scores of those rows
-    but at each row's own city, which the caller sets to -inf. A whole
-    matrix, each row block and each row that a step recomputes is divided
-    here, so a score's bits do not depend on how its row was computed."""
+                   out: np.ndarray, first: int) -> None:
+    """The eq. 2 scores into `out` of the rows of d^gamma `powers`, whose
+    first row is city `first`: num / powers, with each 0/0 set to +inf if
+    `nan_is_inf`, and -inf at each row's own city, so a city is never its
+    own neighbour. A whole matrix, each row block and each row that a step
+    recomputes is divided here, so a score's bits do not depend on how its
+    row was computed."""
     np.divide(num, powers, out=out)
     if nan_is_inf:
         out[np.isnan(out)] = np.inf
+    out.flat[first::out.shape[-1] + 1] = -np.inf  # cell (i, first + i)
 
 
 class _RecomputedRows:
@@ -103,8 +105,7 @@ class _RecomputedRows:
     def __getitem__(self, city: int) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             row = np.power(self.heuristic[city], self.gamma)
-            _divide_powers(self.num, row, self.nan_is_inf, row)
-        row[city] = -np.inf
+            _divide_powers(self.num, row, self.nan_is_inf, row, city)
         return row
 
 
@@ -149,8 +150,7 @@ def _ranked_run(matrix: DistanceMatrix, stats: CityStats, run: list,
             np.power(heuristic[lo:hi], gamma, out=power)
         for k, ((_, delta, epsilon), _) in enumerate(run):
             with _eq2_range(delta, epsilon, gamma):
-                _divide_powers(nums[k], power, nan_is_inf[k], block)
-            block.flat[lo::n + 1] = -np.inf  # cell (i, lo + i) of row i
+                _divide_powers(nums[k], power, nan_is_inf[k], block, lo)
             inside = block.take(cells)
             block.put(cells, -np.inf)
             outside = block.max(axis=1)
@@ -167,6 +167,5 @@ def _ranked_run(matrix: DistanceMatrix, stats: CityStats, run: list,
                                           nan_is_inf[k]), orders
             continue
         with _eq2_range(delta, epsilon, gamma):
-            _divide_powers(nums[k], powers, nan_is_inf[k], scores)
-        np.fill_diagonal(scores, -np.inf)
+            _divide_powers(nums[k], powers, nan_is_inf[k], scores, 0)
         yield ranked, scores, orders

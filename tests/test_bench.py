@@ -30,6 +30,11 @@ class TestPercentError:
         with pytest.raises(tc.ConfigError):
             tc.percent_error(5, 0)
 
+    @pytest.mark.parametrize("reference", [float("nan"), float("inf")])
+    def test_rejects_non_finite_reference(self, reference):
+        with pytest.raises(tc.ConfigError, match="finite positive"):
+            tc.percent_error(1.0, reference)
+
 
 class TestRunBenchmark:
     def test_triangle_all_methods_zero_error(self):

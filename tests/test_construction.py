@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -402,6 +403,33 @@ class TestGridSearch:
         with pytest.raises(tc.ConfigError, match="finite"):
             tc.default_grid([0, bad])
 
+    @pytest.mark.parametrize("n", [12, 20])
+    def test_real_exponents_are_stored_as_floats(self, n):
+        # a Fraction, a numpy scalar or a bool is a real number: a combo
+        # stores it as its float, so it constructs and renders as that float
+        # does, on whole rankings (n = 12) and on candidate lists (n = 20)
+        inst = tc.generate_random_euclidean(n, 3, 1000)
+        m = tc.build_distance_matrix(inst)
+        floats = [(0.5, 1, 0.5, 1, 0.5), (1, 0.5, 1, 0.5, 0),
+                  (1, 0.5, 0, 1, 0.5)]
+        want = [tc.ExponentCombo(*combo) for combo in floats]
+
+        def cells(grid):
+            config = tc.RunConfig(instances=[inst], grid=grid, bound_iters=1)
+            report = tc.render_report(tc.run_benchmark(config))
+            return [row.rsplit(",", 1)[0] for row in report.splitlines()]
+
+        for half, one in ((Fraction(1, 2), True),
+                          (np.float32(0.5), np.int64(1))):
+            grid = [tc.ExponentCombo(*({0.5: half, 1: one}.get(v, v)
+                                       for v in combo)) for combo in floats]
+            for got, combo in zip(grid, want):
+                assert all(type(v) is float for v in got.as_tuple()), got
+                assert got == combo
+                a, b = (tc.construct_tour(m, c).tour for c in (got, combo))
+                assert (a.order, a.length) == (b.order, b.length), combo
+            assert cells(grid) == cells(want), half
+
     @pytest.mark.parametrize("call,message", [
         (lambda m: tc.construct_tour(m, (0.5, 1, 1, 0.5, 0)), "ExponentCombo"),
         (lambda m: tc.grid_search(m, [(0, 0, 1, 0, 0)]), "ExponentCombo"),
@@ -475,8 +503,8 @@ def all_coincident_matrix(n=5):
                                                 coords=[(3, 3)] * n))
 
 
-def zero_row_matrix():
-    w = tie_heavy_matrix(6, 9).d.copy()
+def zero_row_matrix(n=6):
+    w = tie_heavy_matrix(n, 9).d.copy()
     w[2, :] = w[:, 2] = 0.0  # city 2: mu = sigma = 0
     return tc.build_distance_matrix(tc.Instance("zrow", "EXPLICIT",
                                                 explicit_weights=w))
@@ -688,14 +716,14 @@ def assert_rows_are_certified(scores, sets, rows):
 
 
 def ranked_rule(m, stats, rule, sets):
-    """The RankedScores the grid makes of a rule several city orders read:
-    for gamma != 0, the candidate lists `_ranked_run` ranks from `sets` and
-    its rows of scores."""
+    """The RankedScores the grid makes of a rule past CANDIDATES + 1
+    cities: for gamma = 0 its ranking, and for gamma != 0 the candidate
+    lists `_ranked_run` ranks from `sets` and its rows of scores."""
     if rule[0] == 0.0:
-        return construction.RankedScores(m, stats, rule)
+        return construction.RankedScores(ranking=rule[1])
     (rows, scores, _), = construction._ranked_run(m, stats, [(rule, None)],
                                                   sets)
-    return construction.RankedScores.listed(rows, scores)
+    return construction.RankedScores(rows, scores)
 
 
 def random_sets(matrix, nearest, seed=0):
@@ -798,20 +826,26 @@ class TestCandidateLists:
 
 def test_ranking_leaves_scores_bit_identical():
     # a ranked rule's steps read rows with the bits of the whole matrix, in
-    # one row block and in several
-    m = tie_heavy_matrix(40, 3)
-    stats = tc.city_stats(m)
-    for gamma in (1, -0.5):
-        before = construction._score_rows(m, stats, gamma, 1, 0)
-        for nearest, budget in itertools.product(
-                (True, False), (tc.instance.BLOCK_BYTES, 8 * 40 * 7)):
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(tc.instance, "BLOCK_BYTES", budget)
-                scores = ranked_rule(
-                    m, stats, (gamma, 1, 0),
-                    construction._neighbour_sets(m, nearest)).scores
-                rows = np.array([scores[i] for i in range(m.n)])
-            assert rows.tobytes() == before.tobytes(), (gamma, nearest)
+    # one held row block and recomputed from blocks of 7 rows, and -inf sits
+    # at each row's own city alone, also where a zero numerator over a zero
+    # distance, 0/0, meets it (all-coincident and zero-row)
+    for m in (tie_heavy_matrix(40, 3), all_coincident_matrix(40),
+              zero_row_matrix(40)):
+        stats = tc.city_stats(m)
+        own = np.eye(m.n, dtype=bool)
+        for gamma in (1, -0.5):
+            before = construction._score_rows(m, stats, gamma, 1, 0)
+            assert (np.isneginf(before) == own).all(), gamma
+            for nearest, budget in itertools.product(
+                    (True, False), (tc.instance.BLOCK_BYTES, 8 * m.n * 7)):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(tc.instance, "BLOCK_BYTES", budget)
+                    scores = ranked_rule(
+                        m, stats, (gamma, 1, 0),
+                        construction._neighbour_sets(m, nearest)).scores
+                    rows = np.array([scores[i] for i in range(m.n)])
+                assert (np.isneginf(rows) == own).all(), (gamma, budget)
+                assert rows.tobytes() == before.tobytes(), (gamma, nearest)
 
 
 @pytest.mark.parametrize("n", range(3, construction.CANDIDATES + 2))
@@ -822,7 +856,9 @@ def test_small_instances_list_every_other_city(n):
         stats = tc.city_stats(m)
         for gamma in (1, -1):
             scores = construction._score_rows(m, stats, gamma, 1, 1)
-            rows = construction.RankedScores(m, stats, (gamma, 1, 1)).rows
+            (ranked, _), = construction._whole_rankings(
+                m, stats, {(gamma, 1, 1): {}})
+            rows = ranked.rows
             for i, row in enumerate(scores.tolist()):
                 assert rows[i] == [j for _, j in sorted(
                     (-s, j) for j, s in enumerate(row) if j != i)], (n, i)
@@ -963,7 +999,7 @@ def test_gamma_zero_walk_skips_the_closed_prefix():
     stats = tc.city_stats(m)
     combo = tc.ExponentCombo(1, 0, 0, 1, 0)
     order = construction._city_order(stats, 1, 0)
-    ranked = construction.RankedScores(m, stats, (0.0, CountingList(order)))
+    ranked = construction.RankedScores(ranking=CountingList(order))
     got = construction._construct(order, ranked)
     assert tuple(got) == tc.construct_tour(m, combo).tour.order
     assert ranked.ranking.reads <= 10 * n, ranked.ranking.reads
