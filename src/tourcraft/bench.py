@@ -4,9 +4,10 @@ known optima or computed lower bounds, render CSV/markdown reports."""
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .baselines import clarke_wright, greedy_edge, nearest_neighbor
 from .bounds import ASCENT_ITERS, exact_optimum, held_karp_bound
@@ -23,10 +24,15 @@ CSV_HEADER = ("instance,n,method,alpha,beta,gamma,delta,epsilon,"
 
 def percent_error(length: float, reference: float) -> float:
     """100 * (length - reference) / reference; a ConfigError unless
-    `reference` is a finite positive number."""
-    if not (math.isfinite(reference) and reference > 0):
+    `length` is a finite real number and `reference` a finite positive
+    one."""
+    if not (isinstance(length, numbers.Real) and math.isfinite(length)):
         raise ConfigError(
-            f"reference must be a finite positive number, got {reference}")
+            f"length must be a finite real number, got {length!r}")
+    if not (isinstance(reference, numbers.Real) and math.isfinite(reference)
+            and reference > 0):
+        raise ConfigError(
+            f"reference must be a finite positive number, got {reference!r}")
     return 100.0 * (length - reference) / reference
 
 
@@ -49,7 +55,7 @@ class RunConfig:
 
     instances: List[Instance] = field(default_factory=list)
     methods: Tuple[str, ...] = ("proposed",)
-    grid: Optional[List[ExponentCombo]] = None
+    grid: Optional[Iterable[ExponentCombo]] = None
     optima: Optional[OptimaTable] = None
     bound_iters: int = ASCENT_ITERS
 
@@ -67,7 +73,6 @@ class RunConfig:
         if self.bound_iters < 1:
             raise ConfigError(
                 f"bound_iters must be >= 1, got {self.bound_iters}")
-        _grid_points(self.grid)
 
 
 def _solve(method: str, matrix: DistanceMatrix,
@@ -91,8 +96,10 @@ def _reference(instance: Instance, matrix: DistanceMatrix,
 
 
 def run_benchmark(config: RunConfig) -> List[BenchRecord]:
-    """One record per (instance, method), sorted by (instance, method)."""
+    """One record per (instance, method), sorted by (instance, method).
+    The grid is read once, so it may be any iterable, a generator too."""
     config.validate()
+    grid = _grid_points(config.grid)
     optima = config.optima if config.optima is not None else default_optima()
     records: List[BenchRecord] = []
     for instance in config.instances:
@@ -101,7 +108,7 @@ def run_benchmark(config: RunConfig) -> List[BenchRecord]:
                                          config.bound_iters)
         for method in config.methods:
             t0 = time.perf_counter()
-            length, combo = _solve(method, matrix, config.grid)
+            length, combo = _solve(method, matrix, grid)
             millis = (time.perf_counter() - t0) * 1000.0
             records.append(BenchRecord(
                 instance_name=instance.name, n=instance.n, method=method,

@@ -16,18 +16,19 @@ cells (written by `scores._divide_powers`) keep a city from being its own
 neighbour, is ranked once per grid into a `RankedScores` record, however
 many constructions read it. Every such matrix draws its lists from one
 neighbour set per row, built once per grid: the M = CANDIDATES nearest
-other cities by the heuristic geometry, or the farthest for gamma < 0. Row
-i lists the cities of its set that score strictly above every city outside
+other cities by the heuristic geometry, whatever the sign of gamma. Row i
+lists the cities of its set that score strictly above every city outside
 it, by (-score, index), so every city left out scores strictly below every
-listed one, whichever set was chosen, and the first admissible listed
+listed one, whatever the set holds, and the first admissible listed
 neighbour is the first maximum of the masked row; when every listed one is
-closed, the step scans the whole row. With n - 1 <= CANDIDATES a set would
-hold every other city, so every matrix is ranked whole instead and no step
-scans a row. With gamma = 0 every row is the numerator, ranked as the eq. 1
-order of (delta, epsilon), so such a neighbour rule is keyed by that
-ranking, (0.0, ranking); any other is keyed by its exponents, (gamma,
-delta, epsilon), or, where it is ranked whole, by its rows.
-`construct_tour` is the grid of one point.
+closed, the step scans the whole row, as almost every step of a gamma < 0
+rule does. With n - 1 <= CANDIDATES a set would hold every other city, so
+every matrix is ranked whole instead and no step scans a row. With
+gamma = 0 every row is the numerator, ranked as the eq. 1 order of
+(delta, epsilon), so such a neighbour rule is keyed by that ranking,
+(0.0, ranking); any other is keyed by its exponents, (gamma, delta,
+epsilon), or, where it is ranked whole, by its rows. `construct_tour` is
+the grid of one point.
 
 With n - 1 > CANDIDATES no score matrix is held: the consecutive gamma != 0
 rules of one gamma are scored together one row block of
@@ -140,19 +141,18 @@ class RankedScores:
     ranking: Optional[Sequence[int]] = None
 
 
-def _neighbour_sets(matrix: DistanceMatrix, nearest: bool) -> np.ndarray:
+def _neighbour_sets(matrix: DistanceMatrix) -> np.ndarray:
     """Each row's M = CANDIDATES (or n - 1 if smaller) nearest other cities
-    by `matrix.heuristic`, or farthest if not `nearest`, as an n x M array
-    whose rows are ascending indices. A tie at the M-th distance goes either
-    way: `_ranked_run` lists exactly for any set. Rows are partitioned one
-    row block at a time, so no n x n array is held."""
+    by `matrix.heuristic`, the sets of every gamma != 0 rule, as an n x M
+    array whose rows are ascending indices. A tie at the M-th distance goes
+    either way: `_ranked_run` lists exactly for any set. Rows are
+    partitioned one row block at a time, so no n x n array is held."""
     n = matrix.n
     m = min(CANDIDATES, n - 1)
     sets = np.empty((n, m), dtype=np.intp)
     step = _block_rows(n)
     for lo in range(0, n, step):
-        # a copy, the farthest first when negated, and the city itself last
-        block = matrix.heuristic[lo:lo + step] * (1.0 if nearest else -1.0)
+        block = matrix.heuristic[lo:lo + step].copy()  # the city itself last
         block.flat[lo::n + 1] = np.inf  # cell (i, lo + i) of row i
         sets[lo:lo + len(block)] = np.argpartition(block, m - 1, axis=1)[:, :m]
     sets.sort(axis=1)
@@ -314,9 +314,8 @@ def _candidate_lists(matrix: DistanceMatrix, stats: CityStats, first: dict,
     candidates from its neighbour set: each run of consecutive such rules
     of one gamma is ranked by `_ranked_run`, one row block at a time, and
     holds no score matrix beyond its blocks."""
-    # the neighbour sets, nearest for gamma > 0 and farthest for gamma < 0
-    sets = {near: _neighbour_sets(matrix, near)
-            for near in {rule[0] > 0 for rule in first if rule[0] != 0.0}}
+    sets = (_neighbour_sets(matrix) if any(rule[0] != 0.0 for rule in first)
+            else None)
     for gamma, run in itertools.groupby(first.items(),
                                         lambda item: item[0][0]):
         if gamma == 0.0:
@@ -324,6 +323,6 @@ def _candidate_lists(matrix: DistanceMatrix, stats: CityStats, first: dict,
                 yield RankedScores(ranking=rule[1]), orders
             continue
         for rows, scores, orders in _ranked_run(matrix, stats, list(run),
-                                                sets[gamma > 0]):
+                                                sets):
             yield RankedScores(rows, scores), orders
         del rows, scores  # they go before the next run's blocks are made

@@ -7,7 +7,7 @@ one row at a time (`_RecomputedRows`), so a score's bits do not depend on
 how its row was computed. It is also the one place that writes eq. 2's
 rule that a city is never its own neighbour: -inf at each row's own city.
 `_ranked_run` certifies each list against the best score outside its
-neighbour set, so a list is exact whichever set `construction` chose.
+neighbour set, so a list is exact for any set `construction` builds.
 """
 
 from __future__ import annotations

@@ -30,10 +30,22 @@ class TestPercentError:
         with pytest.raises(tc.ConfigError):
             tc.percent_error(5, 0)
 
-    @pytest.mark.parametrize("reference", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("reference", [float("nan"), float("inf"), "x",
+                                           None, 5 + 0j],
+                             ids=["nan", "inf", "str", "None", "complex"])
     def test_rejects_non_finite_reference(self, reference):
+        # a reference that is not a real number raised an untyped TypeError
         with pytest.raises(tc.ConfigError, match="finite positive"):
             tc.percent_error(1.0, reference)
+
+    @pytest.mark.parametrize("length", [float("nan"), float("inf"),
+                                        -float("inf"), "x", None, 5 + 0j],
+                             ids=["nan", "inf", "-inf", "str", "None",
+                                  "complex"])
+    def test_rejects_non_finite_length(self, length):
+        # a NaN or infinite length came back as a NaN or infinite error
+        with pytest.raises(tc.ConfigError, match="finite real"):
+            tc.percent_error(length, 2.0)
 
 
 class TestRunBenchmark:
@@ -114,6 +126,19 @@ class TestRunBenchmark:
                               methods=("nn",), bound_iters=iters)
         with pytest.raises(tc.ConfigError, match="bound_iters"):
             tc.run_benchmark(config)
+
+    def test_one_shot_grid(self):
+        # the grid is read once: a generator was consumed by the up-front
+        # check, and the run then found it empty
+        instances = [tc.generate_random_euclidean(20, s, 1e6) for s in (1, 2)]
+        grid = tc.default_grid((0, 1))
+        records = [tc.run_benchmark(tc.RunConfig(
+            instances=instances, methods=("proposed", "nn"), grid=g))
+            for g in (grid, (c for c in grid))]
+        for r in records:
+            for record in r:
+                record.wall_millis = 0.0
+        assert records[0] == records[1]
 
     def test_bad_grid_rejected_before_the_reference(self, monkeypatch):
         # the grid is checked up front: a tuple grid point was rejected only

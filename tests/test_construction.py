@@ -726,14 +726,24 @@ def ranked_rule(m, stats, rule, sets):
     return construction.RankedScores(rows, scores)
 
 
-def random_sets(matrix, nearest, seed=0):
+def random_sets(matrix, seed=0):
     """M = CANDIDATES (or n - 1) other cities per row, drawn at random and
-    ascending, whatever `nearest` asks for."""
+    ascending."""
     rng = np.random.default_rng(seed)
     n = matrix.n
     m = min(construction.CANDIDATES, n - 1)
     return np.array([sorted(rng.choice(np.delete(np.arange(n), i), m,
                                        replace=False)) for i in range(n)])
+
+
+def farthest_sets(matrix):
+    """Each row's M = CANDIDATES (or n - 1) farthest other cities by the
+    heuristic distance, ascending: for gamma > 0 the cities that score
+    lowest, so almost every step scans its row."""
+    m = min(construction.CANDIDATES, matrix.n - 1)
+    d = -matrix.heuristic
+    np.fill_diagonal(d, np.inf)  # the city itself last
+    return np.sort(np.argpartition(d, m - 1, axis=1)[:, :m], axis=1)
 
 
 class TestCandidateLists:
@@ -762,9 +772,8 @@ class TestCandidateLists:
             stats = tc.city_stats(m)
             for gamma, delta in ((1, 0), (-1, 0), (0.5, 1)):
                 scores = construction._score_rows(m, stats, gamma, delta, 0)
-                for sets in (construction._neighbour_sets(m, gamma > 0),
-                             construction._neighbour_sets(m, gamma < 0),
-                             random_sets(m, gamma > 0)):
+                for sets in (construction._neighbour_sets(m),
+                             farthest_sets(m), random_sets(m)):
                     rows = ranked_rule(m, stats, (gamma, delta, 0),
                                        sets).rows
                     assert_rows_are_certified(scores, sets, rows)
@@ -792,7 +801,7 @@ class TestCandidateLists:
                 g, d, e = combo.gamma, combo.delta, combo.epsilon
                 rule = ((0.0, construction._city_order(stats, d, e))
                         if g == 0 else (g, d, e))
-                sets = construction._neighbour_sets(m, g > 0)
+                sets = construction._neighbour_sets(m)
                 got = construction._construct(
                     construction._city_order(stats, combo.alpha, combo.beta),
                     ranked_rule(m, stats, rule, sets))
@@ -802,11 +811,10 @@ class TestCandidateLists:
     @pytest.mark.parametrize("sets", ["farthest", "random"])
     def test_poor_sets_against_oracle(self, sets, monkeypatch):
         # the lists are exact for any neighbour set: with the farthest cities
-        # for gamma > 0 (nearest for gamma < 0) almost every step scans its
-        # row, and random sets list whatever they happen to certify
-        build = construction._neighbour_sets
-        poor = {"farthest": lambda m, nearest: build(m, not nearest),
-                "random": random_sets}[sets]
+        # almost every gamma > 0 step scans its row (as a gamma < 0 step does
+        # with the grid's own nearest sets), and random sets list whatever
+        # they happen to certify
+        poor = {"farthest": farthest_sets, "random": random_sets}[sets]
         monkeypatch.setattr(construction, "_neighbour_sets", poor)
         for m in self.matrices(construction.CANDIDATES):
             assert_grid_matches_brute_grid(m, CANDIDATE_GRID)
@@ -817,7 +825,7 @@ class TestCandidateLists:
                     continue
                 ranked = ranked_rule(
                     m, stats, (combo.gamma, combo.delta, combo.epsilon),
-                    construction._neighbour_sets(m, combo.gamma > 0))
+                    construction._neighbour_sets(m))
                 got = construction._construct(
                     construction._city_order(stats, combo.alpha, combo.beta),
                     ranked)
@@ -836,16 +844,16 @@ def test_ranking_leaves_scores_bit_identical():
         for gamma in (1, -0.5):
             before = construction._score_rows(m, stats, gamma, 1, 0)
             assert (np.isneginf(before) == own).all(), gamma
-            for nearest, budget in itertools.product(
-                    (True, False), (tc.instance.BLOCK_BYTES, 8 * m.n * 7)):
+            for sets, budget in itertools.product(
+                    (construction._neighbour_sets(m), farthest_sets(m)),
+                    (tc.instance.BLOCK_BYTES, 8 * m.n * 7)):
                 with pytest.MonkeyPatch.context() as patch:
                     patch.setattr(tc.instance, "BLOCK_BYTES", budget)
-                    scores = ranked_rule(
-                        m, stats, (gamma, 1, 0),
-                        construction._neighbour_sets(m, nearest)).scores
+                    scores = ranked_rule(m, stats, (gamma, 1, 0),
+                                         sets).scores
                     rows = np.array([scores[i] for i in range(m.n)])
                 assert (np.isneginf(rows) == own).all(), (gamma, budget)
-                assert rows.tobytes() == before.tobytes(), (gamma, nearest)
+                assert rows.tobytes() == before.tobytes(), (gamma, budget)
 
 
 @pytest.mark.parametrize("n", range(3, construction.CANDIDATES + 2))
@@ -911,7 +919,8 @@ def test_whole_rankings_against_oracle(n):
 def test_whole_rankings_switch_at_candidates(monkeypatch):
     # with n <= CANDIDATES + 1 a neighbour set would hold every other city,
     # so the grid builds no set and no candidate list; one city more, it
-    # does, also when it is the grid of one point
+    # does, also when it is the grid of one point, and a grid of both signs
+    # of gamma builds one set table
     calls = []
     for name in ("_neighbour_sets", "_ranked_run"):
         def counted(*args, build=getattr(construction, name), name=name):
@@ -930,6 +939,9 @@ def test_whole_rankings_switch_at_candidates(monkeypatch):
     m = random_matrix(k + 2, 1)
     tc.grid_search(m)
     assert set(calls) == {"_neighbour_sets", "_ranked_run"}
+    calls.clear()
+    tc.grid_search(m, CANDIDATE_GRID)
+    assert calls.count("_neighbour_sets") == 1
     for combo in ONE_POINTS:
         calls.clear()
         tc.construct_tour(m, combo)
@@ -958,29 +970,28 @@ def test_grid_prices_fractional_weights_exactly(grid):
 
 @pytest.mark.parametrize("k", sorted({1, 2, 8, construction.CANDIDATES}))
 def test_rows_list_k_neighbours(k, monkeypatch):
-    # a set holds the k nearest other cities (the farthest for gamma < 0) in
-    # ascending order; with delta = 0 a score falls as the distance grows
-    # (rises for gamma < 0), and on a random instance no distance ties, so
-    # every row lists its whole set, and with a numerator a certified prefix
+    # a set holds the k nearest other cities in ascending order; with
+    # delta = 0 a score falls as the distance grows (rises for gamma < 0),
+    # and on a random instance no distance ties, so every row lists its
+    # whole set (nothing for gamma < 0: every city outside the set scores
+    # above every city in it), and with a numerator a certified prefix
     monkeypatch.setattr(construction, "CANDIDATES", k)
     m = random_matrix(50, 9)
     stats = tc.city_stats(m)
     d = m.heuristic
-    for nearest in (True, False):
-        sets = construction._neighbour_sets(m, nearest)
-        assert sets.shape == (50, k)
-        for i, row in enumerate(sets.tolist()):
-            assert row == sorted(row) and i not in row
-            others = np.delete(d[i], row + [i])
-            assert (d[i, row].max() <= others.min() if nearest
-                    else d[i, row].min() >= others.max()), (nearest, i)
+    sets = construction._neighbour_sets(m)
+    assert sets.shape == (50, k)
+    for i, row in enumerate(sets.tolist()):
+        assert row == sorted(row) and i not in row
+        others = np.delete(d[i], row + [i])
+        assert d[i, row].max() <= others.min(), i
     for gamma, delta in ((1, 0), (0.5, 0), (-1, 0), (1, 1), (0.5, 1), (-1, 1)):
         scores = construction._score_rows(m, stats, gamma, delta, 0)
-        sets = construction._neighbour_sets(m, gamma > 0)
         rows = ranked_rule(m, stats, (gamma, delta, 0), sets).rows
         assert_rows_are_certified(scores, sets, rows)
         if delta == 0:
-            assert [sorted(row) for row in rows] == sets.tolist(), gamma
+            want = sets.tolist() if gamma > 0 else [[]] * m.n
+            assert [sorted(row) for row in rows] == want, gamma
 
 
 def test_gamma_zero_walk_skips_the_closed_prefix():
@@ -1132,7 +1143,7 @@ def test_row_blocks_list_and_score_as_the_whole_matrix(k, block_rows):
         for ranked, runs in construction._candidate_lists(m, stats, first):
             rule = rules[len(seen)]
             whole = construction._score_rows(m, stats, *rule)
-            sets = construction._neighbour_sets(m, rule[0] > 0)
+            sets = construction._neighbour_sets(m)
             assert_rows_are_certified(whole, sets, ranked.rows)
             for city in range(m.n):
                 assert ranked.scores[city].tobytes() == \
