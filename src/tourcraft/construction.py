@@ -36,8 +36,8 @@ rules of one gamma are scored together one row block of
 only its compact candidate lists until its constructions run. When one
 block holds every row, each rule's rows are divided again into that block
 for its constructions; past one block, a step whose listed neighbours are
-all closed recomputes its one row. So beyond the two distance tables no
-grid holds a score matrix larger than one row block.
+all closed recomputes its one row. So beyond the distance table it scores
+on, no grid holds a score matrix larger than one row block.
 
 Conventions (fixed for determinism):
 

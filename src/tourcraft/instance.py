@@ -12,21 +12,22 @@ with published best-known tour lengths:
 * ``EXPLICIT`` -- a full symmetric weight table supplied with the instance.
 
 Distances are stored as floats in one matrix type even when the rule yields
-integers. That rounded matrix is the objective: every tour length, and so
-every comparison between tours, is measured on it. The construction's
-scores (the per-city statistics and the eq. 2 distance term) read a second
-array of the same matrix, its heuristic geometry: the exact, unrounded
-Euclidean distances for the coordinate kinds, and the weights themselves
-for ``EXPLICIT`` instances or a matrix built from an array. Per-city means
-use the n-1 distances to the other cities and the standard deviation is the
-population form over those n-1 values.
+integers. That rounded matrix, ``d``, is the objective: every tour length,
+and so every comparison between tours, is measured on it. The
+construction's scores (the per-city statistics and the eq. 2 distance
+term) read a second array of the same matrix, its heuristic geometry: the
+exact, unrounded Euclidean distances for the coordinate kinds, and the
+weights themselves for ``EXPLICIT`` instances or a matrix built from an
+array; an EUC_2D or CEIL_2D ``d`` is rounded from it on first read. Per-city
+means use the n-1 distances to the other cities and the standard deviation
+is the population form over those n-1 values.
 
 ``_table`` is the one intake of an n x n table (``EXPLICIT`` weights, ``d``
 and ``heuristic``): square, non-empty, finite, >= 0, symmetric, zero on the
 diagonal, and stored read-only as floats like the coordinates (`_floats`).
-Work that would make another n x n array (`city_stats`, and the
-construction's neighbour sets and scores) goes one row block at a time
-instead, `_block_rows(n)` rows of BLOCK_BYTES.
+Work that would make another n x n array (the build's squared distances,
+`city_stats`, and the construction's neighbour sets and scores) goes one
+row block at a time instead, `_block_rows(n)` rows of BLOCK_BYTES.
 """
 
 from __future__ import annotations
@@ -43,12 +44,11 @@ from .errors import (ConfigError, DegenerateInstanceError, SizeLimitError,
 SUPPORTED_KINDS = ("EUC_2D", "ATT", "CEIL_2D", "EXPLICIT")
 
 # Largest n whose distance matrix is built. One n x n float64 array takes
-# 8 n^2 bytes (800 MB at the limit). Building the matrix holds two of them
-# at its peak (three for ATT) and the result keeps both. Nothing after the
-# build holds a third: `city_stats` peaks at the two tables plus one row
-# block of BLOCK_BYTES, and every grid, `construct_tour`'s one point
-# included, at the two tables plus two (d^gamma and one rule's scores) and
-# its O(n M) candidate lists.
+# 8 n^2 bytes (800 MB at the limit). The build holds one (two for ATT) and
+# a row block of BLOCK_BYTES; an EUC_2D or CEIL_2D d is a second, made on
+# first read. Beyond the tables it reads, `city_stats` holds one row block
+# and every grid, `construct_tour`'s one point included, two (d^gamma and
+# one rule's scores) and its O(n M) candidate lists.
 MATRIX_MAX_N = 10_000
 
 # Bytes of float64 rows in one row block: the one budget that sizes every
@@ -151,7 +151,8 @@ class DistanceMatrix:
 
     ``d``, an n x n table, is the objective that tour lengths are measured
     on. ``heuristic`` (default: ``d`` itself, the same array) is the geometry
-    the construction scores on, of d's shape. Each is a `_table`."""
+    the construction scores on, of d's shape. Each is a `_table`. An EUC_2D
+    or CEIL_2D build makes its ``d`` from ``heuristic`` on first read."""
 
     d: np.ndarray
     heuristic: Optional[np.ndarray] = None
@@ -166,6 +167,16 @@ class DistanceMatrix:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "heuristic", h)
         object.__setattr__(self, "n", len(d))
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        # reached only for an attribute not set: an unrounded d
+        rounding = vars(self).get("_rounding")
+        if name != "d" or rounding is None:
+            raise AttributeError(name)
+        d = rounding(self.heuristic)
+        _read_only(d)
+        object.__setattr__(self, "d", d)
+        return d
 
 
 @dataclass(frozen=True)
@@ -185,11 +196,20 @@ class Tour:
     length: float
 
 
+def _nint(exact: np.ndarray) -> np.ndarray:
+    d = exact + 0.5
+    return np.floor(d, out=d)
+
+
+# The rounding of each kind that rounds the exact distance alone.
+_ROUNDING = {"EUC_2D": _nint, "CEIL_2D": np.ceil}
+
+
 def build_distance_matrix(instance: Instance) -> DistanceMatrix:
     """Full n x n matrix; EXPLICIT shares the instance's weight table, the
-    coordinate kinds apply the TSPLIB rounding rules pairwise (vectorized)
-    and keep the exact Euclidean distances as the heuristic geometry. ATT
-    needs no other: its unrounded distance is the Euclidean one scaled by
+    coordinate kinds keep the exact Euclidean distances as the heuristic
+    geometry, and d applies the TSPLIB rounding rules. ATT needs no other
+    heuristic: its unrounded distance is the Euclidean one scaled by
     1/sqrt(10), and a common scale changes no ranking."""
     n = instance.n
     if n > MATRIX_MAX_N:
@@ -198,33 +218,37 @@ def build_distance_matrix(instance: Instance) -> DistanceMatrix:
     if instance.kind == "EXPLICIT":
         return DistanceMatrix(instance.explicit_weights)
 
-    # Each step writes into an array it no longer needs, so the build holds
-    # two n x n arrays at its peak (three for ATT), with the same operations
-    # as the plain expressions.
+    # A row block at a time, each cell by the plain outer expressions'
+    # operations: d's rows (exact's, but for ATT) hold the squared distances
     x, y = instance.coords.T
+    exact = np.empty((n, n))
+    d = np.empty((n, n)) if instance.kind == "ATT" else exact
+    step = _block_rows(n)
+    block = np.empty((min(step, n), n))
     with np.errstate(over="ignore"):  # an inf fails DistanceMatrix's check
-        sq = np.subtract.outer(x, x)
-        sq *= sq
-        exact = np.subtract.outer(y, y)
-        exact *= exact
-        sq += exact
-    np.sqrt(sq, out=exact)
-    if instance.kind == "ATT":
-        # r = sqrt(sq / 10), t = nint(r), d = t if t >= r else t + 1
-        sq /= 10.0
-        r = np.sqrt(sq, out=sq)
-        d = r + 0.5
-        np.floor(d, out=d)
-        d += np.less(d, r, out=r)  # adds 1.0 where t < r and 0.0 elsewhere
-    else:
-        d = sq
-        if instance.kind == "EUC_2D":
-            np.add(exact, 0.5, out=d)
-            np.floor(d, out=d)
-        else:  # CEIL_2D
-            np.ceil(exact, out=d)
-    _read_only(d, exact)  # both fresh, so DistanceMatrix copies neither
-    return DistanceMatrix(d, heuristic=exact)
+        for lo in range(0, n, step):
+            sq, dy = d[lo:lo + step], block[:min(step, n - lo)]
+            np.subtract.outer(x[lo:lo + step], x, out=sq)
+            sq *= sq
+            np.subtract.outer(y[lo:lo + step], y, out=dy)
+            dy *= dy
+            sq += dy
+            np.sqrt(sq, out=exact[lo:lo + step])
+            if d is not exact:
+                # r = sqrt(sq / 10) in dy, t = nint(r), t if t >= r else t + 1
+                sq /= 10.0
+                np.sqrt(sq, out=dy)
+                np.add(dy, 0.5, out=sq)
+                np.floor(sq, out=sq)
+                sq += np.less(sq, dy, out=dy)  # 1.0 where t < r, 0.0 elsewhere
+    del block, dy  # before the checks
+    _read_only(d, exact)  # fresh, so DistanceMatrix copies neither
+    if d is not exact:
+        return DistanceMatrix(d, heuristic=exact)
+    matrix = DistanceMatrix(exact)  # one table to check; d is rounded later
+    object.__delattr__(matrix, "d")
+    object.__setattr__(matrix, "_rounding", _ROUNDING[instance.kind])
+    return matrix
 
 
 def city_stats(matrix: DistanceMatrix) -> CityStats:
@@ -278,13 +302,17 @@ def _loop_lengths(orders, matrix: DistanceMatrix) -> np.ndarray:
     """The lengths of the closed loops through the rows of `orders`, an
     r x n index array, unchecked: the one summation every tour length
     comes from. A row sums the same operands in the same order as a loop
-    alone, so equal orders give equal floats. A length that overflows a
-    float is a ValidationError."""
+    alone, so equal orders give equal floats, and until an unrounded d is
+    first read, its cells are rounded as it would round them. A length
+    that overflows a float is a ValidationError."""
     idx = np.asarray(orders, dtype=int)
     following = np.concatenate((idx[:, 1:], idx[:, :1]), axis=1)
+    d = vars(matrix).get("d")
     with _FloatErrors(ValidationError, "distances too large: a tour length "
                       "overflows the float range", over="raise"):
-        return matrix.d[idx, following].sum(axis=1)
+        cells = (matrix._rounding(matrix.heuristic[idx, following])
+                 if d is None else d[idx, following])
+        return cells.sum(axis=1)
 
 
 def make_tour(order: Sequence[int], matrix: DistanceMatrix) -> Tour:

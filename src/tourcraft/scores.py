@@ -156,8 +156,9 @@ def _ranked_run(matrix: DistanceMatrix, stats: CityStats, run: list,
             outside = block.max(axis=1)
             counts[k][lo:hi] = (inside > outside[:, None]).sum(axis=1)
             # each row of sets ascends, so a stable ranking breaks ties by
-            # index
-            lists[k][lo:hi] = sets[lo:hi][rows, _ranked(-inside)]
+            # index; a block whose rows list nothing needs none
+            if counts[k][lo:hi].any():
+                lists[k][lo:hi] = sets[lo:hi][rows, _ranked(-inside)]
     for k, ((_, delta, epsilon), orders) in enumerate(run):
         ranked = [row[:count] for row, count
                   in zip(lists[k].tolist(), counts[k].tolist())]

@@ -994,6 +994,31 @@ def test_rows_list_k_neighbours(k, monkeypatch):
             assert [sorted(row) for row in rows] == want, gamma
 
 
+@pytest.mark.parametrize("n,rows", [(18, 18), (40, 7)])
+def test_blocks_that_list_nothing_are_not_ranked(n, rows, block_rows,
+                                                 monkeypatch):
+    # with delta = epsilon = 0 a gamma < 0 score rises with the distance, so
+    # no city of a nearest set scores above every city outside it: no row
+    # lists a city, and no block of such a rule is ranked, in one block or
+    # in several; gamma = 1 ranks each block. The tours are the oracle's
+    ranked = []
+
+    def spy(key, rank=tc.scores._ranked):
+        ranked.append(len(key))
+        return rank(key)
+
+    monkeypatch.setattr(tc.scores, "_ranked", spy)
+    block_rows(n, rows)
+    for m in (random_matrix(n, 5), tie_heavy_matrix(n, 6)):
+        order_of = oracle(m, tc.city_stats(m))
+        for gamma, blocks in ((-1, 0), (-0.5, 0), (1, -(-n // rows))):
+            ranked.clear()
+            combo = tc.ExponentCombo(1, 0, gamma, 0, 0)
+            assert tc.grid_search(m, [combo]).tour.order == \
+                tuple(order_of(combo)), (m.n, gamma)
+            assert len(ranked) == blocks, (m.n, gamma)
+
+
 def test_gamma_zero_walk_skips_the_closed_prefix():
     # with gamma = 0 every row is one ranking, and each pass keeps a head at
     # its first city below degree 2, so a construction reads O(n) entries of
@@ -1035,6 +1060,24 @@ def test_default_grid_holds_no_score_matrix():
     for grid in (None, *([combo] for combo in ONE_POINTS)):
         peak = traced_peak(lambda: tc.grid_search(m, grid))
         assert peak <= 4 * n * n + memory_slack(n), grid
+
+
+def test_grid_never_rounds_the_objective():
+    # a fresh EUC_2D matrix holds only its exact table, and a grid prices
+    # its loops, its winner included, on the rounded cells they sum: build
+    # and grid together hold that table and under half a matrix more
+    n = 800
+    inst = tc.generate_random_euclidean(n, 4, 1000.0)
+    tc.grid_search(tc.build_distance_matrix(inst), tc.default_grid([1]))
+    built = []
+
+    def build_and_search():
+        built.append(tc.build_distance_matrix(inst))
+        tc.grid_search(built[0])
+
+    peak = traced_peak(build_and_search)
+    assert "d" not in vars(built[0])
+    assert peak <= 8 * n * n + 4 * n * n + memory_slack(n)
 
 
 @pytest.fixture
