@@ -188,7 +188,10 @@ def one_tree_value(matrix: DistanceMatrix,
                    pi: Sequence[float]) -> float:
     """1-tree lower bound for node potentials pi."""
     _require_n(matrix)
-    pi = np.asarray(pi, dtype=float)
+    try:
+        pi = np.asarray(pi, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError("potentials must be finite numbers") from None
     if pi.shape != (matrix.n,):
         raise ConfigError(f"potentials must have length {matrix.n}")
     if not np.isfinite(pi).all():
@@ -220,7 +223,11 @@ def held_karp_bound(matrix: DistanceMatrix, max_iters: int = ASCENT_ITERS,
     if upper_bound_hint is None:
         upper_bound_hint = nearest_neighbor(matrix).length
     # a numpy scalar, so that an overflow in the step raises
-    ub = np.float64(float(upper_bound_hint))
+    try:
+        ub = np.float64(float(upper_bound_hint))
+    except (TypeError, ValueError):
+        raise ConfigError(f"upper_bound_hint must be a finite number, got "
+                          f"{upper_bound_hint!r}") from None
     if not np.isfinite(ub):
         raise ConfigError(f"upper_bound_hint must be finite, got {ub}")
 

@@ -5,10 +5,11 @@ statistics; cities are processed in descending priority, and each one is
 connected to the neighbor maximizing (mu^delta * sigma^epsilon) / d^gamma
 among those that the partial tour, `instance.PathEndTracker`, admits. Step 1
 gives every city at least one edge, step 2 raises every degree to exactly 2,
-closing a single loop. The whole construction is repeated over a grid of
-exponent combinations and the shortest tour wins. The grid prices the closed
-loops of each neighbour rule together, with the summation `tour_length`
-uses, and only the winner's loop becomes a validated Tour.
+closing a single loop; `_construct` runs both steps in one loop that writes
+each join inline on the tracker's lists. The whole construction is repeated
+over a grid of exponent combinations and the shortest tour wins. The grid
+prices the closed loops of each neighbour rule together, with the summation
+`tour_length` uses, and only the winner's loop becomes a validated Tour.
 
 Each step reads a short candidate list instead of the whole row of
 neighbour scores, with the same result. A score matrix, whose -inf own
@@ -159,49 +160,63 @@ def _neighbour_sets(matrix: DistanceMatrix) -> np.ndarray:
     return sets
 
 
-def _connect_pass(step: int, order: Sequence[int], ranked: RankedScores,
-                  tracker: PathEndTracker) -> None:
-    """Join each city of `order` still below `step` connections to its best
-    admissible neighbour, the first maximum of its row of scores: the first
-    admissible one of its candidate list, or, when every candidate is
-    closed, of the masked whole row, which a list of every other city never
-    reaches. With gamma = 0 a step walks the one ranking from `head`, the
-    first city not yet at degree 2 (cities never reopen)."""
-    degree, other_end, is_open = tracker.degree, tracker.other_end, tracker.open
-    scores, rows, ranking = ranked.scores, ranked.rows, ranked.ranking
-    head = 0
-    for city in order:
-        if degree[city] >= step:
-            continue
-        end = other_end[city]  # the one city it may not join besides itself
-        if rows is None:
-            while degree[ranking[head]] == 2:
-                head += 1
-            k = head
-            best = ranking[k]
-            while best == city or best == end or degree[best] == 2:
-                k += 1
-                best = ranking[k]
-        else:
-            for best in rows[city]:
-                if degree[best] < 2 and best != end:
-                    break
-            else:
-                row = np.where(is_open, scores[city], -np.inf)
-                row[end] = -np.inf
-                best = int(row.argmax())  # first max: lowest index
-        tracker.connect(city, best)
-
-
 def _construct(order: Sequence[int], ranked: RankedScores) -> List[int]:
-    """The closed loop of both main passes over the cities of `order` on a
-    fresh tracker, walked from city 0."""
+    """The closed loop of both passes over the cities of `order` on a fresh
+    tracker, walked from city 0. Pass `step` joins each city still below
+    `step` connections to its best admissible neighbour, the first maximum
+    of its row of scores: the first admissible one of its candidate list,
+    or, when every candidate is closed, of the masked whole row, which a
+    list of every other city never reaches. With gamma = 0 a step walks the
+    one ranking from `head`, the first city not yet at degree 2 (cities
+    never reopen). A join runs `PathEndTracker.connect`'s statements in
+    place, which saves a call per step."""
     n = len(order)
     tracker = PathEndTracker(n)
-    _connect_pass(1, order, ranked, tracker)
-    assert min(tracker.degree) >= 1, "step 1 left an isolated city"
-    _connect_pass(2, order, ranked, tracker)
-    assert tracker.edge_count == n and tracker.degree == [2] * n, \
+    other_end, degree, adjacent = (tracker.other_end, tracker.degree,
+                                   tracker.adjacent)
+    is_open, open_bytes = tracker.open, tracker.open_bytes
+    scores, rows, ranking = ranked.scores, ranked.rows, ranked.ranking
+    head = edges = 0
+    for step in (1, 2):
+        for city in order:
+            if degree[city] >= step:
+                continue
+            end = other_end[city]  # the one city it may not join but itself
+            if rows is None:
+                while degree[ranking[head]] == 2:
+                    head += 1
+                k = head
+                best = ranking[k]
+                while best == city or best == end or degree[best] == 2:
+                    k += 1
+                    best = ranking[k]
+            else:
+                for best in rows[city]:
+                    if degree[best] < 2 and best != end:
+                        break
+                else:
+                    row = np.where(is_open, scores[city], -np.inf)
+                    row[end] = -np.inf
+                    best = int(row.argmax())  # first max: lowest index
+            end_b = other_end[best]
+            other_end[end] = end_b
+            other_end[end_b] = end
+            deg = degree[city]
+            adjacent[2 * city + deg] = best
+            degree[city] = deg + 1
+            if deg:
+                open_bytes[city] = 0
+            deg = degree[best]
+            adjacent[2 * best + deg] = city
+            degree[best] = deg + 1
+            if deg:
+                open_bytes[best] = 0
+            edges += 1
+            if edges == n - 1:  # all on one path: ends may join
+                other_end[end], other_end[end_b] = end, end_b
+        assert step == 2 or min(degree) >= 1, "step 1 left an isolated city"
+    tracker.edge_count = edges
+    assert edges == n and degree == [2] * n, \
         "step 2 did not close a 2-regular cycle"
     return tracker.cycle()
 

@@ -28,10 +28,17 @@ diagonal, and stored read-only as floats like the coordinates (`_floats`).
 Work that would make another n x n array (the build's squared distances,
 `city_stats`, and the construction's neighbour sets and scores) goes one
 row block at a time instead, `_block_rows(n)` rows of BLOCK_BYTES.
+
+`PathEndTracker` owns the partial tour's layout: its lists, its open mask
+(a numpy view of a bytearray, so that a join closes a city with a byte
+store) and the walk of the closed loop. The baselines join through its
+`connect`; the construction writes the same statements inline, to save a
+call per step.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -144,7 +151,7 @@ class Instance:
         object.__setattr__(self, "n", len(rows))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistanceMatrix:
     """Symmetric pairwise distances with zero diagonal; the only geometry
     consumers see.
@@ -281,15 +288,22 @@ def city_stats(matrix: DistanceMatrix) -> CityStats:
 
 
 def validate_tour(order: Sequence[int], n: int) -> bool:
-    """Whether order is a permutation of 0..n-1."""
-    return sorted(order) == list(range(n))
+    """Whether order is a permutation of 0..n-1; False, not an error, for
+    anything that is not a sequence of comparable numbers."""
+    try:
+        return sorted(order) == list(range(n))
+    except (TypeError, ValueError):  # not iterable, or not comparable
+        return False
 
 
 def tour_length(order: Sequence[int], matrix: DistanceMatrix) -> float:
     """Total cycle length including the closing edge."""
     if not validate_tour(order, matrix.n):
-        # copies of each city in order, less the one copy a tour has
-        surplus = Counter(np.asarray(order).tolist())
+        try:  # copies of each city in order, less the one copy a tour has
+            surplus = Counter(operator.index(c) for c in order)
+        except TypeError:
+            raise ValidationError(f"not a tour of {matrix.n} cities: not a "
+                                  f"sequence of city indices") from None
         surplus.subtract(range(matrix.n))
         missing = sorted(c for c, k in surplus.items() if k < 0)
         unexpected = sorted(c for c, k in surplus.items() if k > 0)
@@ -316,8 +330,8 @@ def _loop_lengths(orders, matrix: DistanceMatrix) -> np.ndarray:
 
 
 def make_tour(order: Sequence[int], matrix: DistanceMatrix) -> Tour:
-    return Tour(order=tuple(int(c) for c in order),
-                length=tour_length(order, matrix))
+    length = tour_length(order, matrix)  # validates before int() converts
+    return Tour(order=tuple(int(c) for c in order), length=length)
 
 
 def _require_n(matrix: DistanceMatrix) -> int:
@@ -346,17 +360,21 @@ class PathEndTracker:
     `adjacent` (city x's neighbours in slots 2x and 2x + 1, in connect order)
     are lists, read one city at a time; `open` is the boolean array of the
     cities with degree < 2, which the construction's full-row fallback
-    masks a score row with and the baselines' merge filters pairs with.
+    masks a score row with and the baselines' merge filters pairs with. It
+    is a view of `open_bytes`, a bytearray that a join closes a city in
+    with a plain byte store.
     """
 
-    __slots__ = ("n", "other_end", "degree", "adjacent", "open", "edge_count")
+    __slots__ = ("n", "other_end", "degree", "adjacent", "open_bytes",
+                 "open", "edge_count")
 
     def __init__(self, n: int):
         self.n = n
         self.other_end = list(range(n))
         self.degree = [0] * n
         self.adjacent = [-1] * (2 * n)
-        self.open = np.ones(n, dtype=bool)
+        self.open_bytes = bytearray(b"\x01") * n
+        self.open = np.frombuffer(self.open_bytes, dtype=bool)
         self.edge_count = 0
 
     def can_connect(self, a: int, b: int) -> bool:
@@ -379,12 +397,12 @@ class PathEndTracker:
         adjacent[2 * a + deg] = b
         degree[a] = deg + 1
         if deg:
-            self.open[a] = False
+            self.open_bytes[a] = 0
         deg = degree[b]
         adjacent[2 * b + deg] = a
         degree[b] = deg + 1
         if deg:
-            self.open[b] = False
+            self.open_bytes[b] = 0
         self.edge_count += 1
         if self.edge_count == self.n - 1:  # all on one path: ends may join
             other_end[end_a], other_end[end_b] = end_a, end_b

@@ -118,10 +118,11 @@ class TestOneTree:
         with pytest.raises(tc.DegenerateInstanceError):
             tc.one_tree_value(m, np.zeros(n))
 
-    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, "a"])
     def test_rejects_non_finite_potentials(self, bad):
-        # such a potential returned a NaN bound
-        pi = np.zeros(10)
+        # such a potential returned a NaN bound, and a string raised an
+        # untyped ValueError
+        pi = [0.0] * 10
         pi[4] = bad
         with pytest.raises(tc.ConfigError, match="finite"):
             tc.one_tree_value(random_matrix(10, 0), pi)
@@ -167,9 +168,10 @@ class TestHeldKarpBound:
         assert tc.held_karp_bound(m, max_iters=np.int64(20)) == \
             tc.held_karp_bound(m, max_iters=20)
 
-    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, "x"])
     def test_rejects_non_finite_hint(self, bad):
-        # inf gave NaN potentials, NaN silently returned the first 1-tree
+        # inf gave NaN potentials, NaN silently returned the first 1-tree,
+        # and a string raised an untyped ValueError
         with pytest.raises(tc.ConfigError, match="finite"):
             tc.held_karp_bound(random_matrix(10, 0), upper_bound_hint=bad)
 

@@ -886,6 +886,32 @@ def test_one_point_grids_against_oracle():
             assert tc.grid_search(m, [combo]).tour.order == want
 
 
+def test_grid_joins_inline_and_merges_through_connect(monkeypatch):
+    # a construction writes each join on the tracker's own lists and open
+    # bytes, so no grid calls connect: at n = 12 on whole rankings, and at
+    # n = 40 on candidate lists, where a gamma = -0.5 step finds its listed
+    # cities closed and scans its row through the open view, still giving
+    # the oracle's tour; the baselines' merge joins through connect
+    calls = []
+
+    def counted(self, a, b, connect=tc.PathEndTracker.connect):
+        calls.append((a, b))
+        connect(self, a, b)
+
+    monkeypatch.setattr(tc.PathEndTracker, "connect", counted)
+    scan = tc.ExponentCombo(1, 0, -0.5, 1, 0)
+    for n in (12, 40):
+        m = random_matrix(n, n)
+        assert tc.grid_search(m, [scan]).tour.order == \
+            tuple(oracle(m, tc.city_stats(m))(scan))
+        tc.grid_search(m)
+        assert calls == [], n
+        for baseline in (tc.greedy_edge, tc.clarke_wright):
+            baseline(m)
+            assert len(calls) == n, (n, baseline)
+            calls.clear()
+
+
 def small_matrices(n):
     """Random, tie-heavy, coincident, zero-row and fractional matrices of n
     cities."""

@@ -58,6 +58,15 @@ class TestDistanceMatrix:
         assert m.d[1][2] == 1  # sqrt(2) rounds down to 1
         assert m.heuristic[1][2] == math.sqrt(2)  # scores stay exact
 
+    def test_equality_is_identity(self):
+        # an array field made == raise an untyped ValueError and hash a
+        # TypeError: a matrix equals only itself, as an Instance does
+        inst = tc.Instance("t", "EUC_2D", coords=((0, 0), (0, 1), (1, 0)))
+        m = tc.build_distance_matrix(inst)
+        twin = tc.build_distance_matrix(inst)
+        assert m == m and m != twin
+        assert len({m, m, twin}) == 2
+
     def test_berlin52_first_pair(self):
         # round(sqrt(540^2 + 390^2)) = round(666.11) = 666
         inst = tc.Instance("b", "EUC_2D",
@@ -414,6 +423,18 @@ class TestTourLength:
         m = random_matrix(4, 0)
         with pytest.raises(tc.ValidationError):
             tc.tour_length([0, 1, 1, 3], m)
+
+    @pytest.mark.parametrize("order", [["x", 1, 2, 3], None, [[0, 1], [2, 3]],
+                                       [[0, 1], [2]]],
+                             ids=["str", "none", "nested", "ragged"])
+    def test_rejects_non_numeric_orders(self, order):
+        # these raised an untyped TypeError, make_tour's int() one for
+        # nested lists before it validated
+        m = random_matrix(4, 0)
+        assert not tc.validate_tour(order, 4)
+        for build in (tc.tour_length, tc.make_tour):
+            with pytest.raises(tc.ValidationError, match="not a tour of 4"):
+                build(order, m)
 
 
 class TestLoopLengths:
