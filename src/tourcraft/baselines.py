@@ -11,20 +11,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, _integer
-from .instance import (DistanceMatrix, PathEndTracker, Tour, _ranked,
-                       _require_n, city_stats, make_tour)
+from .instance import (DistanceMatrix, PathEndTracker, Tour, _city,
+                       _ranked, _require_n, city_stats, make_tour)
 
 MERGE_CHUNK = 512  # ranked pairs filtered at a time
-
-
-def _city(value: int, n: int, what: str) -> int:
-    """`value` as a city index for n cities; a ConfigError unless it is an
-    integer (a numpy one too, but not a bool) in range(n)."""
-    value = _integer(value, what)
-    if not 0 <= value < n:
-        raise ConfigError(f"{what} {value} out of range for n={n}")
-    return value
 
 
 def nearest_neighbor(matrix: DistanceMatrix, start: int = 0) -> Tour:
@@ -32,14 +22,11 @@ def nearest_neighbor(matrix: DistanceMatrix, start: int = 0) -> Tour:
     n = _require_n(matrix)
     start = _city(start, n, "start city")
     visited = np.zeros(n, dtype=bool)
-    visited[start] = True
     order = [start]
-    cur = start
     for _ in range(n - 1):
-        row = np.where(visited, np.inf, matrix.d[cur])
-        cur = int(np.argmin(row))  # first min = lowest index on ties
-        visited[cur] = True
-        order.append(cur)
+        visited[order[-1]] = True
+        row = np.where(visited, np.inf, matrix.d[order[-1]])
+        order.append(int(np.argmin(row)))  # first min: lowest index on ties
     return make_tour(order, matrix)
 
 

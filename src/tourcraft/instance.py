@@ -34,6 +34,10 @@ row block at a time instead, `_block_rows(n)` rows of BLOCK_BYTES.
 store) and the walk of the closed loop. The baselines join through its
 `connect`; the construction writes the same statements inline, to save a
 call per step.
+
+A city index is an int or a numpy integer, never a bool or an integral
+float (`errors._integer`). `_city` checks a start, a hub or `cycle`'s
+start; `_tour_order`, the one tour check, every element of an order.
 """
 
 from __future__ import annotations
@@ -92,7 +96,7 @@ def _table(a, what: str) -> np.ndarray:
     """`_floats(a)`, a ValidationError unless it is a square, finite, >= 0,
     symmetric table with zero diagonal, a DegenerateInstanceError if empty.
     No n x n temporary: two reductions, which NaN fails, check the values,
-    and the triangles are compared 256 rows at a time."""
+    and the triangles are compared one row block at a time."""
     a = _floats(a, what)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"{what} shape {a.shape} is not square")
@@ -102,8 +106,9 @@ def _table(a, what: str) -> np.ndarray:
         raise ValidationError(f"{what} must be finite and >= 0")
     if a.diagonal().any():
         raise ValidationError(f"{what} has a nonzero diagonal")
-    for lo in range(0, len(a), 256):
-        if not np.array_equal(a[lo:lo + 256, lo:], a[lo:, lo:lo + 256].T):
+    step = _block_rows(len(a))
+    for lo in range(0, len(a), step):
+        if not np.array_equal(a[lo:lo + step, lo:], a[lo:, lo:lo + step].T):
             raise ValidationError(f"{what} is not symmetric")
     return a
 
@@ -161,7 +166,7 @@ class DistanceMatrix:
     the construction scores on, of d's shape. Each is a `_table`. An EUC_2D
     or CEIL_2D build makes its ``d`` from ``heuristic`` on first read."""
 
-    d: np.ndarray
+    d: np.ndarray = field(repr=False)  # a repr would round an unrounded d
     heuristic: Optional[np.ndarray] = None
     n: int = field(init=False)
 
@@ -287,29 +292,45 @@ def city_stats(matrix: DistanceMatrix) -> CityStats:
     return CityStats(mu=mu, sigma=sigma)
 
 
-def validate_tour(order: Sequence[int], n: int) -> bool:
-    """Whether order is a permutation of 0..n-1; False, not an error, for
-    anything that is not a sequence of comparable numbers."""
+def _city(value, n: int, what: str) -> int:
+    """`value` as a city index: an integer (`errors._integer`) in range(n)."""
+    if not 0 <= (city := _integer(value, what)) < n:
+        raise ConfigError(f"{what} {value} out of range for n={n}")
+    return city
+
+
+def _tour_order(order, n: int) -> Tuple[int, ...]:
+    """`order` as a tuple of ints; a ValidationError unless each element is
+    an integer by `errors._integer` (checked on one element of each type)
+    and it holds each of 0..n-1 once. When every element is an integer,
+    the error names the missing and unexpected cities."""
     try:
-        return sorted(order) == list(range(n))
-    except (TypeError, ValueError):  # not iterable, or not comparable
+        cities = tuple(order)
+        for c in dict(zip(map(type, cities), cities)).values():
+            _integer(c, "a city index")
+    except (TypeError, ConfigError) as exc:
+        raise ValidationError(f"not a tour of {n} cities: {exc}") from None
+    cities = tuple(map(operator.index, cities))
+    if len(cities) != n or not set(cities).issuperset(range(n)):
+        held, tour = Counter(cities), Counter(range(n))
+        raise ValidationError(f"not a tour of {n} cities: missing "
+                              f"{sorted(tour - held)}, unexpected "
+                              f"{sorted(held - tour)}")
+    return cities
+
+
+def validate_tour(order: Sequence[int], n: int) -> bool:
+    """Whether `_tour_order` takes `order` as a tour of n cities."""
+    try:
+        _tour_order(order, n)
+    except ValidationError:
         return False
+    return True
 
 
 def tour_length(order: Sequence[int], matrix: DistanceMatrix) -> float:
     """Total cycle length including the closing edge."""
-    if not validate_tour(order, matrix.n):
-        try:  # copies of each city in order, less the one copy a tour has
-            surplus = Counter(operator.index(c) for c in order)
-        except TypeError:
-            raise ValidationError(f"not a tour of {matrix.n} cities: not a "
-                                  f"sequence of city indices") from None
-        surplus.subtract(range(matrix.n))
-        missing = sorted(c for c, k in surplus.items() if k < 0)
-        unexpected = sorted(c for c, k in surplus.items() if k > 0)
-        raise ValidationError(f"not a tour of {matrix.n} cities: missing "
-                              f"{missing}, unexpected {unexpected}")
-    return float(_loop_lengths([order], matrix)[0])
+    return make_tour(order, matrix).length
 
 
 def _loop_lengths(orders, matrix: DistanceMatrix) -> np.ndarray:
@@ -330,8 +351,8 @@ def _loop_lengths(orders, matrix: DistanceMatrix) -> np.ndarray:
 
 
 def make_tour(order: Sequence[int], matrix: DistanceMatrix) -> Tour:
-    length = tour_length(order, matrix)  # validates before int() converts
-    return Tour(order=tuple(int(c) for c in order), length=length)
+    order = _tour_order(order, matrix.n)
+    return Tour(order=order, length=float(_loop_lengths([order], matrix)[0]))
 
 
 def _require_n(matrix: DistanceMatrix) -> int:
@@ -358,11 +379,9 @@ class PathEndTracker:
     one path holds every city (E == n - 1), for both of that path's ends,
     which the final edge joins into the loop. `degree`, `other_end` and
     `adjacent` (city x's neighbours in slots 2x and 2x + 1, in connect order)
-    are lists, read one city at a time; `open` is the boolean array of the
-    cities with degree < 2, which the construction's full-row fallback
-    masks a score row with and the baselines' merge filters pairs with. It
-    is a view of `open_bytes`, a bytearray that a join closes a city in
-    with a plain byte store.
+    are lists, read one city at a time; `open`, the boolean array of the
+    cities below degree 2 that the construction's masked row and the
+    baselines' merge read, is a view of the `open_bytes` a join writes.
     """
 
     __slots__ = ("n", "other_end", "degree", "adjacent", "open_bytes",
@@ -407,10 +426,11 @@ class PathEndTracker:
         if self.edge_count == self.n - 1:  # all on one path: ends may join
             other_end[end_a], other_end[end_b] = end_a, end_b
 
-    def cycle(self, start: int = 0) -> List[int]:
-        """The closed loop's cities from `start`, first along its first
-        edge. A walk back to `start` before it has visited all n cities
-        (the edges close more than one loop) fails an assert."""
+    def cycle(self, start: Optional[int] = None) -> List[int]:
+        """The closed loop's cities from `start` (a `_city`, or 0 if None),
+        first along its first edge; an assert fails if the walk returns to
+        `start` before all n cities (the edges close more than one loop)."""
+        start = 0 if start is None else _city(start, self.n, "start city")
         assert self.edge_count == self.n, "the tour is not closed"
         adjacent = self.adjacent
         order = [start]

@@ -183,6 +183,19 @@ class TestTracker:
                         assert t.can_connect(a, b) == admitted, \
                             (n, t.edge_count, a, b)
 
+    @pytest.mark.parametrize("start", [-1, 3, True, 1.0])
+    def test_cycle_start_is_a_city_index(self, start):
+        # on a closed 3-city tracker cycle(-1) walked from city -1,
+        # cycle(True) returned [True, 0, 2], and cycle(99) raised an
+        # untyped IndexError
+        t = tc.PathEndTracker(3)
+        for a, b in ((0, 1), (1, 2), (2, 0)):
+            t.connect(a, b)
+        assert t.cycle() == t.cycle(0) == [0, 1, 2]
+        assert t.cycle(np.int64(1)) == [1, 0, 2]
+        with pytest.raises(tc.ConfigError, match="start city"):
+            t.cycle(start)
+
     def test_cycle_refuses_two_loops(self):
         # connect trusts its caller to pass only what can_connect admits;
         # six edges that close two triangles are caught by the walk

@@ -115,15 +115,25 @@ class TestDistanceMatrix:
             with pytest.raises(tc.ValidationError, match=fragment):
                 make()
 
-    @pytest.mark.parametrize("i,j", [(0, 1), (10, 500), (255, 256),
-                                     (300, 550), (512, 599), (598, 599)])
+    @pytest.mark.parametrize("i,j", [(0, 1), (10, 500), (53, 54), (54, 599),
+                                     (255, 256), (300, 550), (512, 599),
+                                     (598, 599)])
     def test_symmetry_is_checked_in_every_block(self, i, j):
-        # the triangles are compared 256 rows at a time
+        # the triangles are compared one row block at a time, 54 rows at
+        # n = 600
+        assert instance._block_rows(600) == 54
         w = np.ones((600, 600)) - np.eye(600)
         tc.DistanceMatrix(w)
         w[i, j] = 2.0
         with pytest.raises(tc.ValidationError, match="not symmetric"):
             tc.DistanceMatrix(w)
+
+    def test_repr_leaves_d_unbuilt(self):
+        # the dataclass repr read d, which rounded a whole n x n table
+        m = tc.build_distance_matrix(tc.generate_random_euclidean(300, 5, 1e6))
+        assert "d" not in vars(m)
+        assert repr(m).startswith("DistanceMatrix(heuristic=array(")
+        assert "d" not in vars(m)
 
     def test_size_guard_before_allocation(self, monkeypatch):
         assert tc.instance.MATRIX_MAX_N >= 1000
@@ -425,8 +435,11 @@ class TestTourLength:
             tc.tour_length([0, 1, 1, 3], m)
 
     @pytest.mark.parametrize("order", [["x", 1, 2, 3], None, [[0, 1], [2, 3]],
-                                       [[0, 1], [2]]],
-                             ids=["str", "none", "nested", "ragged"])
+                                       [[0, 1], [2]], [True, False, 2, 3],
+                                       [0.0, 1.0, 2.0, 3.0],
+                                       np.arange(4, dtype=float)],
+                             ids=["str", "none", "nested", "ragged", "bools",
+                                  "integral-floats", "numpy-floats"])
     def test_rejects_non_numeric_orders(self, order):
         # these raised an untyped TypeError, make_tour's int() one for
         # nested lists before it validated
@@ -530,7 +543,11 @@ class TestValidateTour:
         m = random_matrix(4, 0)
         for order, missing, unexpected in (([0, 1, 1, 3], "[2]", "[1]"),
                                            ([0, 1, 9, 3], "[2]", "[9]"),
-                                           ([0, 1], "[2, 3]", "[]")):
+                                           ([0, 1], "[2, 3]", "[]"),
+                                           (np.array([3, 0, 3, 3]), "[1, 2]",
+                                            "[3]"),
+                                           ([np.int8(-1), 1, 2, 3, 0], "[]",
+                                            "[-1]")):
             assert not tc.validate_tour(order, 4)
             with pytest.raises(tc.ValidationError) as err:
                 tc.tour_length(order, m)
@@ -539,6 +556,53 @@ class TestValidateTour:
 
     def test_empty_vacuous(self):
         assert tc.validate_tour([], 0)
+
+    @pytest.mark.parametrize("order,is_tour", [
+        ([0, 1, 2, 3], True),
+        ((3, 2, 1, 0), True),
+        (range(4), True),
+        (np.array([1, 2, 3, 0]), True),
+        ([np.int32(0), np.int64(1), np.uint8(2), 3], True),
+        ([True, False, 2, 3], False),
+        ([np.bool_(False), np.bool_(True), 2, 3], False),
+        ([0.0, 1.0, 2.0, 3.0], False),
+        ([0.0, 1.0, 2.0, 2.0], False),
+        (np.array([0.0, 1.0, 2.0, 3.0]), False),
+        ([np.float64(0), 1, 2, 3], False),
+        (["0", "1", "2", "3"], False),
+        ("0123", False),
+        (None, False),
+        ([[0, 1], [2, 3]], False),
+        (np.array(3), False),
+        ([0, 1, 1, 3], False),
+        ([0, 1, 9, 3], False),
+        ([-1, 1, 2, 3], False),
+        ([0, 1, 2], False),
+        ([0, 1, 2, 3, 0], False),
+    ], ids=["ints", "tuple", "range", "numpy-ints", "numpy-int-scalars",
+            "bools", "numpy-bools", "integral-floats", "float-duplicate",
+            "numpy-floats", "numpy-float-scalar", "str", "text", "none",
+            "nested", "zero-d-array", "duplicate", "out-of-range", "negative",
+            "short", "long"])
+    def test_one_rule_behind_every_entry_point(self, order, is_tour):
+        # validate_tour took bools and integral floats, tour_length and
+        # make_tour took them too, and plot_tour_svg failed untyped on floats
+        inst = tc.Instance("sq", "EUC_2D",
+                           coords=((0, 0), (10, 0), (10, 10), (0, 10)))
+        m = tc.build_distance_matrix(inst)
+        assert tc.validate_tour(order, 4) is is_tour
+        for enter in (tc.tour_length, tc.make_tour,
+                      lambda o, m: tc.plot_tour_svg(inst, o)):
+            if is_tour:
+                enter(order, m)
+                continue
+            with pytest.raises(tc.ValidationError, match="not a tour of 4"):
+                enter(order, m)
+        if is_tour:
+            tour = tc.make_tour(order, m)
+            assert [type(c) for c in tour.order] == [int] * 4
+            assert tour.order == tuple(int(c) for c in order)
+            assert tour.length == tc.tour_length(order, m) == 40.0
 
 
 class TestRandomGenerator:

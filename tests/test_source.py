@@ -50,6 +50,32 @@ def test_only_bounds_module_names_upper_bound_hint():
     assert owners == ["bounds.py"]
 
 
+def test_only_instance_module_decides_what_a_city_index_is():
+    # one rule for a city index, errors._integer's type test: instance._city
+    # checks one and instance._tour_order a whole order; a module with its
+    # own check or its own operator.index can take a bool or 2.0 as a city
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert {PACKAGE / "instance.py", PACKAGE / "baselines.py",
+            PACKAGE / "svgplot.py"} <= set(modules)
+    defined, imported = set(), set()
+    for path in modules:
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name in (
+                    "_city", "_tour_order"):
+                defined.add((path.name, node.name))
+            if isinstance(node, ast.ImportFrom) and node.module == "instance":
+                imported.update((path.name, alias.name)
+                                for alias in node.names)
+    assert defined == {("instance.py", "_city"),
+                       ("instance.py", "_tour_order")}
+    assert {("baselines.py", "_city"),
+            ("svgplot.py", "_tour_order")} <= imported
+    owners = [p.name for p in modules
+              if re.search(r"\boperator\b", p.read_text())]
+    assert owners == ["instance.py"]
+
+
 def test_imports_are_module_level_and_skip_the_construction():
     # the baselines and the bounds read the partial tour and the tie rule
     # from instance.py, not from the construction above them, and every

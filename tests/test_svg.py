@@ -39,9 +39,13 @@ def test_explicit_with_display_coords():
     assert tc.plot_tour_svg(inst, [0, 1, 2]).count("<circle") == 3
 
 
-@pytest.mark.parametrize("order", [[0, 1, 9, 3], [0, 0, 1, 2], [0, 1]],
-                         ids=["out-of-range", "duplicate", "short"])
+@pytest.mark.parametrize("order", [[0, 1, 9, 3], [0, 0, 1, 2], [0, 1],
+                                   [True, False, 2, 3], [0.0, 1.0, 2.0, 3.0],
+                                   np.arange(4, dtype=float)],
+                         ids=["out-of-range", "duplicate", "short", "bools",
+                              "integral-floats", "numpy-floats"])
 def test_non_tour_rejected(order):
+    # integral floats failed untyped, with a TypeError from a list index
     with pytest.raises(tc.ValidationError, match="not a tour"):
         tc.plot_tour_svg(square_instance(), order)
 
