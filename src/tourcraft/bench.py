@@ -3,8 +3,6 @@ known optima or computed lower bounds, render CSV/markdown reports."""
 
 from __future__ import annotations
 
-import math
-import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -12,7 +10,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from .baselines import clarke_wright, greedy_edge, nearest_neighbor
 from .bounds import ASCENT_ITERS, exact_optimum, held_karp_bound
 from .construction import ExponentCombo, _grid_points, grid_search
-from .errors import ConfigError, _integer
+from .errors import ConfigError, _integer, _real
 from .instance import DistanceMatrix, Instance, build_distance_matrix
 from .tsplib import OptimaTable, default_optima
 
@@ -26,13 +24,9 @@ def percent_error(length: float, reference: float) -> float:
     """100 * (length - reference) / reference; a ConfigError unless
     `length` is a finite real number and `reference` a finite positive
     one."""
-    if not (isinstance(length, numbers.Real) and math.isfinite(length)):
-        raise ConfigError(
-            f"length must be a finite real number, got {length!r}")
-    if not (isinstance(reference, numbers.Real) and math.isfinite(reference)
-            and reference > 0):
-        raise ConfigError(
-            f"reference must be a finite positive number, got {reference!r}")
+    length = _real(length, "length must be a finite real number, got {!r}")
+    reference = _real(reference, "reference must be a finite positive "
+                      "number, got {!r}", positive=True)
     return 100.0 * (length - reference) / reference
 
 
@@ -69,10 +63,10 @@ class RunConfig:
             raise ConfigError("no methods configured")
         if len(set(self.methods)) != len(self.methods):
             raise ConfigError(f"duplicate method in {self.methods}")
-        _integer(self.bound_iters, "bound_iters")
-        if self.bound_iters < 1:
+        _integer(self.bound_iters, "bound_iters", 1)
+        if not (self.optima is None or isinstance(self.optima, OptimaTable)):
             raise ConfigError(
-                f"bound_iters must be >= 1, got {self.bound_iters}")
+                f"optima must be an OptimaTable, got {self.optima!r}")
 
 
 def _solve(method: str, matrix: DistanceMatrix,

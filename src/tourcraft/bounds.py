@@ -37,7 +37,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .baselines import nearest_neighbor
-from .errors import ConfigError, SizeLimitError, _FloatErrors, _integer
+from .errors import (ConfigError, SizeLimitError, _FloatErrors, _integer,
+                     _real)
 from .instance import (DistanceMatrix, Tour, _ranked, _read_only, _require_n,
                        make_tour)
 
@@ -217,19 +218,12 @@ def held_karp_bound(matrix: DistanceMatrix, max_iters: int = ASCENT_ITERS,
     below). `iterations_used` counts the iterations actually run.
     """
     n = _require_n(matrix)
-    max_iters = _integer(max_iters, "max_iters")
-    if max_iters <= 0:
-        raise ConfigError(f"max_iters must be positive, got {max_iters}")
+    max_iters = _integer(max_iters, "max_iters", 1)
     if upper_bound_hint is None:
         upper_bound_hint = nearest_neighbor(matrix).length
     # a numpy scalar, so that an overflow in the step raises
-    try:
-        ub = np.float64(float(upper_bound_hint))
-    except (TypeError, ValueError):
-        raise ConfigError(f"upper_bound_hint must be a finite number, got "
-                          f"{upper_bound_hint!r}") from None
-    if not np.isfinite(ub):
-        raise ConfigError(f"upper_bound_hint must be finite, got {ub}")
+    ub = np.float64(_real(upper_bound_hint, "upper_bound_hint must be a "
+                          "finite number, got {!r}"))
 
     d = matrix.d
     ws = _Workspace(n)

@@ -10,7 +10,8 @@ from typing import List, Optional
 from .bench import METHODS, RunConfig, render_report, run_benchmark
 from .bounds import ASCENT_ITERS, held_karp_bound
 from .construction import ExponentCombo, default_grid, grid_search
-from .errors import ConfigError, ParseError, SizeLimitError, TourcraftError
+from .errors import (ConfigError, ParseError, SizeLimitError, TourcraftError,
+                     _integer)
 from .instance import (Instance, build_distance_matrix,
                        generate_random_euclidean)
 from .svgplot import plot_tour_svg
@@ -85,8 +86,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         if len(parts) != 3:
             raise TourcraftError("--random expects n,count,first-seed")
         n, count, seed0 = parts
-        if count < 1:
-            raise ConfigError(f"--random count must be >= 1, got {count}")
+        _integer(count, "--random count", 1)
         try:
             seeds = list(range(seed0, seed0 + count))
         except (MemoryError, OverflowError):  # a seed list too long to build

@@ -57,13 +57,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, fields
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _real
 from .instance import (CityStats, DistanceMatrix, PathEndTracker, Tour,
                        _block_rows, _loop_lengths, _ranked, _require_n,
                        city_stats, make_tour)
@@ -71,6 +70,7 @@ from .scores import _numerator_vector, _ranked_run, _score_rows
 
 DEFAULT_EXPONENT_VALUES = (0.0, 0.5, 1.0)
 CANDIDATES = 16  # M: cities in each row's neighbour set
+_EXPONENT = "exponents must be finite real numbers, got {!r}"
 
 
 @dataclass(frozen=True, order=True)
@@ -84,21 +84,12 @@ class ExponentCombo:
     epsilon: float
 
     def __post_init__(self) -> None:
-        for f, value in zip(fields(self), _exponents(self.as_tuple())):
-            object.__setattr__(self, f.name, value)  # frozen: set directly
+        for f in fields(self):  # frozen: set directly
+            object.__setattr__(self, f.name,
+                               _real(getattr(self, f.name), _EXPONENT))
 
     def as_tuple(self) -> Tuple[float, float, float, float, float]:
         return (self.alpha, self.beta, self.gamma, self.delta, self.epsilon)
-
-
-def _exponents(values: Sequence) -> List[float]:
-    """`values` as floats; a ConfigError unless each is a finite real
-    number."""
-    if not all(isinstance(v, numbers.Real) and math.isfinite(v)
-               for v in values):
-        raise ConfigError(
-            f"exponents must be finite real numbers, got {tuple(values)}")
-    return [float(v) for v in values]
 
 
 def default_grid(values: Sequence[float] = DEFAULT_EXPONENT_VALUES,
@@ -106,7 +97,7 @@ def default_grid(values: Sequence[float] = DEFAULT_EXPONENT_VALUES,
     """Full Cartesian grid in lexicographic (alpha..epsilon) order."""
     if not values:
         raise ConfigError("exponent value set must be non-empty")
-    vals = sorted(_exponents(values))
+    vals = sorted(_real(v, _EXPONENT) for v in values)
     return [ExponentCombo(*combo) for combo in itertools.product(vals, repeat=5)]
 
 

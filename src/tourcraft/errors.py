@@ -1,5 +1,9 @@
 """Exception types shared across the toolkit, the one guard that turns a
-float out of range into one of them, and the one integer check."""
+float out of range into one of them, and the integer and real checks."""
+
+import math
+import numbers
+from typing import Optional
 
 import numpy as np
 
@@ -50,9 +54,25 @@ class _FloatErrors(np.errstate):
             raise self._error(self._message.format(*self._values)) from None
 
 
-def _integer(value, what: str) -> int:
+def _integer(value, what: str, low: Optional[int] = None) -> int:
     """`value` as an int; a ConfigError unless it is an integer (a numpy one
-    too, but not a bool)."""
+    too, but not a bool) of at least `low`."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ConfigError(f"{what} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ConfigError(f"{what} must be >= {low}, got {value}")
     return int(value)
+
+
+def _real(value, message: str, positive: bool = False) -> float:
+    """`value` as a float; a ConfigError(message.format(value)) unless it is
+    a finite real number (a bool, a Fraction or a numpy scalar too), above
+    0 when `positive`. An int too large for a float is not finite."""
+    if isinstance(value, numbers.Real):
+        try:
+            real = float(value)
+        except OverflowError:
+            real = math.inf
+        if math.isfinite(real) and (real > 0 or not positive):
+            return real
+    raise ConfigError(message.format(value))

@@ -50,7 +50,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import (ConfigError, DegenerateInstanceError, SizeLimitError,
-                     ValidationError, _FloatErrors, _integer)
+                     ValidationError, _FloatErrors, _integer, _real)
 
 SUPPORTED_KINDS = ("EUC_2D", "ATT", "CEIL_2D", "EXPLICIT")
 
@@ -127,6 +127,8 @@ class Instance:
     n: int = field(init=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise ConfigError(f"instance name must be a str, got {self.name!r}")
         if self.kind not in SUPPORTED_KINDS:
             raise ConfigError(f"unsupported distance kind {self.kind!r}; "
                               f"expected one of {SUPPORTED_KINDS}")
@@ -454,15 +456,12 @@ def generate_random_euclidean(n: int, seed: int, box_side: float) -> Instance:
     n = _integer(n, "n")
     if n < 3:
         raise DegenerateInstanceError(f"random instance needs n >= 3, got {n}")
-    if not (np.isfinite(box_side) and box_side > 0):
-        raise ConfigError(
-            f"box_side must be positive and finite, got {box_side}")
-    seed = _integer(seed, "seed")
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
+    box_side = _real(box_side, "box_side must be positive and finite, got "
+                     "{!r}", positive=True)
+    seed = _integer(seed, "seed", 0)
     rng = np.random.Generator(np.random.PCG64(seed))
     try:
-        pts = rng.random((n, 2)) * float(box_side)
+        pts = rng.random((n, 2)) * box_side
     except (MemoryError, ValueError):  # numpy's refusals of a huge array
         raise SizeLimitError(f"random instance of n={n} cities is too large "
                              f"to allocate") from None

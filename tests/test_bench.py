@@ -39,9 +39,10 @@ class TestPercentError:
             tc.percent_error(1.0, reference)
 
     @pytest.mark.parametrize("length", [float("nan"), float("inf"),
-                                        -float("inf"), "x", None, 5 + 0j],
+                                        -float("inf"), "x", None, 5 + 0j,
+                                        10**400],
                              ids=["nan", "inf", "-inf", "str", "None",
-                                  "complex"])
+                                  "complex", "huge-int"])
     def test_rejects_non_finite_length(self, length):
         # a NaN or infinite length came back as a NaN or infinite error
         with pytest.raises(tc.ConfigError, match="finite real"):
@@ -151,6 +152,18 @@ class TestRunBenchmark:
             instances=[tc.generate_random_euclidean(200, 1, 1e6)],
             grid=[(0, 0, 1, 0, 0)])
         with pytest.raises(tc.ConfigError, match="grid points must be"):
+            tc.run_benchmark(config)
+
+    def test_bad_optima_rejected_before_the_matrix(self, monkeypatch):
+        # an optima that is not an OptimaTable failed on its first lookup,
+        # with an untyped AttributeError after the first matrix was built
+        def never(*args, **kwargs):
+            raise AssertionError("a distance matrix was built")
+
+        monkeypatch.setattr("tourcraft.bench.build_distance_matrix", never)
+        config = tc.RunConfig(instances=[triangle_instance()], optima="x")
+        with pytest.raises(tc.ConfigError, match="optima must be an "
+                                                 "OptimaTable, got 'x'"):
             tc.run_benchmark(config)
 
 

@@ -162,16 +162,19 @@ class TestHeldKarpBound:
         for bad in (0, 2.5, True, "3", np.float64(4.0)):
             with pytest.raises(tc.ConfigError, match="max_iters"):
                 tc.held_karp_bound(random_matrix(5, 0), max_iters=bad)
+        with pytest.raises(tc.ConfigError, match="max_iters must be >= 1"):
+            tc.held_karp_bound(random_matrix(5, 0), max_iters=0)
 
     def test_numpy_integer_iters_accepted(self):
         m = random_matrix(8, 1)
         assert tc.held_karp_bound(m, max_iters=np.int64(20)) == \
             tc.held_karp_bound(m, max_iters=20)
 
-    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, "x"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, "x",
+                                     "1000"])
     def test_rejects_non_finite_hint(self, bad):
         # inf gave NaN potentials, NaN silently returned the first 1-tree,
-        # and a string raised an untyped ValueError
+        # a string raised an untyped ValueError, and a numeric string ran
         with pytest.raises(tc.ConfigError, match="finite"):
             tc.held_karp_bound(random_matrix(10, 0), upper_bound_hint=bad)
 

@@ -409,8 +409,10 @@ class TestGridSearch:
                 np.float64(1e308) * 10.0
         assert formatted == ["", ""]
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400],
+                             ids=["nan", "inf", "-inf", "huge-int"])
     def test_non_finite_exponent_rejected(self, bad):
+        # an int too large for a float raised an untyped OverflowError
         with pytest.raises(tc.ConfigError, match="finite"):
             tc.ExponentCombo(0, 0, bad, 0, 0)
         with pytest.raises(tc.ConfigError, match="finite"):

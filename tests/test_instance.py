@@ -49,6 +49,14 @@ class TestDistance:
         with pytest.raises(tc.ConfigError):
             tc.Instance("g", "GEO", coords=((0, 0), (1, 1)))
 
+    @pytest.mark.parametrize("name", [5, None, b"g"],
+                             ids=["int", "None", "bytes"])
+    def test_name_not_a_str(self, name):
+        # an int name was accepted and broke the SVG title with an
+        # untyped AttributeError
+        with pytest.raises(tc.ConfigError, match="instance name must be a str"):
+            tc.Instance(name, "EUC_2D", coords=((0, 0), (1, 1)))
+
 
 class TestDistanceMatrix:
     def test_rounding_example(self):
@@ -636,6 +644,19 @@ class TestRandomGenerator:
         # rand-n10-sTrue), a float n or a str seed was a bare TypeError
         with pytest.raises(tc.ConfigError, match=f"{what} must be an integer"):
             tc.generate_random_euclidean(n, seed, 1.0)
+
+    def test_negative_seed_names_its_bound(self):
+        with pytest.raises(tc.ConfigError, match=r"seed must be >= 0, got -1$"):
+            tc.generate_random_euclidean(10, -1, 1.0)
+
+    @pytest.mark.parametrize("box_side", ["x", None, 0, -1.0, math.nan,
+                                          math.inf, 10**400],
+                             ids=["str", "None", "zero", "negative", "nan",
+                                  "inf", "huge-int"])
+    def test_rejects_bad_box_side(self, box_side):
+        # a str or None raised an untyped TypeError from np.isfinite
+        with pytest.raises(tc.ConfigError, match="box_side must be positive"):
+            tc.generate_random_euclidean(10, 1, box_side)
 
     @pytest.mark.parametrize("n", [10**17, 10**18], ids=["1e17", "1e18"])
     def test_too_large_to_allocate(self, n):

@@ -31,6 +31,26 @@ def test_only_instance_module_calls_setflags():
     assert owners == ["instance.py"]
 
 
+def test_only_errors_module_checks_real_numbers():
+    # a finite real number is errors._real; another module that imports
+    # numbers or calls math.isfinite has its own rule for one
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert PACKAGE / "errors.py" in modules
+    owners = set()
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Import)
+                    and any(a.name == "numbers" for a in node.names)
+                    or isinstance(node, ast.ImportFrom)
+                    and (node.module == "numbers" or node.module == "math"
+                         and any(a.name == "isfinite" for a in node.names))
+                    or isinstance(node, ast.Attribute)
+                    and node.attr == "isfinite"
+                    and ast.unparse(node.value) == "math"):
+                owners.add(path.name)
+    assert sorted(owners) == ["errors.py"]
+
+
 def test_only_instance_module_sorts():
     # every (value, index) ranking is instance._ranked, one stable argsort;
     # another module that sorts can break its ties its own way
