@@ -54,8 +54,15 @@ class RunConfig:
     bound_iters: int = ASCENT_ITERS
 
     def validate(self) -> None:
+        if not isinstance(self.instances, (list, tuple)):
+            raise ConfigError(f"instances must be a list of Instance "
+                              f"objects, got {type(self.instances).__name__}")
         if not self.instances:
             raise ConfigError("no instances configured")
+        for instance in self.instances:
+            if not isinstance(instance, Instance):
+                raise ConfigError(
+                    f"instances must be Instance objects, got {instance!r}")
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}; known: {METHODS}")

@@ -31,14 +31,18 @@ gamma = 0 every row is the numerator, ranked as the eq. 1 order of
 epsilon), or, where it is ranked whole, by its rows. `construct_tour` is
 the grid of one point.
 
-With n - 1 > CANDIDATES no score matrix is held: the consecutive gamma != 0
-rules of one gamma are scored together one row block of
-`instance.BLOCK_BYTES` at a time, d^gamma once per block, and each keeps
-only its compact candidate lists until its constructions run. When one
-block holds every row, each rule's rows are divided again into that block
-for its constructions; past one block, a step whose listed neighbours are
-all closed recomputes its one row. So beyond the distance table it scores
-on, no grid holds a score matrix larger than one row block.
+With n - 1 > CANDIDATES no score matrix is held. A grid reads each row
+block of `instance.BLOCK_BYTES` of the heuristic geometry at most twice:
+one pass takes the city statistics and the neighbour sets together, and
+one scores every gamma != 0 rule, d^gamma once per block for each run of
+consecutive rules of one gamma; each rule keeps only its compact candidate
+lists until its constructions run. When one block holds every row, each
+rule's rows are divided again into that block for its constructions; past
+one block, a step whose listed neighbours are all closed recomputes its one
+row, and the rule keeps its last few blocks' worth of such rows. So no
+grid holds a score matrix larger than one row block, and on a coordinate
+build past one block, no n x n table; where one block holds every row,
+the grid makes the heuristic table, which is that block, once.
 
 Conventions (fixed for determinism):
 
@@ -133,22 +137,26 @@ class RankedScores:
     ranking: Optional[Sequence[int]] = None
 
 
-def _neighbour_sets(matrix: DistanceMatrix) -> np.ndarray:
-    """Each row's M = CANDIDATES (or n - 1 if smaller) nearest other cities
-    by `matrix.heuristic`, the sets of every gamma != 0 rule, as an n x M
-    array whose rows are ascending indices. A tie at the M-th distance goes
-    either way: `_ranked_run` lists exactly for any set. Rows are
-    partitioned one row block at a time, so no n x n array is held."""
+def _neighbour_sets(matrix: DistanceMatrix,
+                    ) -> Tuple[CityStats, np.ndarray]:
+    """The city statistics and each row's M = CANDIDATES (or n - 1 if
+    smaller) nearest other cities by the heuristic geometry, the sets of
+    every gamma != 0 rule, as an n x M array whose rows are ascending
+    indices, both from `city_stats`'s one pass over the row blocks. A tie
+    at the M-th distance goes either way: `_ranked_run` lists exactly for
+    any set."""
     n = matrix.n
     m = min(CANDIDATES, n - 1)
     sets = np.empty((n, m), dtype=np.intp)
-    step = _block_rows(n)
-    for lo in range(0, n, step):
-        block = matrix.heuristic[lo:lo + step].copy()  # the city itself last
-        block.flat[lo::n + 1] = np.inf  # cell (i, lo + i) of row i
+
+    def nearest(lo: int, rows: np.ndarray) -> None:
+        block = rows if rows.flags.writeable else rows.copy()
+        block.flat[lo::n + 1] = np.inf  # the city itself last
         sets[lo:lo + len(block)] = np.argpartition(block, m - 1, axis=1)[:, :m]
+
+    stats = city_stats(matrix, nearest)
     sets.sort(axis=1)
-    return sets
+    return stats, sets
 
 
 def _construct(order: Sequence[int], ranked: RankedScores) -> List[int]:
@@ -259,8 +267,13 @@ def grid_search(matrix: DistanceMatrix,
     `neighbor_evaluations` is n(n - 1) per construction actually run.
     """
     n = _require_n(matrix)
-    stats = city_stats(matrix)
     combos = _grid_points(grid)
+    if _block_rows(n) >= n:
+        matrix.heuristic  # one row block holds it: made once, read by all
+    if n - 1 > CANDIDATES and any(c.gamma != 0.0 for c in combos):
+        stats, sets = _neighbour_sets(matrix)
+    else:
+        stats, sets = city_stats(matrix), None
     order_of = functools.cache(functools.partial(_city_order, stats))
     city_orders = [order_of(c.alpha, c.beta) for c in combos]
     # neighbour rule -> {city order: index of its first grid point}; a rule
@@ -270,8 +283,8 @@ def grid_search(matrix: DistanceMatrix,
         rule = ((0.0, order_of(c.delta, c.epsilon)) if c.gamma == 0.0
                 else (c.gamma, c.delta, c.epsilon))
         first.setdefault(rule, {}).setdefault(city_orders[i], i)
-    rules = (_whole_rankings if n - 1 <= CANDIDATES
-             else _candidate_lists)(matrix, stats, first)
+    rules = (_whole_rankings(matrix, stats, first) if n - 1 <= CANDIDATES
+             else _candidate_lists(matrix, stats, first, sets))
     best, best_loop, constructions = (math.inf, -1), None, 0
     for ranked, runs in rules:
         loops = [_construct(order, ranked) for order in runs]
@@ -314,21 +327,15 @@ def _whole_rankings(matrix: DistanceMatrix, stats: CityStats, first: dict,
 
 
 def _candidate_lists(matrix: DistanceMatrix, stats: CityStats, first: dict,
+                     sets: Optional[np.ndarray],
                      ) -> Iterable[Tuple[RankedScores, dict]]:
     """Each neighbour rule of `first` as (its RankedScores, its runs), in
-    `first` order, for n - 1 > CANDIDATES. A gamma != 0 rule lists
-    candidates from its neighbour set: each run of consecutive such rules
-    of one gamma is ranked by `_ranked_run`, one row block at a time, and
-    holds no score matrix beyond its blocks."""
-    sets = (_neighbour_sets(matrix) if any(rule[0] != 0.0 for rule in first)
-            else None)
-    for gamma, run in itertools.groupby(first.items(),
-                                        lambda item: item[0][0]):
-        if gamma == 0.0:
-            for rule, orders in run:
-                yield RankedScores(ranking=rule[1]), orders
-            continue
-        for rows, scores, orders in _ranked_run(matrix, stats, list(run),
-                                                sets):
-            yield RankedScores(rows, scores), orders
-        del rows, scores  # they go before the next run's blocks are made
+    `first` order, for n - 1 > CANDIDATES. The gamma != 0 rules list
+    candidates from `sets`, the neighbour sets (None if there are none):
+    `_ranked_run` ranks them all in one pass over the row blocks, and holds
+    no score matrix beyond its blocks."""
+    shared = _ranked_run(matrix, stats,
+                         [rule for rule in first if rule[0] != 0.0], sets)
+    for rule, orders in first.items():
+        yield (RankedScores(ranking=rule[1]) if rule[0] == 0.0
+               else RankedScores(*next(shared))), orders

@@ -11,23 +11,27 @@ with published best-known tour lengths:
   ``t = nint(r)``, result ``t`` if ``t >= r`` else ``t + 1``.
 * ``EXPLICIT`` -- a full symmetric weight table supplied with the instance.
 
-Distances are stored as floats in one matrix type even when the rule yields
-integers. That rounded matrix, ``d``, is the objective: every tour length,
-and so every comparison between tours, is measured on it. The
+Distances are floats in one matrix type even when the rule yields
+integers. The rounded distances, ``d``, are the objective: every tour
+length, and so every comparison between tours, is measured on them. The
 construction's scores (the per-city statistics and the eq. 2 distance
-term) read a second array of the same matrix, its heuristic geometry: the
-exact, unrounded Euclidean distances for the coordinate kinds, and the
-weights themselves for ``EXPLICIT`` instances or a matrix built from an
-array; an EUC_2D or CEIL_2D ``d`` is rounded from it on first read. Per-city
-means use the n-1 distances to the other cities and the standard deviation
-is the population form over those n-1 values.
+term) read the matrix's heuristic geometry: the exact, unrounded Euclidean
+distances for the coordinate kinds, and the weights themselves for
+``EXPLICIT`` instances or a matrix built from an array. Per-city means use
+the n-1 distances to the other cities and the standard deviation is the
+population form over those n-1 values.
 
 ``_table`` is the one intake of an n x n table (``EXPLICIT`` weights, ``d``
 and ``heuristic``): square, non-empty, finite, >= 0, symmetric, zero on the
 diagonal, and stored read-only as floats like the coordinates (`_floats`).
-Work that would make another n x n array (the build's squared distances,
-`city_stats`, and the construction's neighbour sets and scores) goes one
-row block at a time instead, `_block_rows(n)` rows of BLOCK_BYTES.
+A coordinate build holds no table: `_distances` computes any row block, row
+or set of cells from the coordinates, cell by cell with the same float
+operations, and makes ``d`` or ``heuristic`` whole, one row block at a
+time, only when a whole-table reader (a baseline, a bound, a grid whose
+one row block holds every row) first reads it.
+Work over every row (`city_stats`, and the construction's neighbour sets
+and scores) goes one row block at a time, `_block_rows(n)` rows of
+BLOCK_BYTES, through `_row_blocks`, which reads the table where one is held.
 
 `PathEndTracker` owns the partial tour's layout: its lists, its open mask
 (a numpy view of a bytearray, so that a join closes a city with a byte
@@ -45,7 +49,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,11 +59,13 @@ from .errors import (ConfigError, DegenerateInstanceError, SizeLimitError,
 SUPPORTED_KINDS = ("EUC_2D", "ATT", "CEIL_2D", "EXPLICIT")
 
 # Largest n whose distance matrix is built. One n x n float64 array takes
-# 8 n^2 bytes (800 MB at the limit). The build holds one (two for ATT) and
-# a row block of BLOCK_BYTES; an EUC_2D or CEIL_2D d is a second, made on
-# first read. Beyond the tables it reads, `city_stats` holds one row block
-# and every grid, `construct_tour`'s one point included, two (d^gamma and
-# one rule's scores) and its O(n M) candidate lists.
+# 8 n^2 bytes (800 MB at the limit). A coordinate build holds none, and
+# makes d or the heuristic geometry (one table each, plus a row block of
+# BLOCK_BYTES while it is filled) only when a whole-table reader reads it;
+# an EXPLICIT matrix holds its weight table. Beyond the tables it holds,
+# `city_stats` holds two row blocks of BLOCK_BYTES (the rows and their
+# deviations) and every grid, `construct_tour`'s one point included, three
+# (the rows, d^gamma and one rule's scores) and its O(n M) candidate lists.
 MATRIX_MAX_N = 10_000
 
 # Bytes of float64 rows in one row block: the one budget that sizes every
@@ -158,24 +164,28 @@ class Instance:
         object.__setattr__(self, "n", len(rows))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class DistanceMatrix:
     """Symmetric pairwise distances with zero diagonal; the only geometry
     consumers see.
 
     ``d``, an n x n table, is the objective that tour lengths are measured
     on. ``heuristic`` (default: ``d`` itself, the same array) is the geometry
-    the construction scores on, of d's shape. Each is a `_table`. An EUC_2D
-    or CEIL_2D build makes its ``d`` from ``heuristic`` on first read."""
+    the construction scores on, of d's shape. Each is a `_table`. A
+    coordinate build holds neither: it keeps the coordinates, and
+    `_distances` computes each table the first time it is read, and until
+    then any row block, row or set of cells a reader asks for."""
 
-    d: np.ndarray = field(repr=False)  # a repr would round an unrounded d
-    heuristic: Optional[np.ndarray] = None
-    n: int = field(init=False)
+    # no default or class attribute, which would hide an unmade table from
+    # __getattr__, and no repr, which would make one
+    d: np.ndarray = field(repr=False)
+    heuristic: np.ndarray = field(repr=False)
+    n: int
 
-    def __post_init__(self) -> None:
-        d = h = _table(self.d, "distance table")
-        if self.heuristic is not None:
-            h = _table(self.heuristic, "heuristic")
+    def __init__(self, d, heuristic=None) -> None:
+        d = h = _table(d, "distance table")
+        if heuristic is not None:
+            h = _table(heuristic, "heuristic")
             if h.shape != d.shape:
                 raise ValidationError(f"heuristic shape {h.shape} != {d.shape}")
         object.__setattr__(self, "d", d)
@@ -183,14 +193,17 @@ class DistanceMatrix:
         object.__setattr__(self, "n", len(d))
 
     def __getattr__(self, name: str) -> np.ndarray:
-        # reached only for an attribute not set: an unrounded d
-        rounding = vars(self).get("_rounding")
-        if name != "d" or rounding is None:
+        # reached only for an attribute not set: a coordinate build's tables
+        if name not in ("d", "heuristic") or "_xy" not in vars(self):
             raise AttributeError(name)
-        d = rounding(self.heuristic)
-        _read_only(d)
-        object.__setattr__(self, "d", d)
-        return d
+        n, step = self.n, _block_rows(self.n)
+        table = np.empty((n, n))
+        for lo in range(0, n, step):
+            _distances(self, np.s_[lo:lo + step, None], np.s_[:],
+                       rounded=name == "d", out=table[lo:lo + step])
+        _read_only(table)
+        object.__setattr__(self, name, table)
+        return table
 
 
 @dataclass(frozen=True)
@@ -210,84 +223,136 @@ class Tour:
     length: float
 
 
-def _nint(exact: np.ndarray) -> np.ndarray:
-    d = exact + 0.5
-    return np.floor(d, out=d)
+def _distances(matrix: DistanceMatrix, a, b, rounded: bool = False,
+               out: Optional[np.ndarray] = None,
+               scratch: Optional[np.ndarray] = None) -> np.ndarray:
+    """The distances from cities `a` to cities `b` of a coordinate build,
+    indices of its (2, n) coordinates that broadcast against each other (a
+    row block is ``np.s_[lo:hi, None]`` to ``np.s_[:]``): the one reader
+    that every value of its tables comes from, cell by cell the TSPLIB
+    rules' float operations: the squared distance dx*dx + dy*dy and its
+    sqrt, the heuristic geometry, or, `rounded`, the kind's rounding of d:
+    EUC_2D floor(e + 0.5), CEIL_2D ceil(e), ATT t = nint(sqrt(sq / 10)),
+    plus one where t < it. Into `out` if given, else a fresh array; dy is
+    computed into `scratch`, an array of out's shape, if given."""
+    x, y = matrix._xy
+    sq = np.subtract(x[a], x[b], out=out)
+    sq *= sq
+    dy = np.subtract(y[a], y[b], out=scratch)
+    dy *= dy
+    sq += dy
+    if rounded and matrix._kind == "ATT":
+        sq /= 10.0
+        np.sqrt(sq, out=dy)  # r
+        np.add(dy, 0.5, out=sq)
+        np.floor(sq, out=sq)  # t
+        sq += np.less(sq, dy, out=dy)  # 1.0 where t < r, 0.0 elsewhere
+        return sq
+    np.sqrt(sq, out=sq)
+    if rounded and matrix._kind == "EUC_2D":
+        sq += 0.5
+        np.floor(sq, out=sq)
+    elif rounded:
+        np.ceil(sq, out=sq)
+    return sq
 
 
-# The rounding of each kind that rounds the exact distance alone.
-_ROUNDING = {"EUC_2D": _nint, "CEIL_2D": np.ceil}
+def _heuristic_rows(matrix: DistanceMatrix, lo: int, hi: int) -> np.ndarray:
+    """Rows lo:hi of `matrix.heuristic`: a read-only view of the table where
+    it is held, else computed by `_distances`."""
+    table = vars(matrix).get("heuristic")
+    if table is not None:
+        return table[lo:hi]
+    return _distances(matrix, np.s_[lo:hi, None], np.s_[:])
+
+
+def _row_blocks(matrix: DistanceMatrix, scratch: np.ndarray,
+                ) -> Iterable[Tuple[int, np.ndarray]]:
+    """(lo, rows) for each block of `_block_rows(n)` rows of the heuristic
+    geometry from row lo: views of the table where it is held, else
+    computed by `_distances` into one buffer, which the next block
+    overwrites, with `scratch`, the caller's array of one block, as its
+    scratch space."""
+    n, step = matrix.n, _block_rows(matrix.n)
+    table = vars(matrix).get("heuristic")
+    out = np.empty((min(step, n), n)) if table is None else None
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        yield lo, (table[lo:hi] if out is None else _distances(
+            matrix, np.s_[lo:hi, None], np.s_[:], out=out[:hi - lo],
+            scratch=scratch[:hi - lo]))
+
+
+def _checked_matrix(**attributes) -> DistanceMatrix:
+    """A DistanceMatrix of attributes that hold by construction, so no
+    `_table` pass runs: the one way a build makes one."""
+    matrix = object.__new__(DistanceMatrix)
+    for name, value in attributes.items():
+        object.__setattr__(matrix, name, value)
+    return matrix
 
 
 def build_distance_matrix(instance: Instance) -> DistanceMatrix:
-    """Full n x n matrix; EXPLICIT shares the instance's weight table, the
-    coordinate kinds keep the exact Euclidean distances as the heuristic
-    geometry, and d applies the TSPLIB rounding rules. ATT needs no other
-    heuristic: its unrounded distance is the Euclidean one scaled by
-    1/sqrt(10), and a common scale changes no ranking."""
+    """The instance's distance matrix. EXPLICIT shares the weight table
+    `Instance` checked, as both d and the heuristic geometry. The
+    coordinate kinds hold no table: the matrix keeps the coordinates, the
+    heuristic geometry is the exact Euclidean distance, and d applies the
+    TSPLIB rounding rules (see `_distances`). ATT needs no other heuristic:
+    its unrounded distance is the Euclidean one scaled by 1/sqrt(10), and a
+    common scale changes no ranking. A distance that overflows a float is a
+    ValidationError."""
     n = instance.n
     if n > MATRIX_MAX_N:
         raise SizeLimitError(
             f"distance matrix is limited to n <= {MATRIX_MAX_N}, got {n}")
     if instance.kind == "EXPLICIT":
-        return DistanceMatrix(instance.explicit_weights)
-
-    # A row block at a time, each cell by the plain outer expressions'
-    # operations: d's rows (exact's, but for ATT) hold the squared distances
-    x, y = instance.coords.T
-    exact = np.empty((n, n))
-    d = np.empty((n, n)) if instance.kind == "ATT" else exact
+        w = instance.explicit_weights
+        return _checked_matrix(d=w, heuristic=w, n=n)
+    xy = instance.coords.T.copy()
+    _read_only(xy)
+    matrix = _checked_matrix(_xy=xy, _kind=instance.kind, n=n)
+    # Every float operation of a distance is monotone, so no squared
+    # distance exceeds that of the coordinates' bounding box, and d is
+    # finite where the exact distance is: only where the box's overflows
+    # are the rows read.
+    span = xy.max(axis=1) - xy.min(axis=1)
     step = _block_rows(n)
-    block = np.empty((min(step, n), n))
-    with np.errstate(over="ignore"):  # an inf fails DistanceMatrix's check
-        for lo in range(0, n, step):
-            sq, dy = d[lo:lo + step], block[:min(step, n - lo)]
-            np.subtract.outer(x[lo:lo + step], x, out=sq)
-            sq *= sq
-            np.subtract.outer(y[lo:lo + step], y, out=dy)
-            dy *= dy
-            sq += dy
-            np.sqrt(sq, out=exact[lo:lo + step])
-            if d is not exact:
-                # r = sqrt(sq / 10) in dy, t = nint(r), t if t >= r else t + 1
-                sq /= 10.0
-                np.sqrt(sq, out=dy)
-                np.add(dy, 0.5, out=sq)
-                np.floor(sq, out=sq)
-                sq += np.less(sq, dy, out=dy)  # 1.0 where t < r, 0.0 elsewhere
-    del block, dy  # before the checks
-    _read_only(d, exact)  # fresh, so DistanceMatrix copies neither
-    if d is not exact:
-        return DistanceMatrix(d, heuristic=exact)
-    matrix = DistanceMatrix(exact)  # one table to check; d is rounded later
-    object.__delattr__(matrix, "d")
-    object.__setattr__(matrix, "_rounding", _ROUNDING[instance.kind])
+    with np.errstate(over="ignore"):
+        if not ((span * span).sum() < np.inf or all(
+                _heuristic_rows(matrix, lo, lo + step).max() < np.inf
+                for lo in range(0, n, step))):
+            raise ValidationError("distance table must be finite and >= 0")
     return matrix
 
 
-def city_stats(matrix: DistanceMatrix) -> CityStats:
+def city_stats(matrix: DistanceMatrix,
+               visit: Optional[Callable[[int, np.ndarray], None]] = None,
+               ) -> CityStats:
     """Mean and population standard deviation of each city's n-1 distances
     in the heuristic geometry. Distances whose row sum, or the row sum of
     whose squared deviations from the mean, overflows a float are a
-    ValidationError; an underflow is not. The squared deviations are summed
-    one row block at a time, each row as the whole table would sum it."""
+    ValidationError; an underflow is not. Each of `_row_blocks` is read
+    once and summed row by row as the whole table would sum it; then
+    `visit(lo, rows)`, if given, reads it too, and may overwrite it where
+    it is writable, so that one pass over the rows serves both."""
     n = matrix.n
     if n < 2:
         raise DegenerateInstanceError("city statistics need at least 2 cities")
-    d = matrix.heuristic
-    step = _block_rows(n)
-    dev = np.empty((min(step, n), n))
-    var = np.empty(n)
+    dev = np.empty((min(_block_rows(n), n), n))
+    mu, var = np.empty(n), np.empty(n)
     with _FloatErrors(ValidationError, "distances too large: the city "
                       "statistics overflow the float range", over="raise"):
-        mu = d.sum(axis=1) / (n - 1)
-        for lo in range(0, n, step):
-            hi = min(lo + step, n)
+        for lo, rows in _row_blocks(matrix, dev):
+            hi = lo + len(rows)
             block = dev[:hi - lo]
-            np.subtract(d[lo:hi], mu[lo:hi, None], out=block)
+            np.sum(rows, axis=1, out=mu[lo:hi])
+            mu[lo:hi] /= n - 1
+            np.subtract(rows, mu[lo:hi, None], out=block)
             block.flat[lo::n + 1] = 0.0  # cell (i, lo + i) of each row i
             block *= block
             np.sum(block, axis=1, out=var[lo:hi])
+            if visit is not None:
+                visit(lo, rows)
         var /= n - 1
     sigma = np.sqrt(var)
     _read_only(mu, sigma)
@@ -339,15 +404,15 @@ def _loop_lengths(orders, matrix: DistanceMatrix) -> np.ndarray:
     """The lengths of the closed loops through the rows of `orders`, an
     r x n index array, unchecked: the one summation every tour length
     comes from. A row sums the same operands in the same order as a loop
-    alone, so equal orders give equal floats, and until an unrounded d is
-    first read, its cells are rounded as it would round them. A length
-    that overflows a float is a ValidationError."""
+    alone, so equal orders give equal floats, and until a coordinate
+    build's d is first read, `_distances` computes just the cells gathered.
+    A length that overflows a float is a ValidationError."""
     idx = np.asarray(orders, dtype=int)
     following = np.concatenate((idx[:, 1:], idx[:, :1]), axis=1)
     d = vars(matrix).get("d")
     with _FloatErrors(ValidationError, "distances too large: a tour length "
                       "overflows the float range", over="raise"):
-        cells = (matrix._rounding(matrix.heuristic[idx, following])
+        cells = (_distances(matrix, idx, following, rounded=True)
                  if d is None else d[idx, following])
         return cells.sum(axis=1)
 

@@ -17,10 +17,18 @@ from typing import Iterable, List, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError, _FloatErrors
-from .instance import CityStats, DistanceMatrix, _block_rows, _ranked
+from .instance import (CityStats, DistanceMatrix, _block_rows,
+                       _heuristic_rows, _ranked, _row_blocks)
 
 _EQ2_RANGE = ("exponents overflow or underflow a float: "
               "mu^{:g} * sigma^{:g} / d^{:g}")  # of (delta, epsilon, gamma)
+
+# Row blocks of recomputed rows a rule keeps. On the default grid at
+# n = 1000 a rule reads 47 to 143 distinct rows where its listed neighbours
+# are all closed; four blocks (128 rows) keep nearly all of their repeats,
+# one block about a third, and a gamma < 0 rule, which reads almost every
+# row, holds no more than this.
+_KEPT_BLOCKS = 4
 
 
 def _numerator_vector(stats: CityStats, exp_mu: float, exp_sigma: float,
@@ -90,65 +98,103 @@ def _divide_powers(num: np.ndarray, powers: np.ndarray, nan_is_inf: bool,
 
 
 class _RecomputedRows:
-    """The rows of a score matrix that is not held: reading row `city`
-    recomputes it with `_divide_powers`. Its power and division were
-    computed in range when the row's block was ranked, so only a zero
-    distance, which divides by zero, needs a float error state."""
+    """The rows of a score matrix that is not held: a row read is
+    recomputed with `_divide_powers` from the city's row of the heuristic
+    geometry, and the last `_KEPT_BLOCKS` row blocks' worth of rows
+    recomputed are kept for the reads of the rule's other constructions,
+    which often repeat them. Its power and division were computed in range
+    when the row's block was ranked, so only a zero distance, which divides
+    by zero, needs a float error state."""
 
-    __slots__ = ("heuristic", "num", "gamma", "nan_is_inf")
+    __slots__ = ("matrix", "num", "gamma", "nan_is_inf", "kept", "room")
 
-    def __init__(self, heuristic: np.ndarray, num: np.ndarray, gamma: float,
+    def __init__(self, matrix: DistanceMatrix, num: np.ndarray, gamma: float,
                  nan_is_inf: bool):
-        self.heuristic, self.num = heuristic, num
+        self.matrix, self.num = matrix, num
         self.gamma, self.nan_is_inf = gamma, nan_is_inf
+        self.kept, self.room = {}, _KEPT_BLOCKS * _block_rows(matrix.n)
 
     def __getitem__(self, city: int) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            row = np.power(self.heuristic[city], self.gamma)
-            _divide_powers(self.num, row, self.nan_is_inf, row, city)
+        row = self.kept.get(city)
+        if row is None:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                row = np.power(_heuristic_rows(self.matrix, city, city + 1)[0],
+                               self.gamma)
+                _divide_powers(self.num, row, self.nan_is_inf, row, city)
+            if len(self.kept) == self.room:  # the oldest row goes
+                del self.kept[next(iter(self.kept))]
+            self.kept[city] = row
         return row
 
 
-def _ranked_run(matrix: DistanceMatrix, stats: CityStats, run: list,
+def _ranked_run(matrix: DistanceMatrix, stats: CityStats, rules: list,
                 sets: np.ndarray,
-                ) -> Iterable[Tuple[List[List[int]], Sequence, dict]]:
-    """Each (rule, runs) of `run`, rules (gamma, delta, epsilon) of one
-    gamma, as (its candidate lists, its rows of scores, its runs), in `run`
-    order, ranked one row block at a time. A block's d^gamma is computed
-    once for the whole run, and each rule divides it by its numerator and
-    lists its candidates from `sets`, the neighbour sets.
+                ) -> Iterable[Tuple[List[List[int]], Sequence]]:
+    """Each gamma != 0 rule (gamma, delta, epsilon) of `rules` as (its
+    candidate lists, its rows of scores), in `rules` order, all ranked by
+    `_ranked_blocks` in one pass over the row blocks.
+
+    The lists are kept as compact arrays until that rule's constructions
+    run. When one block holds every row, its geometry stays, and each rule
+    in turn divides its d^gamma, computed again where the previous rule's
+    gamma differs, into the other block, which is its rows of scores until the
+    next rule's are made. Otherwise no score matrix is held: the rows are
+    `_RecomputedRows`, and a step whose candidates are all closed reads
+    its row there. Every numerator is computed before the first power."""
+    nums = [_numerator_vector(stats, delta, epsilon)
+            for _, delta, epsilon in rules]
+    nan_is_inf = [_nan_is_inf(rule[0], num) for rule, num in zip(rules, nums)]
+    lists, counts, whole = _ranked_blocks(matrix, rules, nums, nan_is_inf,
+                                          sets)
+    held = rules[-1][0]  # the gamma of the d^gamma in the one block
+    for k, (gamma, delta, epsilon) in enumerate(rules):
+        ranked = [row[:count] for row, count
+                  in zip(lists[k].tolist(), counts[k].tolist())]
+        lists[k] = counts[k] = None
+        if whole is None:
+            yield ranked, _RecomputedRows(matrix, nums[k], gamma,
+                                          nan_is_inf[k])
+        else:
+            geometry, powers, scores = whole
+            with _eq2_range(delta, epsilon, gamma):
+                if gamma != held:
+                    np.power(geometry, gamma, out=powers)
+                    held = gamma
+                _divide_powers(nums[k], powers, nan_is_inf[k], scores, 0)
+            yield ranked, scores
+        del ranked
+
+
+def _ranked_blocks(matrix: DistanceMatrix, rules: list, nums: list,
+                   nan_is_inf: list, sets: np.ndarray) -> tuple:
+    """The candidate lists and their lengths of each rule, as compact
+    arrays, ranked in one pass over `_row_blocks`: each block's d^gamma is
+    computed once for each run of consecutive rules of one gamma, and each
+    rule divides it by its numerator and lists its candidates from `sets`,
+    the neighbour sets. Third, when one block holds every row, (its
+    geometry, its d^gamma of the last rule, its score buffer); else None.
 
     Row i lists the cities of sets[i] that score strictly above every city
     outside the set, by (-score, index); the -inf own city, a row's only
     minimum, is never listed. Every unlisted city scores strictly below
     every listed one, so the first admissible neighbour in list order, if
-    any, is the first maximum of the masked row, whatever the sets hold.
-
-    The lists are kept as compact arrays until that rule's constructions
-    run. When one block holds every row, its d^gamma stays, and each rule
-    in turn divides it again into the other block, which is its rows of
-    scores until the next rule's are made. Otherwise no score matrix is
-    held: the rows are `_RecomputedRows`, and a step whose candidates are
-    all closed recomputes its row. Every numerator is computed before the
-    first power; a power out of float range names the first rule of the
-    run, and a division the rule it is computed for."""
-    gamma, n = run[0][0][0], matrix.n
+    any, is the first maximum of the masked row, whatever the sets hold. A
+    power out of float range names the first rule of its run, and a
+    division the rule it is computed for."""
+    n = matrix.n
     step = min(_block_rows(n), n)
     powers, scores = np.empty((step, n)), np.empty((step, n))
-    heuristic = matrix.heuristic
-    nums = [_numerator_vector(stats, delta, epsilon)
-            for (_, delta, epsilon), _ in run]
-    nan_is_inf = [_nan_is_inf(gamma, num) for num in nums]
-    lists = [np.empty(sets.shape, np.min_scalar_type(n)) for _ in run]
-    counts = [np.empty(n, np.min_scalar_type(sets.shape[1])) for _ in run]
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
+    lists = [np.empty(sets.shape, np.min_scalar_type(n)) for _ in rules]
+    counts = [np.empty(n, np.min_scalar_type(sets.shape[1])) for _ in rules]
+    for lo, geometry in _row_blocks(matrix, powers):
+        hi = lo + len(geometry)
         block, power = scores[:hi - lo], powers[:hi - lo]
         rows = np.arange(hi - lo)[:, None]
         cells = rows * n + sets[lo:hi]  # flat index of each set's city
-        with _eq2_range(*run[0][0][1:], gamma):
-            np.power(heuristic[lo:hi], gamma, out=power)
-        for k, ((_, delta, epsilon), _) in enumerate(run):
+        for k, (gamma, delta, epsilon) in enumerate(rules):
+            if k == 0 or gamma != rules[k - 1][0]:
+                with _eq2_range(delta, epsilon, gamma):
+                    np.power(geometry, gamma, out=power)
             with _eq2_range(delta, epsilon, gamma):
                 _divide_powers(nums[k], power, nan_is_inf[k], block, lo)
             inside = block.take(cells)
@@ -159,14 +205,4 @@ def _ranked_run(matrix: DistanceMatrix, stats: CityStats, run: list,
             # index; a block whose rows list nothing needs none
             if counts[k][lo:hi].any():
                 lists[k][lo:hi] = sets[lo:hi][rows, _ranked(-inside)]
-    for k, ((_, delta, epsilon), orders) in enumerate(run):
-        ranked = [row[:count] for row, count
-                  in zip(lists[k].tolist(), counts[k].tolist())]
-        lists[k] = counts[k] = None
-        if step < n:
-            yield ranked, _RecomputedRows(heuristic, nums[k], gamma,
-                                          nan_is_inf[k]), orders
-            continue
-        with _eq2_range(delta, epsilon, gamma):
-            _divide_powers(nums[k], powers, nan_is_inf[k], scores, 0)
-        yield ranked, scores, orders
+    return lists, counts, (geometry, powers, scores) if step == n else None

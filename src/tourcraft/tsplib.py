@@ -32,7 +32,11 @@ class OptimaTable:
 
 
 def _lines(text: str):
-    """Yield (line_number, stripped_line) skipping blanks."""
+    """Yield (line_number, stripped_line) skipping blanks; every text this
+    module reads comes through here, and one that is not a str is a
+    ParseError."""
+    if not isinstance(text, str):
+        raise ParseError(f"expected text (a str), got {type(text).__name__}")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line:

@@ -154,6 +154,19 @@ class TestRunBenchmark:
         with pytest.raises(tc.ConfigError, match="grid points must be"):
             tc.run_benchmark(config)
 
+    @pytest.mark.parametrize("instances,fragment", [
+        ([1], "must be Instance objects, got 1"),
+        ("x", "must be a list of Instance objects, got str"),
+        (5, "must be a list of Instance objects, got int"),
+    ], ids=["int-element", "str", "int"])
+    def test_instances_that_are_not_instances_rejected(self, instances,
+                                                       fragment):
+        # each was an untyped AttributeError or TypeError from the matrix
+        # build or the loop over the instances
+        config = tc.RunConfig(instances=instances, methods=("nn",))
+        with pytest.raises(tc.ConfigError, match=fragment):
+            tc.run_benchmark(config)
+
     def test_bad_optima_rejected_before_the_matrix(self, monkeypatch):
         # an optima that is not an OptimaTable failed on its first lookup,
         # with an untyped AttributeError after the first matrix was built

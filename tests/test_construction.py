@@ -736,8 +736,7 @@ def ranked_rule(m, stats, rule, sets):
     lists `_ranked_run` ranks from `sets` and its rows of scores."""
     if rule[0] == 0.0:
         return construction.RankedScores(ranking=rule[1])
-    (rows, scores, _), = construction._ranked_run(m, stats, [(rule, None)],
-                                                  sets)
+    (rows, scores), = construction._ranked_run(m, stats, [rule], sets)
     return construction.RankedScores(rows, scores)
 
 
@@ -787,7 +786,7 @@ class TestCandidateLists:
             stats = tc.city_stats(m)
             for gamma, delta in ((1, 0), (-1, 0), (0.5, 1)):
                 scores = construction._score_rows(m, stats, gamma, delta, 0)
-                for sets in (construction._neighbour_sets(m),
+                for sets in (construction._neighbour_sets(m)[1],
                              farthest_sets(m), random_sets(m)):
                     rows = ranked_rule(m, stats, (gamma, delta, 0),
                                        sets).rows
@@ -816,7 +815,7 @@ class TestCandidateLists:
                 g, d, e = combo.gamma, combo.delta, combo.epsilon
                 rule = ((0.0, construction._city_order(stats, d, e))
                         if g == 0 else (g, d, e))
-                sets = construction._neighbour_sets(m)
+                sets = construction._neighbour_sets(m)[1]
                 got = construction._construct(
                     construction._city_order(stats, combo.alpha, combo.beta),
                     ranked_rule(m, stats, rule, sets))
@@ -830,7 +829,8 @@ class TestCandidateLists:
         # with the grid's own nearest sets), and random sets list whatever
         # they happen to certify
         poor = {"farthest": farthest_sets, "random": random_sets}[sets]
-        monkeypatch.setattr(construction, "_neighbour_sets", poor)
+        monkeypatch.setattr(construction, "_neighbour_sets",
+                            lambda m: (tc.city_stats(m), poor(m)))
         for m in self.matrices(construction.CANDIDATES):
             assert_grid_matches_brute_grid(m, CANDIDATE_GRID)
             stats = tc.city_stats(m)
@@ -840,7 +840,7 @@ class TestCandidateLists:
                     continue
                 ranked = ranked_rule(
                     m, stats, (combo.gamma, combo.delta, combo.epsilon),
-                    construction._neighbour_sets(m))
+                    construction._neighbour_sets(m)[1])
                 got = construction._construct(
                     construction._city_order(stats, combo.alpha, combo.beta),
                     ranked)
@@ -860,7 +860,7 @@ def test_ranking_leaves_scores_bit_identical():
             before = construction._score_rows(m, stats, gamma, 1, 0)
             assert (np.isneginf(before) == own).all(), gamma
             for sets, budget in itertools.product(
-                    (construction._neighbour_sets(m), farthest_sets(m)),
+                    (construction._neighbour_sets(m)[1], farthest_sets(m)),
                     (tc.instance.BLOCK_BYTES, 8 * m.n * 7)):
                 with pytest.MonkeyPatch.context() as patch:
                     patch.setattr(tc.instance, "BLOCK_BYTES", budget)
@@ -1020,7 +1020,9 @@ def test_rows_list_k_neighbours(k, monkeypatch):
     m = random_matrix(50, 9)
     stats = tc.city_stats(m)
     d = m.heuristic
-    sets = construction._neighbour_sets(m)
+    fused, sets = construction._neighbour_sets(m)
+    assert (fused.mu.tobytes(), fused.sigma.tobytes()) == \
+        (stats.mu.tobytes(), stats.sigma.tobytes())
     assert sets.shape == (50, k)
     for i, row in enumerate(sets.tolist()):
         assert row == sorted(row) and i not in row
@@ -1083,8 +1085,10 @@ def test_gamma_zero_walk_skips_the_closed_prefix():
 
 
 def test_grid_search_holds_one_extra_matrix():
+    # beyond the tables a matrix holds, which the grid reads in place
     n = 300
-    m = random_matrix(n, 4)
+    built = random_matrix(n, 4)
+    m = tc.DistanceMatrix(built.d, built.heuristic)
     tc.grid_search(m, tc.default_grid([1]))  # warm numpy up
     peak = traced_peak(lambda: tc.grid_search(m))
     assert peak <= 8 * n * n + memory_slack(n)
@@ -1104,9 +1108,10 @@ def test_default_grid_holds_no_score_matrix():
 
 
 def test_grid_never_rounds_the_objective():
-    # a fresh EUC_2D matrix holds only its exact table, and a grid prices
-    # its loops, its winner included, on the rounded cells they sum: build
-    # and grid together hold that table and under half a matrix more
+    # a fresh EUC_2D matrix holds no table: a grid reads row blocks of the
+    # exact geometry and prices its loops, its winner included, on the
+    # rounded cells they sum, so build and grid together make neither
+    # table and hold less than one
     n = 800
     inst = tc.generate_random_euclidean(n, 4, 1000.0)
     tc.grid_search(tc.build_distance_matrix(inst), tc.default_grid([1]))
@@ -1117,8 +1122,8 @@ def test_grid_never_rounds_the_objective():
         tc.grid_search(built[0])
 
     peak = traced_peak(build_and_search)
-    assert "d" not in vars(built[0])
-    assert peak <= 8 * n * n + 4 * n * n + memory_slack(n)
+    assert not {"d", "heuristic"} & set(vars(built[0]))
+    assert peak < 8 * n * n
 
 
 @pytest.fixture
@@ -1135,7 +1140,7 @@ def block_rows(monkeypatch):
 
     def set_rows(n, rows):
         monkeypatch.setattr(tc.instance, "BLOCK_BYTES", 8 * n * rows)
-        assert construction._block_rows(n) == rows
+        assert tc.instance._block_rows(n) == rows
 
     monkeypatch.setattr(construction, "_ranked_run", spy)
     set_rows.runs = runs
@@ -1192,11 +1197,68 @@ def test_row_blocks_against_oracle(n, rows, block_rows):
     assert bool(block_rows.runs) == (18 <= n)
 
 
+def coordinate_sets(n, seed):
+    """Real coordinates, and integer ones on a 6 x 6 grid, whose distances
+    tie and whose first two cities coincide."""
+    rng = np.random.default_rng(seed)
+    yield rng.random((n, 2)) * 1000
+    pts = rng.integers(0, 6, (n, 2)).astype(float)
+    pts[1] = pts[0]
+    yield pts
+
+
+@pytest.mark.parametrize("kind", ["EUC_2D", "CEIL_2D", "ATT"])
+@pytest.mark.parametrize("n", [12, 40, 150, 400])
+def test_coordinate_rows_match_held_tables(n, kind):
+    # a coordinate build computes each row block, row and set of cells it
+    # is read for; a matrix that holds its two tables reads them. The
+    # statistics, neighbour sets, every rule's candidate lists and rows of
+    # scores, loop lengths and the grid's winner agree byte for byte, with
+    # whole rankings at n = 12, in one row block at 40 and 150 and in
+    # several at 400, on the default grid and a gamma < 0 point
+    assert tc.instance._block_rows(150) >= 150 > tc.instance._block_rows(400)
+    scan = tc.ExponentCombo(1, 0, -0.5, 1, 0)
+    rules = sorted({(c.gamma, c.delta, c.epsilon)
+                    for c in tc.default_grid() + [scan] if c.gamma != 0})
+    first = {rule: {(0,): 0} for rule in rules}
+    rng = np.random.default_rng(n)
+    orders = [rng.permutation(n) for _ in range(3)]
+    for pts in coordinate_sets(n, n):
+        inst = tc.Instance("r", kind, coords=pts)
+        built = tc.build_distance_matrix(inst)
+        tables = tc.build_distance_matrix(inst)
+        held = tc.DistanceMatrix(tables.d, tables.heuristic)
+        seen = []
+        for m in (built, held):
+            stats = tc.city_stats(m)
+            got = [stats.mu.tobytes(), stats.sigma.tobytes()]
+            if n - 1 > construction.CANDIDATES:
+                fused, sets = construction._neighbour_sets(m)
+                got += [fused.mu.tobytes(), fused.sigma.tobytes(),
+                        sets.tobytes()]
+                for ranked, _ in construction._candidate_lists(
+                        m, stats, first, sets):
+                    got += [ranked.rows] + [ranked.scores[city].tobytes()
+                                            for city in range(0, n, 7)]
+            else:
+                got += [ranked.rows for ranked, _ in
+                        construction._whole_rankings(m, stats, first)]
+            got.append(construction._loop_lengths(orders, m).tobytes())
+            for grid in (None, [scan]):
+                r = tc.grid_search(m, grid)
+                got.append((r.tour.order, r.combo, r.tour.length))
+            seen.append(got)
+        assert seen[0] == seen[1]
+        # a grid makes the heuristic table only where one block holds it
+        assert "d" not in vars(built)
+        assert ("heuristic" in vars(built)) == (n <= 150)
+
+
 def test_default_budget_row_blocks_against_construct_tour():
     # the first n whose matrix is past one row block of the default budget:
     # two blocks, of 180 rows and of 2
     n = 182
-    assert construction._block_rows(n) == 180
+    assert tc.instance._block_rows(n) == 180
     m = random_matrix(n, 11)
     got = tc.grid_search(m)
     want = None
@@ -1215,26 +1277,27 @@ def test_row_blocks_list_and_score_as_the_whole_matrix(k, block_rows):
     # a rule ranked one row block at a time lists exactly the cities of its
     # set that its whole matrix scores above every city outside the set,
     # and each row a step reads, held or recomputed, has the whole matrix's
-    # bits; in a block of 7 rows and in one block of all 40
+    # bits; in a block of 7 rows and in one block of all 40, where every
+    # gamma's rules are ranked in one pass over the blocks
     m = list(small_matrices(40))[k]
-    stats = tc.city_stats(m)
+    stats, sets = construction._neighbour_sets(m)
     rules = [(g, d, e) for g in GAMMAS for d, e in NUMERATORS]
     first = {rule: {(0,): 0, (1,): 1} for rule in rules}
     for rows in (7, 40):
         block_rows(m.n, rows)
         block_rows.runs.clear()
         seen = []
-        for ranked, runs in construction._candidate_lists(m, stats, first):
+        for ranked, runs in construction._candidate_lists(m, stats, first,
+                                                          sets):
             rule = rules[len(seen)]
             whole = construction._score_rows(m, stats, *rule)
-            sets = construction._neighbour_sets(m)
             assert_rows_are_certified(whole, sets, ranked.rows)
             for city in range(m.n):
                 assert ranked.scores[city].tobytes() == \
                     whole[city].tobytes(), (rows, rule, city)
             seen.append(runs)
         assert seen == list(first.values())
-        assert len(block_rows.runs) == len(GAMMAS)
+        assert block_rows.runs == [rules]
 
 
 def shared(*rules):

@@ -137,11 +137,11 @@ class TestDistanceMatrix:
             tc.DistanceMatrix(w)
 
     def test_repr_leaves_d_unbuilt(self):
-        # the dataclass repr read d, which rounded a whole n x n table
+        # the dataclass repr read d, which rounded a whole n x n table, and
+        # heuristic; it names n alone and makes neither table
         m = tc.build_distance_matrix(tc.generate_random_euclidean(300, 5, 1e6))
-        assert "d" not in vars(m)
-        assert repr(m).startswith("DistanceMatrix(heuristic=array(")
-        assert "d" not in vars(m)
+        assert repr(m) == "DistanceMatrix(n=300)"
+        assert not {"d", "heuristic"} & set(vars(m))
 
     def test_size_guard_before_allocation(self, monkeypatch):
         assert tc.instance.MATRIX_MAX_N >= 1000
@@ -195,11 +195,12 @@ class TestInPlaceBuilds:
             n = len(pts)
             m = tc.build_distance_matrix(tc.Instance("r", kind, coords=pts))
             d, exact = plain_matrix(pts, kind)
-            # EUC_2D and CEIL_2D round d when it is first read, and tour
-            # lengths priced before that read equal those priced after it
+            # the tables are made when first read; tour lengths priced and
+            # statistics taken before that read equal those after it
             orders = [rng.permutation(n) for _ in range(4)]
             before = instance._loop_lengths(orders, m).tolist()
-            assert ("d" in vars(m)) == (kind == "ATT")
+            stats = tc.city_stats(m)
+            assert not {"d", "heuristic"} & set(vars(m))
             assert m.d.tobytes() == d.tobytes()
             assert instance._loop_lengths(orders, m).tolist() == before
             assert before == [d[o, np.roll(o, -1)].sum() for o in orders]
@@ -207,22 +208,26 @@ class TestInPlaceBuilds:
             mu = exact.sum(axis=1) / (n - 1)
             dev = np.where(np.eye(n, dtype=bool), 0.0, exact - mu[:, None])
             var = np.sum(dev * dev, axis=1) / (n - 1)
-            stats = tc.city_stats(m)
-            assert stats.mu.tobytes() == mu.tobytes()
-            assert stats.sigma.tobytes() == np.sqrt(var).tobytes()
+            for stats in (stats, tc.city_stats(m)):
+                assert stats.mu.tobytes() == mu.tobytes()
+                assert stats.sigma.tobytes() == np.sqrt(var).tobytes()
 
-    @pytest.mark.parametrize("kind,arrays", [("EUC_2D", 1), ("CEIL_2D", 1),
-                                             ("ATT", 2)])
-    def test_matrix_build_peak(self, kind, arrays):
-        # the tables it returns, d not yet rounded for EUC_2D and CEIL_2D,
-        # and one row block of squared distances
+    @pytest.mark.parametrize("kind", ["EUC_2D", "CEIL_2D", "ATT"])
+    def test_matrix_build_peak(self, kind):
+        # a build holds no table and reads no row, only its coordinates;
+        # the first read of d or the heuristic makes that one table, one
+        # row block at a time
         n = 300
         pts = np.random.default_rng(9).random((n, 2)) * 1000
         inst = tc.Instance("r", kind, coords=pts)
-        tc.build_distance_matrix(inst)  # warm numpy up
+        tc.build_distance_matrix(inst).d  # warm numpy up
         peak = traced_peak(lambda: tc.build_distance_matrix(inst))
-        assert peak <= (arrays * 8 * n * n + instance.BLOCK_BYTES
-                        + memory_slack(n))
+        assert peak <= 4 * 16 * n  # a few arrays of n coordinate pairs
+        for name in ("d", "heuristic"):
+            m = tc.build_distance_matrix(inst)
+            peak = traced_peak(lambda: getattr(m, name))
+            assert peak <= 8 * n * n + instance.BLOCK_BYTES + memory_slack(n)
+            assert list(vars(m)).count(name) == 1
 
     def test_city_stats_peak(self):
         n = 300
@@ -307,6 +312,24 @@ class TestInputValidation:
         w = np.array([[0, bad, 3], [bad, 0, 4], [3, 4, 0]], dtype=float)
         with pytest.raises(tc.ValidationError, match="finite"):
             tc.Instance("e", "EXPLICIT", explicit_weights=w)
+
+    @pytest.mark.parametrize("kind", ["EUC_2D", "CEIL_2D", "ATT"])
+    def test_overflowing_distances_rejected_at_build(self, kind):
+        # no distance exceeds the diagonal of the coordinates' bounding box,
+        # so a build reads rows only where that overflows: the diamond's
+        # box does, though none of its distances; 300 cities whose only
+        # overflowing distance joins two cities of the last row block are
+        # rejected as a table with an inf was
+        big = 1.3e154  # big * big fits a float, 2 * big * big does not
+        diamond = [(0, big / 2), (big, big / 2), (big / 2, 0), (big / 2, big)]
+        m = tc.build_distance_matrix(tc.Instance("d", kind, coords=diamond))
+        assert np.isfinite(m.d).all() and np.isfinite(m.heuristic).all()
+        pts = np.full((300, 2), big / 2)
+        pts[298], pts[299] = (0, 0), (big, big)
+        assert 298 // instance._block_rows(300) == 2
+        inst = tc.Instance("far", kind, coords=pts)
+        with pytest.raises(tc.ValidationError, match="finite and >= 0"):
+            tc.build_distance_matrix(inst)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
     def test_distance_matrix_entries_rejected(self, bad):

@@ -257,6 +257,14 @@ class TestOptima:
             tc.load_optima(text)
 
 
+@pytest.mark.parametrize("read", [tc.parse_tsplib, tc.load_optima])
+@pytest.mark.parametrize("text", [5, b"a 5", None])
+def test_text_that_is_not_a_str_rejected(read, text):
+    # an untyped AttributeError or TypeError from splitlines or startswith
+    with pytest.raises(tc.ParseError, match="expected text"):
+        read(text)
+
+
 def test_parse_write_parse_identity():
     m = random_matrix(8, 2)
     inst = tc.generate_random_euclidean(8, 2, 100.0)
