@@ -2,13 +2,14 @@
 
 * exact_optimum: dynamic programming over subsets (exact, n <= 15), filled
   one popcount layer at a time. The table is stored k-major, one row per
-  start city and one column per subset, so for every subset size and
-  every city j one `take` gathers the columns of the subsets without j
-  and one numpy min runs down them. Each candidate is the same single
-  float addition as in a scalar loop and the min is exact, so the table
-  does not depend on the evaluation order or the layout. The subset index
-  arrays depend on n alone: they are built on the first call for each n
-  and kept read-only, so a call's steps are gathers, adds and mins only.
+  start city and one column per subset. A step takes one group of cities
+  j of a subset size: one `take`, one add, one min down the gathered
+  columns of the subsets without each j, and one `put` (see `_layers`; at
+  n = 12 a call holds about 130 KB beside its 180 KB table). Each
+  candidate is the same single float addition as in a scalar loop and the
+  min is exact, so the table does not depend on the evaluation order or
+  the layout. The subset index arrays depend on n alone: they are built
+  on the first call for each n and kept read-only.
   The tour is read back by one argmin per step over the same sums,
   operands swapped, so the first minimum is the lowest city that reaches
   the optimum.
@@ -39,8 +40,8 @@ import numpy as np
 from .baselines import nearest_neighbor
 from .errors import (ConfigError, SizeLimitError, _FloatErrors, _integer,
                      _real)
-from .instance import (DistanceMatrix, Tour, _ranked, _read_only, _require_n,
-                       make_tour)
+from .instance import (DistanceMatrix, Tour, _block_rows, _ranked, _read_only,
+                       _require_n, make_tour)
 
 EXACT_MAX_N = 15
 ASCENT_ITERS = 1000  # the Held-Karp ascent's default iteration budget
@@ -56,16 +57,18 @@ class LowerBoundResult:
     iterations_used: int
 
 
-_Step = Tuple[int, np.ndarray, np.ndarray]  # (j, has, without)
+_Step = Tuple[int, np.ndarray, np.ndarray]  # (lo, without, cells)
 
 
 @functools.cache
 def _layers(m: int) -> Tuple[np.ndarray, Tuple[_Step, ...]]:
     """The DP's index arrays for m = n - 1 cities, which depend on m alone:
-    `bits` (city j is bit j) and one step (j, has, without) per subset size
-    2..m and city j, in the order the DP fills them, where `has` lists the
-    subsets of that size that hold j and `without` the same subsets less j.
-    Built on first use for each m (m <= EXACT_MAX_N - 1: 3.4 MB if every
+    `bits` (city j is bit j) and one step (lo, without, cells) per subset
+    size 2..m and group of cities from lo, in the order the DP fills them:
+    row j - lo of `without` lists the subsets of that size that hold j,
+    less j, and of `cells` their flat indices at table row j. A group keeps
+    m rows of its `without` columns within one numpy buffer, BLOCK_BYTES /
+    4 (64 KiB). Built on first use for each m (m = 14: 1.8 MB if every
     size is used) and kept read-only, so every caller can share them."""
     bits = 1 << np.arange(m)
     masks = np.arange(1 << m)
@@ -75,10 +78,14 @@ def _layers(m: int) -> Tuple[np.ndarray, Tuple[_Step, ...]]:
     steps = []
     for size in range(2, m + 1):
         layer = masks[popcount == size]
-        for j in range(m):
-            has = layer[(layer & bits[j]) != 0]
-            steps.append((j, has, has ^ bits[j]))
-    _read_only(bits, *(a for _, has, without in steps for a in (has, without)))
+        has = np.array([layer[(layer & bit) != 0] for bit in bits])
+        without = has ^ bits[:, None]
+        cells = has + (np.arange(m) << m)[:, None]
+        group = _block_rows(4 * m * has.shape[1])
+        _read_only(without, cells)  # and so every group's slices
+        steps += ((lo, without[lo:lo + group], cells[lo:lo + group])
+                  for lo in range(0, m, group))
+    _read_only(bits)
     return bits, tuple(steps)
 
 
@@ -99,14 +106,13 @@ def exact_optimum(matrix: DistanceMatrix) -> Tour:
     # mask. Stored k-major, so one step gathers its columns with one take.
     ht = np.full((m, full + 1), np.inf)
     inner_t = d[1:, 1:].T  # inner_t[k, j] = d[j+1, k+1]
-    cols = [inner_t[:, j:j + 1] for j in range(m)]
     with _FloatErrors(ConfigError, "distances too large: the exact DP's path "
                       "lengths overflow the float range", **_OVERFLOW):
         ht[np.arange(m), bits] = d[1:, 0]
-        for j, has, without in steps:
-            w = ht.take(without, axis=1)
-            w += cols[j]
-            ht[j, has] = w.min(axis=0)
+        for lo, without, cells in steps:
+            w = ht.take(without, axis=1)  # (k, j, subset)
+            w += inner_t[:, lo:lo + len(without), None]
+            ht.put(cells, w.min(axis=0))
 
         # h is inf outside each mask, so only cities still to visit compete
         h = ht.T

@@ -8,8 +8,9 @@ gives every city at least one edge, step 2 raises every degree to exactly 2,
 closing a single loop; `_construct` runs both steps in one loop that writes
 each join inline on the tracker's lists. The whole construction is repeated
 over a grid of exponent combinations and the shortest tour wins. The grid
-prices the closed loops of each neighbour rule together, with the summation
-`tour_length` uses, and only the winner's loop becomes a validated Tour.
+prices its closed loops a chunk at a time, across neighbour rules, with the
+summation `tour_length` uses, and only the winner's loop becomes a
+validated Tour.
 
 Each step reads a short candidate list instead of the whole row of
 neighbour scores, with the same result. A score matrix, whose -inf own
@@ -70,7 +71,7 @@ from .errors import ConfigError, _real
 from .instance import (CityStats, DistanceMatrix, PathEndTracker, Tour,
                        _block_rows, _loop_lengths, _ranked, _require_n,
                        city_stats, make_tour)
-from .scores import _numerator_vector, _ranked_run, _score_rows
+from .scores import _numerator_vector, _Numerators, _ranked_run, _score_rows
 
 DEFAULT_EXPONENT_VALUES = (0.0, 0.5, 1.0)
 CANDIDATES = 16  # M: cities in each row's neighbour set
@@ -117,10 +118,9 @@ class ConstructionResult:
     neighbor_evaluations: int = 0
 
 
-def _city_order(stats: CityStats, alpha: float, beta: float,
-                ) -> Tuple[int, ...]:
-    """Cities by descending eq. 1 priority, ties toward the lower index."""
-    return tuple(_ranked(-_numerator_vector(stats, alpha, beta)).tolist())
+def _city_order(num: np.ndarray) -> Tuple[int, ...]:
+    """Cities by descending priority `num`, ties toward the lower index."""
+    return tuple(_ranked(-num).tolist())
 
 
 @dataclass(eq=False)
@@ -173,7 +173,7 @@ def _construct(order: Sequence[int], ranked: RankedScores) -> List[int]:
     tracker = PathEndTracker(n)
     other_end, degree, adjacent = (tracker.other_end, tracker.degree,
                                    tracker.adjacent)
-    is_open, open_bytes = tracker.open, tracker.open_bytes
+    open_bytes, is_open = tracker.open_bytes, None
     scores, rows, ranking = ranked.scores, ranked.rows, ranked.ranking
     head = edges = 0
     for step in (1, 2):
@@ -194,6 +194,8 @@ def _construct(order: Sequence[int], ranked: RankedScores) -> List[int]:
                     if degree[best] < 2 and best != end:
                         break
                 else:
+                    if is_open is None:  # made at the first scan only
+                        is_open = tracker.open
                     row = np.where(is_open, scores[city], -np.inf)
                     row[end] = -np.inf
                     best = int(row.argmax())  # first max: lowest index
@@ -261,9 +263,9 @@ def grid_search(matrix: DistanceMatrix,
     once, for the first grid point that has it, and every later grid point
     with the same pair has the same tour. A larger score matrix is ranked
     once for all the orders run against it, a row block at a time and
-    never held whole (see `_candidate_lists`). The closed loops of one
-    rule are priced together with the summation `tour_length` uses, and
-    only the winner's loop becomes a validated `Tour`.
+    never held whole (see `_candidate_lists`). The closed loops are priced
+    a chunk at a time, across rules, with the summation `tour_length` uses,
+    and only the winner's loop becomes a validated `Tour`.
     `neighbor_evaluations` is n(n - 1) per construction actually run.
     """
     n = _require_n(matrix)
@@ -274,7 +276,8 @@ def grid_search(matrix: DistanceMatrix,
         stats, sets = _neighbour_sets(matrix)
     else:
         stats, sets = city_stats(matrix), None
-    order_of = functools.cache(functools.partial(_city_order, stats))
+    num_of = functools.cache(functools.partial(_numerator_vector, stats))
+    order_of = functools.cache(lambda a, b: _city_order(num_of(a, b)))
     city_orders = [order_of(c.alpha, c.beta) for c in combos]
     # neighbour rule -> {city order: index of its first grid point}; a rule
     # key starts with gamma, so a ranking never equals a set of exponents
@@ -283,15 +286,18 @@ def grid_search(matrix: DistanceMatrix,
         rule = ((0.0, order_of(c.delta, c.epsilon)) if c.gamma == 0.0
                 else (c.gamma, c.delta, c.epsilon))
         first.setdefault(rule, {}).setdefault(city_orders[i], i)
-    rules = (_whole_rankings(matrix, stats, first) if n - 1 <= CANDIDATES
-             else _candidate_lists(matrix, stats, first, sets))
+    rules = (_whole_rankings(matrix, num_of, first) if n - 1 <= CANDIDATES
+             else _candidate_lists(matrix, num_of, first, sets))
+    built = _constructions(rules)
     best, best_loop, constructions = (math.inf, -1), None, 0
-    for ranked, runs in rules:
-        loops = [_construct(order, ranked) for order in runs]
-        del ranked  # its lists go before the next rule's are made
+    # loops priced per call, whose index and cell arrays, about 8 n values
+    # each, fit one row block: every loop of the default grid up to n = 28
+    priced = _block_rows(8 * n)
+    while chunk := list(itertools.islice(built, priced)):
+        loops, points = zip(*chunk)
         constructions += len(loops)
         prices = _loop_lengths(loops, matrix).tolist()
-        for price, i, loop in zip(prices, runs.values(), loops):
+        for price, i, loop in zip(prices, points, loops):
             # shortest tour, earliest grid point on ties: what a scan in
             # grid order that keeps each strictly shorter tour picks
             if (price, i) < best:
@@ -304,21 +310,34 @@ def grid_search(matrix: DistanceMatrix,
         neighbor_evaluations=constructions * n * (n - 1))
 
 
-def _whole_rankings(matrix: DistanceMatrix, stats: CityStats, first: dict,
+def _constructions(rules: Iterable[Tuple[RankedScores, dict]],
+                   ) -> Iterable[Tuple[List[int], int]]:
+    """(closed loop, grid index) of each run of each rule of `rules`, in
+    order; a rule's lists go before the next rule's are made."""
+    for ranked, runs in rules:
+        for order, i in runs.items():
+            yield _construct(order, ranked), i
+        del ranked
+
+
+def _whole_rankings(matrix: DistanceMatrix, num_of: _Numerators, first: dict,
                     ) -> Iterable[Tuple[RankedScores, dict]]:
     """Each neighbour rule of `first` as (its RankedScores, its runs), for
     n - 1 <= CANDIDATES, where every row of a gamma != 0 rule lists all the
     other cities. Such a rule reads nothing but those rows, so it is keyed
     by them, as a gamma = 0 rule is by its ranking, and rules with equal
     keys merge their runs, each city order under its earliest grid index.
-    Every matrix is scored in `first` order before any construction."""
+    Every matrix is scored in `first` order before any construction, each
+    d^gamma once, for the first rule of its gamma."""
     merged = {}  # rule key -> (its RankedScores, {city order: grid index})
+    power_of = functools.cache(functools.partial(np.power, matrix.heuristic))
     for rule, runs in first.items():
         if rule[0] == 0.0:
             key, ranked = rule, RankedScores(ranking=rule[1])
         else:
+            scores = _score_rows(num_of(*rule[1:]), power_of, *rule)
             # the -inf own city, a row's only minimum, sorts last
-            rows = _ranked(-_score_rows(matrix, stats, *rule))[:, :-1].tolist()
+            rows = _ranked(-scores)[:, :-1].tolist()
             key, ranked = tuple(map(tuple, rows)), RankedScores(rows)
         into = merged.setdefault(key, (ranked, {}))[1]
         for order, i in runs.items():
@@ -326,7 +345,7 @@ def _whole_rankings(matrix: DistanceMatrix, stats: CityStats, first: dict,
     return merged.values()
 
 
-def _candidate_lists(matrix: DistanceMatrix, stats: CityStats, first: dict,
+def _candidate_lists(matrix: DistanceMatrix, num_of: _Numerators, first: dict,
                      sets: Optional[np.ndarray],
                      ) -> Iterable[Tuple[RankedScores, dict]]:
     """Each neighbour rule of `first` as (its RankedScores, its runs), in
@@ -334,7 +353,7 @@ def _candidate_lists(matrix: DistanceMatrix, stats: CityStats, first: dict,
     candidates from `sets`, the neighbour sets (None if there are none):
     `_ranked_run` ranks them all in one pass over the row blocks, and holds
     no score matrix beyond its blocks."""
-    shared = _ranked_run(matrix, stats,
+    shared = _ranked_run(matrix, num_of,
                          [rule for rule in first if rule[0] != 0.0], sets)
     for rule, orders in first.items():
         yield (RankedScores(ranking=rule[1]) if rule[0] == 0.0

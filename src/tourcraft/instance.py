@@ -448,11 +448,12 @@ class PathEndTracker:
     `adjacent` (city x's neighbours in slots 2x and 2x + 1, in connect order)
     are lists, read one city at a time; `open`, the boolean array of the
     cities below degree 2 that the construction's masked row and the
-    baselines' merge read, is a view of the `open_bytes` a join writes.
+    baselines' merge read, is a view of the `open_bytes` a join writes, made
+    on each read: most constructions never read it.
     """
 
     __slots__ = ("n", "other_end", "degree", "adjacent", "open_bytes",
-                 "open", "edge_count")
+                 "edge_count")
 
     def __init__(self, n: int):
         self.n = n
@@ -460,8 +461,9 @@ class PathEndTracker:
         self.degree = [0] * n
         self.adjacent = [-1] * (2 * n)
         self.open_bytes = bytearray(b"\x01") * n
-        self.open = np.frombuffer(self.open_bytes, dtype=bool)
         self.edge_count = 0
+
+    open = property(lambda self: np.frombuffer(self.open_bytes, dtype=bool))
 
     def can_connect(self, a: int, b: int) -> bool:
         """Whether edge a-b keeps the partial tour a set of paths or closes

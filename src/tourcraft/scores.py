@@ -12,7 +12,7 @@ neighbour set, so a list is exact for any set `construction` builds.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -20,6 +20,8 @@ from .errors import ConfigError, _FloatErrors
 from .instance import (CityStats, DistanceMatrix, _block_rows,
                        _heuristic_rows, _ranked, _row_blocks)
 
+# (a, b) -> mu^a * sigma^b: a grid's one cache of `_numerator_vector`
+_Numerators = Callable[[float, float], np.ndarray]
 _EQ2_RANGE = ("exponents overflow or underflow a float: "
               "mu^{:g} * sigma^{:g} / d^{:g}")  # of (delta, epsilon, gamma)
 
@@ -50,20 +52,21 @@ def _numerator_vector(stats: CityStats, exp_mu: float, exp_sigma: float,
     return out
 
 
-def _score_rows(matrix: DistanceMatrix, stats: CityStats, gamma: float,
-                delta: float, epsilon: float) -> np.ndarray:
-    """eq. 2 scores for gamma != 0: row i holds mu_j^delta * sigma_j^epsilon
-    / d_ij^gamma over j, -inf at j = i (a city is never its own neighbour).
+def _score_rows(num: np.ndarray, power_of: Callable[[float], np.ndarray],
+                gamma: float, delta: float, epsilon: float) -> np.ndarray:
+    """eq. 2 scores for gamma != 0: row i holds num_j / d_ij^gamma over j,
+    numerator `num` over `power_of(gamma)`, the whole d^gamma, and -inf at
+    j = i (a city is never its own neighbour).
 
     Powers that over- or underflow are a ConfigError, so d_ij^gamma is 0 or
     inf only where d_ij = 0, and the division itself scores such a cell +inf
     for gamma > 0 and 0 for gamma < 0; only a zero numerator over a zero
     distance, 0/0, needs setting to +inf.
     """
-    num = _numerator_vector(stats, delta, epsilon)
     with _eq2_range(delta, epsilon, gamma):
-        out = np.power(matrix.heuristic, gamma)
-        _divide_powers(num, out, _nan_is_inf(gamma, num), out, 0)
+        powers = power_of(gamma)
+        out = np.empty_like(powers)
+        _divide_powers(num, powers, _nan_is_inf(gamma, num), out, 0)
     return out
 
 
@@ -127,7 +130,7 @@ class _RecomputedRows:
         return row
 
 
-def _ranked_run(matrix: DistanceMatrix, stats: CityStats, rules: list,
+def _ranked_run(matrix: DistanceMatrix, num_of: _Numerators, rules: list,
                 sets: np.ndarray,
                 ) -> Iterable[Tuple[List[List[int]], Sequence]]:
     """Each gamma != 0 rule (gamma, delta, epsilon) of `rules` as (its
@@ -140,9 +143,8 @@ def _ranked_run(matrix: DistanceMatrix, stats: CityStats, rules: list,
     gamma differs, into the other block, which is its rows of scores until the
     next rule's are made. Otherwise no score matrix is held: the rows are
     `_RecomputedRows`, and a step whose candidates are all closed reads
-    its row there. Every numerator is computed before the first power."""
-    nums = [_numerator_vector(stats, delta, epsilon)
-            for _, delta, epsilon in rules]
+    its row there. Every numerator is read before the first power."""
+    nums = [num_of(delta, epsilon) for _, delta, epsilon in rules]
     nan_is_inf = [_nan_is_inf(rule[0], num) for rule, num in zip(rules, nums)]
     lists, counts, whole = _ranked_blocks(matrix, rules, nums, nan_is_inf,
                                           sets)

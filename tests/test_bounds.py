@@ -298,10 +298,27 @@ class TestMatchesOracle:
 
     def test_cached_layers_are_read_only(self):
         bits, steps = bounds._layers(4)
-        j, has, without = steps[0]
-        for a in (bits, has, without):
+        for a in (bits, *(a for *_, without, cells in steps
+                          for a in (without, cells))):
             with pytest.raises(ValueError):
-                a[0] = 0
+                a.flat[0] = 0
+
+    @pytest.mark.parametrize("n", range(3, EXACT_MAX_N + 1))
+    def test_exact_orders_one_city_per_step(self, n, monkeypatch):
+        # with the least budget every group is one city, one step per
+        # subset size and city: the same orders as the default groups
+        monkeypatch.setattr(tc.instance, "BLOCK_BYTES", 1)
+        bounds._layers.cache_clear()
+        try:
+            assert all(len(without) == 1
+                       for _, without, _ in bounds._layers(n - 1)[1])
+            for m in (random_matrix(n, 2000 + n),
+                      tie_heavy_matrix(n, 3000 + n),
+                      fractional_matrix(n, 7000 + n)):
+                assert list(tc.exact_optimum(m).order) == \
+                    bounds_oracle.exact_optimum(m)
+        finally:
+            bounds._layers.cache_clear()
 
 
 class TestReferenceMemory:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import os
@@ -18,6 +19,24 @@ from conftest import (brute_force_optimum, fractional_matrix, load_instance,
                       traced_peak, triangle_345, uniform_matrix,
                       unrounded_matrix)
 from paper_oracle import construct_order, eq1_priority, eq2_priority
+
+
+def numerators(stats):
+    """The grid's numerator of each exponent pair (delta, epsilon) or
+    (alpha, beta), computed from `stats`."""
+    return functools.partial(construction._numerator_vector, stats)
+
+
+def city_order(stats, alpha, beta):
+    """The eq. 1 city order of (alpha, beta)."""
+    return construction._city_order(numerators(stats)(alpha, beta))
+
+
+def score_rows(m, stats, gamma, delta, epsilon):
+    """The whole eq. 2 score matrix of rule (gamma, delta, epsilon)."""
+    return construction._score_rows(
+        numerators(stats)(delta, epsilon),
+        functools.partial(np.power, m.heuristic), gamma, delta, epsilon)
 
 
 class TestEq1:
@@ -535,7 +554,7 @@ def test_zero_numerator_over_zero_distance_scores_inf(make):
     zero = (m.heuristic == 0.0) & ~np.eye(m.n, dtype=bool)
     for gamma in (0.5, 1, 2):
         for delta, epsilon in ((1, 0), (0, 1), (0.5, 0.5)):
-            scores = construction._score_rows(m, stats, gamma, delta, epsilon)
+            scores = score_rows(m, stats, gamma, delta, epsilon)
             assert not np.isnan(scores).any(), (gamma, delta, epsilon)
             assert (scores[zero] == np.inf).all(), (gamma, delta, epsilon)
 
@@ -608,8 +627,8 @@ class TestGridMatchesBruteGrid:
         # is constructed with it once, for its first grid point
         m = random_matrix(20, 13)
         stats = tc.city_stats(m)
-        assert construction._city_order(stats, 1, 0) == \
-            construction._city_order(stats, 2, 0)
+        assert city_order(stats, 1, 0) == \
+            city_order(stats, 2, 0)
         grid = [tc.ExponentCombo(a, 0, 0, delta, 0)
                 for a in (0, 1) for delta in (1, 2)]
         calls = self.counted_constructions(monkeypatch)
@@ -626,7 +645,7 @@ class TestGridMatchesBruteGrid:
         m = random_matrix(20, 13)
         stats = tc.city_stats(m)
         pairs = ((0, 0), (1, 0), (0, 1), (1, 1))
-        rankings = {construction._city_order(stats, *p) for p in pairs}
+        rankings = {city_order(stats, *p) for p in pairs}
         assert len(rankings) == len(pairs)
         grid = [tc.ExponentCombo(a, 0, 0, *p) for a in (0, 1) for p in pairs]
         calls = self.counted_constructions(monkeypatch)
@@ -644,13 +663,13 @@ class TestGridMatchesBruteGrid:
         m = random_matrix(n, 13)
         stats = tc.city_stats(m)
         values = (0, 0.5, 1)
-        orders = {construction._city_order(stats, a, b)
+        orders = {city_order(stats, a, b)
                   for a in values for b in values}
         whole = set()
         for gamma in (0.5, 1):
             for delta in values:
                 for epsilon in values:
-                    scores = construction._score_rows(m, stats, gamma, delta,
+                    scores = score_rows(m, stats, gamma, delta,
                                                       epsilon).tolist()
                     whole.add(tuple(tuple(j for _, j in sorted(
                         (-s, j) for j, s in enumerate(row) if j != i))
@@ -736,7 +755,7 @@ def ranked_rule(m, stats, rule, sets):
     lists `_ranked_run` ranks from `sets` and its rows of scores."""
     if rule[0] == 0.0:
         return construction.RankedScores(ranking=rule[1])
-    (rows, scores), = construction._ranked_run(m, stats, [rule], sets)
+    (rows, scores), = construction._ranked_run(m, numerators(stats), [rule], sets)
     return construction.RankedScores(rows, scores)
 
 
@@ -785,7 +804,7 @@ class TestCandidateLists:
         for m in self.matrices(k):
             stats = tc.city_stats(m)
             for gamma, delta in ((1, 0), (-1, 0), (0.5, 1)):
-                scores = construction._score_rows(m, stats, gamma, delta, 0)
+                scores = score_rows(m, stats, gamma, delta, 0)
                 for sets in (construction._neighbour_sets(m)[1],
                              farthest_sets(m), random_sets(m)):
                     rows = ranked_rule(m, stats, (gamma, delta, 0),
@@ -813,11 +832,11 @@ class TestCandidateLists:
             order_of = oracle(m, stats)
             for combo in CANDIDATE_GRID:
                 g, d, e = combo.gamma, combo.delta, combo.epsilon
-                rule = ((0.0, construction._city_order(stats, d, e))
+                rule = ((0.0, city_order(stats, d, e))
                         if g == 0 else (g, d, e))
                 sets = construction._neighbour_sets(m)[1]
                 got = construction._construct(
-                    construction._city_order(stats, combo.alpha, combo.beta),
+                    city_order(stats, combo.alpha, combo.beta),
                     ranked_rule(m, stats, rule, sets))
                 assert tuple(got) == tuple(order_of(combo)), (m.n, combo)
 
@@ -842,7 +861,7 @@ class TestCandidateLists:
                     m, stats, (combo.gamma, combo.delta, combo.epsilon),
                     construction._neighbour_sets(m)[1])
                 got = construction._construct(
-                    construction._city_order(stats, combo.alpha, combo.beta),
+                    city_order(stats, combo.alpha, combo.beta),
                     ranked)
                 assert tuple(got) == tuple(order_of(combo)), (m.n, combo)
 
@@ -857,7 +876,7 @@ def test_ranking_leaves_scores_bit_identical():
         stats = tc.city_stats(m)
         own = np.eye(m.n, dtype=bool)
         for gamma in (1, -0.5):
-            before = construction._score_rows(m, stats, gamma, 1, 0)
+            before = score_rows(m, stats, gamma, 1, 0)
             assert (np.isneginf(before) == own).all(), gamma
             for sets, budget in itertools.product(
                     (construction._neighbour_sets(m)[1], farthest_sets(m)),
@@ -878,9 +897,9 @@ def test_small_instances_list_every_other_city(n):
     for m in (random_matrix(n, n), tie_heavy_matrix(n, n)):
         stats = tc.city_stats(m)
         for gamma in (1, -1):
-            scores = construction._score_rows(m, stats, gamma, 1, 1)
+            scores = score_rows(m, stats, gamma, 1, 1)
             (ranked, _), = construction._whole_rankings(
-                m, stats, {(gamma, 1, 1): {}})
+                m, numerators(stats), {(gamma, 1, 1): {}})
             rows = ranked.rows
             for i, row in enumerate(scores.tolist()):
                 assert rows[i] == [j for _, j in sorted(
@@ -1029,7 +1048,7 @@ def test_rows_list_k_neighbours(k, monkeypatch):
         others = np.delete(d[i], row + [i])
         assert d[i, row].max() <= others.min(), i
     for gamma, delta in ((1, 0), (0.5, 0), (-1, 0), (1, 1), (0.5, 1), (-1, 1)):
-        scores = construction._score_rows(m, stats, gamma, delta, 0)
+        scores = score_rows(m, stats, gamma, delta, 0)
         rows = ranked_rule(m, stats, (gamma, delta, 0), sets).rows
         assert_rows_are_certified(scores, sets, rows)
         if delta == 0:
@@ -1077,7 +1096,7 @@ def test_gamma_zero_walk_skips_the_closed_prefix():
     m = random_matrix(n, 7)
     stats = tc.city_stats(m)
     combo = tc.ExponentCombo(1, 0, 0, 1, 0)
-    order = construction._city_order(stats, 1, 0)
+    order = city_order(stats, 1, 0)
     ranked = construction.RankedScores(ranking=CountingList(order))
     got = construction._construct(order, ranked)
     assert tuple(got) == tc.construct_tour(m, combo).tour.order
@@ -1237,12 +1256,12 @@ def test_coordinate_rows_match_held_tables(n, kind):
                 got += [fused.mu.tobytes(), fused.sigma.tobytes(),
                         sets.tobytes()]
                 for ranked, _ in construction._candidate_lists(
-                        m, stats, first, sets):
+                        m, numerators(stats), first, sets):
                     got += [ranked.rows] + [ranked.scores[city].tobytes()
                                             for city in range(0, n, 7)]
             else:
                 got += [ranked.rows for ranked, _ in
-                        construction._whole_rankings(m, stats, first)]
+                        construction._whole_rankings(m, numerators(stats), first)]
             got.append(construction._loop_lengths(orders, m).tobytes())
             for grid in (None, [scan]):
                 r = tc.grid_search(m, grid)
@@ -1287,10 +1306,10 @@ def test_row_blocks_list_and_score_as_the_whole_matrix(k, block_rows):
         block_rows(m.n, rows)
         block_rows.runs.clear()
         seen = []
-        for ranked, runs in construction._candidate_lists(m, stats, first,
+        for ranked, runs in construction._candidate_lists(m, numerators(stats), first,
                                                           sets):
             rule = rules[len(seen)]
-            whole = construction._score_rows(m, stats, *rule)
+            whole = score_rows(m, stats, *rule)
             assert_rows_are_certified(whole, sets, ranked.rows)
             for city in range(m.n):
                 assert ranked.scores[city].tobytes() == \
@@ -1370,6 +1389,80 @@ def test_row_blocks_leave_the_float_error_state(block_rows, monkeypatch):
         tc.grid_search(random_matrix(20, 0))
     assert np.geterr() == before
     assert err.traceback
+
+
+@pytest.mark.parametrize("n", [12, 30])
+@pytest.mark.parametrize("priced", [1, 5, 11])
+def test_pricing_chunks_across_rules(n, priced, monkeypatch):
+    # the grid prices its loops `priced` at a time, not rule by rule: a
+    # chunk ends inside a rule and another spans two. The grids pick the
+    # brute grid's tour, combo and length, and on the tie-heavy matrix,
+    # where equal shortest loops fall in different chunks, the earliest
+    # grid point still wins
+    block_rows = construction._block_rows
+    loop_lengths = construction._loop_lengths
+    construct = construction._construct
+    rules, chunks = [], []
+
+    def spy_construct(order, ranked):
+        rules.append(ranked)
+        return construct(order, ranked)
+
+    def spy_price(loops, matrix):
+        prices = loop_lengths(loops, matrix)
+        chunks.append((len(rules), prices.tolist()))
+        return prices
+
+    monkeypatch.setattr(construction, "_block_rows", lambda k: (
+        priced if k == 8 * n else block_rows(k)))
+    monkeypatch.setattr(construction, "_construct", spy_construct)
+    monkeypatch.setattr(construction, "_loop_lengths", spy_price)
+    for m in (random_matrix(n, n), tie_heavy_matrix(n, n)):
+        rules.clear()
+        chunks.clear()
+        assert_grid_and_lengths_match(m, None)
+        ends = [end for end, _ in chunks]
+        assert ends[-1] == len(rules)
+        assert all(len(prices) == priced for _, prices in chunks[:-1])
+        if priced > 1:
+            assert any(rules[end - 1] is rules[end] for end in ends[:-1])
+            assert any(rules[lo] is not rules[hi - 1]
+                       for lo, hi in zip([0] + ends, ends))
+    shortest = min(min(prices) for _, prices in chunks)
+    assert sum(shortest in prices for _, prices in chunks) > 1
+
+
+@pytest.mark.parametrize("n", [12, 17, 18, 40])
+def test_grid_computes_each_numerator_and_power_once(n, monkeypatch):
+    # one numerator per exponent pair, read by the city orders, the
+    # gamma = 0 rankings and every gamma != 0 rule alike, and where each
+    # rule is ranked whole, one d^gamma per gamma
+    numerator, power = construction._numerator_vector, np.power
+    m = random_matrix(n, 3)
+    pairs, gammas = [], []
+
+    def spy_numerator(stats, *pair):
+        pairs.append(pair)
+        return numerator(stats, *pair)
+
+    def spy_power(base, *args, **kwargs):
+        if base is vars(m).get("heuristic"):
+            gammas.append(args[0])
+        return power(base, *args, **kwargs)
+
+    monkeypatch.setattr(construction, "_numerator_vector", spy_numerator)
+    monkeypatch.setattr(np, "power", spy_power)
+    grid = tc.default_grid() + GAMMA_GRIDS["interleaved"]
+    tc.grid_search(m, grid)
+    assert len(pairs) == len(set(pairs))
+    assert set(pairs) == {(c.alpha, c.beta) for c in grid} | \
+        {(c.delta, c.epsilon) for c in grid}
+    if n - 1 <= construction.CANDIDATES:
+        assert sorted(gammas) == sorted({c.gamma for c in grid
+                                         if c.gamma != 0})
+    pairs.clear()
+    tc.grid_search(m)
+    assert len(pairs) == len(set(pairs)) == 9
 
 
 def test_eq1_order_scale_invariance():
